@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import categories, fusion, linreal, projmod, qgraph, words
@@ -98,7 +99,7 @@ def cmd_table(args) -> int:
 
 
 def _verify_laws(args, config, results) -> bool:
-    for N in [args.N] if args.N else [2, 3]:
+    for N in [2, 3] if args.N is None else [args.N]:
         report = linreal.check_laws(linreal.law_pairs(args.points), N)
         results.append(
             f"laws N={N}: {report['pairs_checked']} pairs, "
@@ -108,7 +109,7 @@ def _verify_laws(args, config, results) -> bool:
 
 
 def _verify_fusion_rank(args, config, results) -> bool:
-    N = args.N or 4
+    N = 4 if args.N is None else args.N
     ok = True
     for w in words.all_words(args.length):
         mult = fusion.fold_product(list(w))[""]
@@ -160,8 +161,11 @@ def _verify_psi(args, config, results) -> bool:
 
 
 def _verify_trees(args, config, results) -> bool:
-    kind, n = args.base[0], int(args.base[1:])
-    base = qgraph.classical(n) if kind == "c" else qgraph.matrix_trace(n)
+    m = re.fullmatch(r"([cm])([1-9][0-9]*)", args.base)
+    if m is None:
+        raise ValueError(f"--base must be c<N> or m<N> with N >= 1, got {args.base!r}")
+    n = int(m[2])
+    base = qgraph.classical(n) if m[1] == "c" else qgraph.matrix_trace(n)
     if not qgraph.check_delta_form(base):
         results.append("delta-form axiom FAILS")
         return False
@@ -215,6 +219,8 @@ def cmd_verify(args) -> int:
         "N": args.N,
         "seed": args.seed,
     }
+    if args.N is not None and args.N < 1:
+        raise ValueError(f"--N must be at least 1, got {args.N}")
     results: list = []
     ok = SUITES[args.suite](args, config, results)
     return _emit(config, results, "pass" if ok else "fail", args.format)
@@ -266,7 +272,14 @@ def main(argv=None) -> int:
     except (linreal.LawViolation, fusion.ClosureViolation, TableMismatch) as e:
         print(f"violation: {e}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, words.NoCatalogMatch, words.PreconditionViolated) as e:
+    except (
+        ValueError,
+        KeyError,
+        words.NoCatalogMatch,
+        words.PreconditionViolated,
+        linreal.TooLarge,
+        qgraph.TooLarge,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

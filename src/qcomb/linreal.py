@@ -9,10 +9,18 @@ indexed by joint assignments, <T_p, T_q> = N^(number of blocks of the
 join of p and q on all k+l points).  A full-rank residue of the Gram
 matrix modulo a prime certifies full rank over the rationals; otherwise
 a fraction-free elimination over the integers settles the rank exactly.
+
+The join block counts of a family are computed for all pairs at once in
+numpy batches: each partition becomes a successor map that cycles through
+every block, and min-label propagation along the two maps of a pair
+reaches the least point of each block of the join.  The exponent matrix
+of the most recent family is memoized, so the ranks at several N share
+one matrix.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -84,9 +92,6 @@ class PartitionMap:
                 key = (t, s)
                 entries[key] = entries.get(key, 0) + v1 * v2
         return PartitionMap(other.k, self.l, self.N, entries)
-
-    def nnz(self) -> int:
-        return len(self.entries)
 
 
 def realize(p: Partition, N: int) -> PartitionMap:
@@ -182,37 +187,82 @@ def join_block_count(p: Partition, q: Partition) -> int:
     return len({uf.find(i) for i in range(n)})
 
 
-def gram_exponents(parts: list[Partition]) -> np.ndarray:
-    """Matrix of b(p v q); the Gram matrix of the T_p at dimension N is
-    N raised to this, entrywise."""
-    n = len(parts)
-    B = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i, n):
-            B[i, j] = B[j, i] = join_block_count(parts[i], parts[j])
+# pairs per batch in gram_exponents; keeps each temporary near 1 MB
+_PAIR_CHUNK = 4096
+
+
+def _successors(parts: tuple[Partition, ...]) -> np.ndarray:
+    """Row i maps each point to the next point of its block under parts[i],
+    cyclically, so that the block is one cycle of the map."""
+    succ = np.empty((len(parts), parts[0].n_points), dtype=np.intp)
+    for i, p in enumerate(parts):
+        for blk in p.blocks:
+            succ[i, list(blk)] = blk[1:] + blk[:1]
+    return succ
+
+
+@lru_cache(maxsize=1)
+def _exponents(parts: tuple[Partition, ...]) -> np.ndarray:
+    m, n = len(parts), parts[0].n_points
+    succ = _successors(parts)
+    B = np.empty((m, m), dtype=np.int64)
+    points = np.arange(n)
+    r0 = 0
+    while r0 < m:
+        # rows r0..r1-1 against columns r0..m-1; the pairs below the
+        # diagonal inside the band are recomputed, which is cheap
+        r1 = min(m, r0 + max(1, _PAIR_CHUNK // (m - r0)))
+        I = np.repeat(np.arange(r0, r1), m - r0)
+        J = np.tile(np.arange(r0, m), r1 - r0)
+        offset = (np.arange(len(I)) * n)[:, None]
+        nxt_p = (succ[I] + offset).ravel()
+        nxt_q = (succ[J] + offset).ravel()
+        # min-label propagation: at the fixed point every point carries
+        # the least point of its block of the join, so each block has
+        # exactly one point whose label is itself
+        lab = np.tile(points, len(I))
+        while True:
+            new = np.minimum(lab, np.minimum(lab[nxt_p], lab[nxt_q]))
+            if np.array_equal(new, lab):
+                break
+            lab = new
+        counts = (lab.reshape(len(I), n) == points).sum(axis=1)
+        B[I, J] = counts
+        B[J, I] = counts
+        r0 = r1
+    B.flags.writeable = False
     return B
 
 
+def gram_exponents(parts: list[Partition]) -> np.ndarray:
+    """Matrix of b(p v q); the Gram matrix of the T_p at dimension N is
+    N raised to this, entrywise.  The result is read-only: the matrix of
+    the most recent family is memoized and shared between callers."""
+    if not parts:
+        return np.zeros((0, 0), dtype=np.int64)
+    return _exponents(tuple(parts))
+
+
 def _rank_mod_p(M: np.ndarray, p: int) -> int:
-    """Gaussian elimination over F_p; int64 is safe for p < 2^31."""
+    """Gaussian elimination over F_p; int64 is safe for p < 2^31.
+
+    Only the rows below the pivot are cleared, and only from the pivot
+    column on: the rank needs an echelon form, not a reduced one."""
     A = np.mod(M, p).astype(np.int64)
     rows, cols = A.shape
     rank = 0
     for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if A[r, c]:
-                piv = r
-                break
-        if piv is None:
+        nz = np.flatnonzero(A[rank:, c])
+        if nz.size == 0:
             continue
-        A[[rank, piv]] = A[[piv, rank]]
+        piv = rank + int(nz[0])
+        if piv != rank:
+            A[[rank, piv]] = A[[piv, rank]]
         inv = pow(int(A[rank, c]), p - 2, p)
-        A[rank] = A[rank] * inv % p
-        mask = A[:, c] != 0
-        mask[rank] = False
-        if mask.any():
-            A[mask] = (A[mask] - np.outer(A[mask, c], A[rank])) % p
+        pivot_row = A[rank, c:] * inv % p
+        below = rank + 1 + np.flatnonzero(A[rank + 1 :, c])
+        if below.size:
+            A[below, c:] = (A[below, c:] - np.outer(A[below, c], pivot_row)) % p
         rank += 1
         if rank == rows:
             break
@@ -251,11 +301,12 @@ def gram_rank(parts: list[Partition], N: int) -> int:
         raise ShapeMismatch("mixed frames")
     B = gram_exponents(parts)
     n = len(parts)
-    # full-rank certificate modulo a prime is exact; N^B stays below any
-    # 31-bit prime for the sizes handled here, so the residues are faithful
+    # a full-rank residue modulo a prime certifies full rational rank;
+    # the table holds N^e reduced modulo the prime, so table[B] is the
+    # exact residue of the Gram matrix however large N^e grows
     for prime in _PRIMES:
-        G = np.vectorize(lambda e: pow(N, int(e), prime))(B).astype(np.int64)
-        if _rank_mod_p(G, prime) == n:
+        table = np.array([pow(N, e, prime) for e in range(int(B.max()) + 1)], dtype=np.int64)
+        if _rank_mod_p(table[B], prime) == n:
             return n
     # modular rank only bounds the rational rank from below, so a
     # deficient family needs the integer elimination to settle the value

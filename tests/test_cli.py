@@ -89,3 +89,22 @@ def test_text_format_is_the_default(capsys):
     assert code == 0
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "laws", "--N", "0"],
+        ["verify", "fusion-rank", "--N", "0"],
+        ["verify", "trees", "--depth", "20"],
+        ["verify", "trees", "--base", "c0"],
+        ["verify", "trees", "--base", "q3"],
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

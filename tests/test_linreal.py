@@ -6,9 +6,27 @@ diagonal symmetric group S_N, whose dimension is the number of index
 orbits, i.e. the sum of Stirling numbers S(n, j) for j <= N.
 """
 
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from qcomb import linreal
-from qcomb.categories import NAMED, enumerate_members
-from qcomb.linreal import check_laws, fixed_points_dim, gram_rank, law_pairs, realize
+from qcomb.categories import CU, NAMED, enumerate_members
+from qcomb.linreal import (
+    _PRIMES,
+    _rank_bareiss,
+    _rank_mod_p,
+    check_laws,
+    fixed_points_dim,
+    gram_exponents,
+    gram_rank,
+    join_block_count,
+    law_pairs,
+    realize,
+)
 from qcomb.partitions import duality, enumerate_partitions, identity
 
 
@@ -80,3 +98,91 @@ def test_law_pairs_stay_within_the_point_bound():
     for p, q in law_pairs(4):
         assert len(p.upper) + len(p.lower) <= 4
         assert len(q.upper) + len(q.lower) <= 4
+
+
+# -- differential tests of the batched Gram kernel ---------------------------
+
+
+def join_matrix(parts):
+    """Per-pair union-find reference for gram_exponents."""
+    n = len(parts)
+    B = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i, n):
+            B[i, j] = B[j, i] = join_block_count(parts[i], parts[j])
+    return B
+
+
+def frames(max_points):
+    for n in range(max_points + 1):
+        for k in range(n + 1):
+            yield n, k
+
+
+@pytest.mark.parametrize("n,k", list(frames(6)))
+def test_gram_exponents_match_union_find_on_all_partitions(n, k):
+    parts = list(enumerate_partitions("o" * k, "o" * (n - k)))
+    assert np.array_equal(gram_exponents(parts), join_matrix(parts))
+
+
+@pytest.mark.parametrize("n,k", list(frames(7)))
+def test_gram_exponents_match_union_find_on_noncrossing_frames(n, k):
+    parts = enumerate_members(NAMED["NCall"], "o" * k, "o" * (n - k))
+    assert np.array_equal(gram_exponents(parts), join_matrix(parts))
+
+
+def test_gram_exponents_match_union_find_on_unitary_frames():
+    checked = 0
+    for n, k in frames(8):
+        for colors in itertools.product("ox", repeat=n):
+            parts = enumerate_members(CU, "".join(colors[:k]), "".join(colors[k:]))
+            if parts:
+                assert np.array_equal(gram_exponents(parts), join_matrix(parts))
+                checked += 1
+    assert checked > 0
+
+
+def test_gram_exponents_memo_follows_the_family():
+    a = all_parts(4)
+    b = list(reversed(a))
+    c = all_parts(5)[: len(a)]
+    for family in (a, b, c, a):
+        B = gram_exponents(family)
+        assert np.array_equal(B, join_matrix(family))
+        assert not B.flags.writeable
+        with pytest.raises(ValueError):
+            B[0, 0] = 0
+
+
+# Entries and products stay small enough that every nonzero minor is below
+# the prime, so the residue rank equals the rational rank exactly.
+small_int = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def small_matrices(draw):
+    def matrix(rows, cols):
+        row = st.lists(small_int, min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return matrix(rows, cols)
+    # a product through an inner dimension of at most 3 is rank-deficient
+    # whenever both sides exceed it
+    inner = draw(st.integers(1, 3))
+    left, right = matrix(rows, inner), matrix(inner, cols)
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@given(small_matrices(), st.sampled_from(_PRIMES))
+def test_modular_rank_matches_bareiss(M, prime):
+    assert _rank_mod_p(np.array(M, dtype=np.int64), prime) == _rank_bareiss(M)
+
+
+@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("n,k", list(frames(5)))
+def test_gram_rank_matches_explicit_rank_on_deficient_families(n, k, N):
+    parts = list(enumerate_partitions("o" * k, "o" * (n - k)))
+    assert gram_rank(parts, N) == linreal.rank([realize(p, N) for p in parts])
