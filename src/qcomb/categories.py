@@ -8,17 +8,24 @@ have the same color in different rows and different colors in the same
 row.  (The pair-and-color rule alone admits the crossing swap, which the
 corresponding quantum group excludes, so noncrossing is part of the CU
 predicate here.)
+
+Members of a frame are enumerated directly, not filtered: every category
+but P2 is built as noncrossing partitions in the circular order, pruned
+by its block sizes (and, for CU, by the color rule), and sorted by
+labels.  P2 takes every pair partition.  The membership predicate still
+runs on each candidate, so it stays the one definition of membership.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .partitions import (
     Partition,
     all_colorings,
+    circular_order,
+    enumerate_noncrossing,
     enumerate_partitions,
     identity,
 )
@@ -46,10 +53,8 @@ def _singleton_parity_ok(p: Partition) -> bool:
 
 def _sharp_ok(p: Partition) -> bool:
     """Even number of singletons between any two connected points, in the
-    circular order (upper left to right, then lower right to left)."""
-    k = p.n_upper
-    order = list(range(k)) + list(range(p.n_points - 1, k - 1, -1))
-    pos = {pt: i for i, pt in enumerate(order)}
+    circular order."""
+    order = circular_order(p.n_upper, p.n_lower)
     single = [len(p.blocks[p.labels[pt]]) == 1 for pt in order]
     prefix = [0]
     for s in single:
@@ -57,7 +62,7 @@ def _sharp_ok(p: Partition) -> bool:
     for blk in p.blocks:
         if len(blk) != 2:
             continue
-        a, b = sorted(pos[pt] for pt in blk)
+        a, b = sorted(order[pt] for pt in blk)
         if (prefix[b] - prefix[a + 1]) % 2:
             return False
     return True
@@ -146,15 +151,13 @@ NAMED = {
     for c in (CU, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, NC, P2)
 }
 
-# block-size restrictions used to prune enumeration
+# block sizes that bound the noncrossing enumeration of each category
 _BLOCK_SIZES = {
     "NC2": {2},
     "NC12": {1, 2},
     "NC12prime": {1, 2},
     "NC12sharp": {1, 2},
-    "NCeven": {2, 4, 6, 8, 10, 12},
-    "P2": {2},
-    "CU": {2},
+    "NCeven": set(range(2, MAX_FRAME_POINTS + 1, 2)),
 }
 
 
@@ -165,36 +168,21 @@ def contains(cat: CategorySpec, p: Partition) -> bool:
 @lru_cache(maxsize=None)
 def _enumerate_cached(cat_name: str, upper: str, lower: str) -> tuple[Partition, ...]:
     cat = NAMED[cat_name]
-    pair_only = _BLOCK_SIZES.get(cat_name) == {2}
-    return tuple(
-        enumerate_partitions(
-            upper,
-            lower,
-            pair_only=pair_only,
-            block_sizes=_BLOCK_SIZES.get(cat_name),
-            predicate=cat.predicate,
+    if cat is P2:
+        candidates = enumerate_partitions(upper, lower, pair_only=True)
+    else:
+        candidates = enumerate_noncrossing(
+            upper, lower, _BLOCK_SIZES.get(cat_name), colored=cat.colored
         )
-    )
+    return tuple(p for p in candidates if cat.predicate(p))
 
 
-def enumerate_members(
-    cat: CategorySpec, upper: str, lower: str, cache_dir: str | None = None
-) -> list[Partition]:
+def enumerate_members(cat: CategorySpec, upper: str, lower: str) -> list[Partition]:
     """All members of the category with the given frame."""
     if len(upper) + len(lower) > MAX_FRAME_POINTS:
         raise FrameTooLarge(f"frame has {len(upper) + len(lower)} > {MAX_FRAME_POINTS} points")
     if cat.members is not None:
         return [p for p in cat.members if p.upper == upper and p.lower == lower]
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, f"{cat.name}_{upper or 'e'}_{lower or 'e'}.txt")
-        if os.path.exists(path):
-            with open(path) as fh:
-                return [Partition.from_str(line.strip()) for line in fh if line.strip()]
-        result = list(_enumerate_cached(cat.name, upper, lower))
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.writelines(str(p) + "\n" for p in result)
-        return result
     return list(_enumerate_cached(cat.name, upper, lower))
 
 

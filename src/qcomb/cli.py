@@ -68,6 +68,10 @@ def cmd_classify_words(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.bound > categories.MAX_FRAME_POINTS:
+        raise ValueError(
+            f"--bound must be at most {categories.MAX_FRAME_POINTS}, got {args.bound}"
+        )
     names = [args.category] if args.category else list(EXPECTED_MODULE_COUNTS)
     config = {"command": "table", "bound": args.bound, "categories": names}
     results = []
@@ -99,6 +103,8 @@ def cmd_table(args) -> int:
 
 
 def _verify_laws(args, config, results) -> bool:
+    if args.points > linreal.MAX_POINTS:
+        raise ValueError(f"--points must be at most {linreal.MAX_POINTS}, got {args.points}")
     for N in [2, 3] if args.N is None else [args.N]:
         report = linreal.check_laws(linreal.law_pairs(args.points), N)
         results.append(
@@ -109,12 +115,14 @@ def _verify_laws(args, config, results) -> bool:
 
 
 def _verify_fusion_rank(args, config, results) -> bool:
+    if args.length > linreal.MAX_POINTS:
+        raise ValueError(f"--length must be at most {linreal.MAX_POINTS}, got {args.length}")
     N = 4 if args.N is None else args.N
     ok = True
     for w in words.all_words(args.length):
         mult = fusion.fold_product(list(w))[""]
         dim = linreal.fixed_points_dim(w, N)
-        count = len(categories.enumerate_members(categories.CU, "", w, args.cache_dir))
+        count = len(categories.enumerate_members(categories.CU, "", w))
         good = mult == dim == count
         ok = ok and good
         results.append(
@@ -242,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="recompute the orthogonal module table")
     p.add_argument("--bound", type=int, default=8)
     p.add_argument("--category", choices=sorted(EXPECTED_MODULE_COUNTS))
-    p.add_argument("--cache-dir")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_table)
 
@@ -256,9 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--base", default="c2", help="cN (classical) or mN (matrix trace)")
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-dir")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
@@ -279,6 +284,7 @@ def main(argv=None) -> int:
         words.PreconditionViolated,
         linreal.TooLarge,
         qgraph.TooLarge,
+        categories.FrameTooLarge,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -15,12 +15,21 @@ crossing pair partition with upper 'ox' and lower 'ox' is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .words import ALPHABET, WHITE, word_from_str, word_to_str
 
 _FLIP = str.maketrans("ox", "xo")
+
+
+@lru_cache(maxsize=None)
+def circular_order(k: int, l: int) -> tuple[int, ...]:
+    """The points of a frame with k upper and l lower points in circular
+    order: upper left to right, then lower right to left.  The order is
+    its own inverse: position i holds point order[i] and point i sits at
+    position order[i]."""
+    return tuple(range(k)) + tuple(range(k + l - 1, k - 1, -1))
 
 
 class UnionFind:
@@ -40,7 +49,7 @@ class UnionFind:
             self.parent[ri] = rj
 
 
-def _canonical_labels(blocks_of: list[int]) -> tuple[int, ...]:
+def _canonical_labels(blocks_of: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Relabel block ids by first appearance, 0-based."""
     seen: dict[int, int] = {}
     out = []
@@ -61,8 +70,9 @@ class Partition:
         n = len(self.upper) + len(self.lower)
         if len(self.labels) != n:
             raise ValueError("label count does not match point count")
-        if self.labels != _canonical_labels(list(self.labels)):
-            object.__setattr__(self, "labels", _canonical_labels(list(self.labels)))
+        canonical = _canonical_labels(self.labels)
+        if canonical != self.labels:
+            object.__setattr__(self, "labels", canonical)
 
     # -- construction -------------------------------------------------
 
@@ -85,7 +95,7 @@ class Partition:
         upper = word_from_str(up_s)
         lower = word_from_str(lo_s)
         labels = tuple(int(t) - 1 for t in lab_s.split(",")) if lab_s else ()
-        return Partition(upper, lower, _canonical_labels(list(labels)))
+        return Partition(upper, lower, labels)
 
     def __str__(self) -> str:
         return "{};{};{}".format(
@@ -144,11 +154,9 @@ class Partition:
         return all(len(b) == 2 for b in self.blocks)
 
     def is_noncrossing(self) -> bool:
-        """Noncrossing on the circular order: upper left-to-right, then
-        lower right-to-left.  Checked with a stack on that linearization."""
-        order = list(range(self.n_upper)) + list(
-            range(self.n_points - 1, self.n_upper - 1, -1)
-        )
+        """Noncrossing on the circular order.  Checked with a stack on that
+        linearization."""
+        order = circular_order(self.n_upper, self.n_lower)
         remaining = {b: len(blk) for b, blk in enumerate(self.blocks)}
         stack: list[int] = []
         for i in order:
@@ -414,34 +422,77 @@ def _pair_partitions(n: int):
     yield from rec(points, [])
 
 
-def enumerate_partitions(
-    upper: str,
-    lower: str,
-    *,
-    noncrossing: bool = False,
-    pair_only: bool = False,
-    block_sizes=None,
-    predicate=None,
-):
-    """All partitions with the given colored rows, filtered."""
+def enumerate_partitions(upper: str, lower: str, *, pair_only: bool = False):
+    """All partitions with the given colored rows; with pair_only, the
+    pair partitions only."""
     n = len(upper) + len(lower)
-    if pair_only:
-        source = _pair_partitions(n)
-    else:
-        source = _all_set_partitions(n)
+    source = _pair_partitions(n) if pair_only else _all_set_partitions(n)
     for labels in source:
-        if block_sizes is not None:
-            sizes: dict[int, int] = {}
-            for b in labels:
-                sizes[b] = sizes.get(b, 0) + 1
-            if any(s not in block_sizes for s in sizes.values()):
-                continue
-        p = Partition(upper, lower, labels)
-        if noncrossing and not p.is_noncrossing():
-            continue
-        if predicate is not None and not predicate(p):
-            continue
-        yield p
+        yield Partition(upper, lower, labels)
+
+
+@lru_cache(maxsize=None)
+def _noncrossing_shapes(n: int, sizes: frozenset | None, colors: str | None):
+    """Noncrossing partitions of n positions on a circle as label tuples
+    indexed by position, blocks numbered by first appearance.
+
+    Positions are visited in order with a stack of open blocks.  Each
+    position opens a block or joins one on the stack; joining closes
+    every block above it, since a later point of those would cross.  A
+    block is pruned once it outgrows max(sizes) or closes with a size not
+    in sizes (None allows every size).  With colors (the circular color
+    word), blocks are pairs whose two colors differ.
+    """
+    if colors is not None:
+        sizes = frozenset({2})
+        if 2 * colors.count(WHITE) != n:
+            return ()
+    top = n if sizes is None else max(sizes)
+    labels = [0] * n
+    out = []
+
+    def rec(i: int, opened: int, stack: tuple):
+        if i == n:
+            if sizes is None or all(s in sizes for _, s, _ in stack):
+                out.append(tuple(labels))
+            return
+        color = colors[i] if colors else None
+        labels[i] = opened
+        rec(i + 1, opened + 1, stack if top == 1 else stack + ((opened, 1, color),))
+        for j in range(len(stack) - 1, -1, -1):
+            b, s, c = stack[j]
+            if colors is None or c != color:
+                labels[i] = b
+                rec(i + 1, opened, stack[:j] if s + 1 == top else stack[:j] + ((b, s + 1, c),))
+            if sizes is not None and s not in sizes:
+                break  # joining further down would close this block
+
+    rec(0, 0, ())
+    return tuple(out)
+
+
+def enumerate_noncrossing(
+    upper: str, lower: str, block_sizes=None, colored: bool = False
+) -> list[Partition]:
+    """The noncrossing partitions of the frame whose block sizes lie in
+    block_sizes (every size when None), sorted by labels.  With colored,
+    the pair partitions obeying the unitary color rule: same color across
+    the rows, different colors within a row.
+
+    Built directly in the circular order rather than filtered from all
+    set partitions.  Shapes are shared between frames with the same
+    number of points (or, when colored, the same circular color word).
+    """
+    order = circular_order(len(upper), len(lower))
+    sizes = None if block_sizes is None else frozenset(block_sizes)
+    # read in circular order with lower colors flipped, a pair obeys the
+    # color rule exactly when its two colors differ
+    colors = upper + lower[::-1].translate(_FLIP) if colored else None
+    shapes = _noncrossing_shapes(len(order), sizes, colors)
+    # Partition canonicalizes the relabelled shape
+    out = [Partition(upper, lower, tuple([shape[i] for i in order])) for shape in shapes]
+    out.sort(key=lambda p: p.labels)
+    return out
 
 
 def all_colorings(n: int):

@@ -10,10 +10,29 @@ coincide with their parents when the restriction is automatic: blocks of
 size at most two on an even frame always leave an even number of
 singletons, and every noncrossing partition of an even frame has an even
 number of odd blocks.
+
+Enumeration builds noncrossing members directly; the differential tests
+compare it with a filter that runs the membership predicate over every
+set partition (every pair partition for the pair categories).
+The counts at 10 and 11 points are checked against closed forms: Catalan,
+Motzkin and the Fuss-Catalan numbers C(3m, m)/(2m+1), which count
+noncrossing partitions of 2m points into blocks of even size.
 """
 
+from itertools import product
+from math import comb
+
+import pytest
+
 from qcomb.categories import CU, NAMED, all_members, contains, enumerate_members
-from qcomb.partitions import Partition, crossing, duality, identity, singleton
+from qcomb.partitions import (
+    Partition,
+    crossing,
+    duality,
+    enumerate_partitions,
+    identity,
+    singleton,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42]
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51]
@@ -99,3 +118,71 @@ def test_enumeration_is_deterministic():
     a = enumerate_members(NAMED["NCall"], "ox", "xo")
     b = enumerate_members(NAMED["NCall"], "ox", "xo")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Direct enumeration against the filter over all candidates
+
+PAIR_CATEGORIES = {"NC2", "CU", "P2"}
+
+
+def by_labels(parts):
+    return sorted(parts, key=lambda p: p.labels)
+
+
+def frames(n, colorings):
+    for colors in colorings:
+        for k in range(n + 1):
+            yield "".join(colors[:k]), "".join(colors[k:])
+
+
+def assert_matches_filter(cats, upper, lower):
+    needed = {cat.name in PAIR_CATEGORIES for cat in cats}
+    candidates = {pair: list(enumerate_partitions(upper, lower, pair_only=pair)) for pair in needed}
+    for cat in cats:
+        got = enumerate_members(cat, upper, lower)
+        filtered = [p for p in candidates[cat.name in PAIR_CATEGORIES] if cat.predicate(p)]
+        assert by_labels(got) == by_labels(filtered), (cat.name, upper, lower)
+        if cat.name != "P2":
+            assert got == by_labels(got), (cat.name, upper, lower)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumeration_matches_the_filter_on_white_frames(n):
+    for upper, lower in frames(n, ["o" * n]):
+        assert_matches_filter(NAMED.values(), upper, lower)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumeration_matches_the_filter_on_every_coloring(n):
+    for upper, lower in frames(n, product("ox", repeat=n)):
+        assert_matches_filter(NAMED.values(), upper, lower)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_unitary_enumeration_matches_the_filter_on_every_coloring(n):
+    for upper, lower in frames(n, product("ox", repeat=n)):
+        assert_matches_filter([CU], upper, lower)
+
+
+def catalan(m):
+    return comb(2 * m, m) // (m + 1)
+
+
+def motzkin(n):
+    m = [1, 1]
+    for i in range(2, n + 1):
+        m.append(((2 * i + 1) * m[-1] + (3 * i - 3) * m[-2]) // (i + 2))
+    return m[n]
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_counts_at_ten_and_eleven_points_follow_closed_forms(n):
+    upper, lower = "o" * 3, "o" * (n - 3)
+    m = n // 2
+    assert len(enumerate_members(NAMED["NCall"], upper, lower)) == catalan(n)
+    assert len(enumerate_members(NAMED["NC12"], upper, lower)) == motzkin(n)
+    even = n % 2 == 0
+    assert len(enumerate_members(NAMED["NC2"], upper, lower)) == (catalan(m) if even else 0)
+    fuss = comb(3 * m, m) // (2 * m + 1)
+    assert len(enumerate_members(NAMED["NCeven"], upper, lower)) == (fuss if even else 0)

@@ -99,6 +99,9 @@ def test_text_format_is_the_default(capsys):
         ["verify", "trees", "--depth", "20"],
         ["verify", "trees", "--base", "c0"],
         ["verify", "trees", "--base", "q3"],
+        ["verify", "laws", "--points", "11"],
+        ["verify", "fusion-rank", "--length", "13"],
+        ["table", "--bound", "13"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):

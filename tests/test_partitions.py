@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from qcomb.partitions import (
     Partition,
+    circular_order,
     crossing,
     duality,
+    enumerate_noncrossing,
     enumerate_partitions,
     identity,
     one_block,
@@ -47,21 +49,26 @@ def test_counts_all_partitions_are_bell_numbers():
 
 def test_counts_noncrossing_are_catalan():
     for n in range(7):
-        got = tuple(enumerate_partitions("", "o" * n, noncrossing=True))
+        got = enumerate_noncrossing("", "o" * n)
         assert len(got) == CATALAN[n]
 
 
 def test_counts_noncrossing_pairings_are_catalan():
     for n in range(4):
-        got = tuple(
-            enumerate_partitions("", "o" * (2 * n), noncrossing=True, pair_only=True)
-        )
+        got = enumerate_noncrossing("", "o" * (2 * n), block_sizes={2})
         assert len(got) == CATALAN[n]
 
 
 def test_counts_do_not_depend_on_colors_or_split():
     assert len(frame("", "oxox")) == len(frame("", "oooo"))
     assert len(frame("ox", "ox")) == len(frame("", "oooo"))
+
+
+def test_labels_are_canonicalized_by_first_appearance():
+    p = Partition("o", "oo", (5, 2, 5))
+    assert p.labels == (0, 1, 0)
+    assert p == Partition("o", "oo", (0, 1, 0))
+    assert Partition.from_str("o;oo;2,1,2") == p
 
 
 def test_basic_constructors():
@@ -73,6 +80,15 @@ def test_basic_constructors():
     d = duality("o", "x")
     assert d.upper == "ox" and d.lower == ""
     assert one_block("o", "o").blocks == ((0, 1),)
+
+
+def test_circular_order_is_its_own_inverse():
+    assert circular_order(2, 3) == (0, 1, 4, 3, 2)
+    for k in range(5):
+        for l in range(5):
+            order = circular_order(k, l)
+            assert sorted(order) == list(range(k + l))
+            assert all(order[order[i]] == i for i in order)
 
 
 def test_noncrossing_predicate():
