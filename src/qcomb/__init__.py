@@ -10,5 +10,7 @@ __all__ = [
     "fusion",
     "linreal",
     "qgraph",
+    "errors",
+    "suites",
     "cli",
 ]

@@ -1,4 +1,4 @@
-"""Named categories of partitions and bounded generated closures.
+"""Named categories of partitions: membership and enumeration.
 
 The named categories come in two groups.  The uncolored ones (NC2, NC12,
 NC12', NC12#, NCeven, NC', NC, P2) are color-insensitive predicates on the
@@ -21,20 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .errors import TooLarge
 from .partitions import (
     Partition,
     all_colorings,
     circular_order,
     enumerate_noncrossing,
     enumerate_partitions,
-    identity,
 )
 from .words import WHITE
-
-
-class FrameTooLarge(Exception):
-    pass
-
 
 MAX_FRAME_POINTS = 12
 
@@ -119,18 +114,11 @@ def in_cu(p: Partition) -> bool:
 
 @dataclass(frozen=True)
 class CategorySpec:
-    """A named category (pure predicate) or a generated closure."""
+    """A named category: a membership predicate."""
 
     name: str
     predicate: callable = field(compare=False)
     colored: bool = False
-    members: frozenset = field(default=None, compare=False)  # Generated only
-    point_bound: int | None = None
-
-    def contains(self, p: Partition) -> bool:
-        if self.members is not None:
-            return p in self.members
-        return self.predicate(p)
 
     def __str__(self) -> str:
         return self.name
@@ -162,7 +150,7 @@ _BLOCK_SIZES = {
 
 
 def contains(cat: CategorySpec, p: Partition) -> bool:
-    return cat.contains(p)
+    return cat.predicate(p)
 
 
 @lru_cache(maxsize=None)
@@ -180,13 +168,11 @@ def _enumerate_cached(cat_name: str, upper: str, lower: str) -> tuple[Partition,
 def enumerate_members(cat: CategorySpec, upper: str, lower: str) -> list[Partition]:
     """All members of the category with the given frame."""
     if len(upper) + len(lower) > MAX_FRAME_POINTS:
-        raise FrameTooLarge(f"frame has {len(upper) + len(lower)} > {MAX_FRAME_POINTS} points")
-    if cat.members is not None:
-        return [p for p in cat.members if p.upper == upper and p.lower == lower]
+        raise TooLarge(f"frame has {len(upper) + len(lower)} > {MAX_FRAME_POINTS} points")
     return list(_enumerate_cached(cat.name, upper, lower))
 
 
-def all_members(cat: CategorySpec, point_bound: int, colorings=None) -> list[Partition]:
+def all_members(cat: CategorySpec, point_bound: int) -> list[Partition]:
     """All members with at most point_bound points.
 
     For uncolored categories only all-white frames are produced (membership
@@ -203,42 +189,3 @@ def all_members(cat: CategorySpec, point_bound: int, colorings=None) -> list[Par
             else:
                 out.extend(enumerate_members(cat, WHITE * k, WHITE * l))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Generated categories
-
-
-def generated(gens: list[Partition], point_bound: int) -> CategorySpec:
-    """Closure of gens + id under the five category operations, truncated
-    to partitions with at most point_bound points."""
-    members: set[Partition] = {identity(WHITE)}
-    for g in gens:
-        if g.n_points > point_bound:
-            raise ValueError("generator exceeds the point bound")
-        members.add(g)
-    queue = list(members)
-    while queue:
-        p = queue.pop()
-        new = {p.adjoint(), p.reverse()}
-        if p.n_upper:
-            new.add(p.rotate_left_down())
-            new.add(p.rotate_right_down())
-        if p.n_lower:
-            new.add(p.rotate_down_left())
-            new.add(p.rotate_down_right())
-        for q in list(members):
-            for a, b in ((p, q), (q, p)):
-                if a.n_points + b.n_points <= point_bound:
-                    new.add(a.tensor(b))
-                if b.lower == a.upper:
-                    new.add(a.compose(b)[0])
-                if a.lower == b.upper:
-                    new.add(b.compose(a)[0])
-        for q in new:
-            if q.n_points <= point_bound and q not in members:
-                members.add(q)
-                queue.append(q)
-    return CategorySpec(
-        "Generated", None, colored=True, members=frozenset(members), point_bound=point_bound
-    )

@@ -15,26 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .errors import ClosureViolation, MalformedWord, NotInSet
 from .words import AdmissibleSetSpec, conjugate, member, word_from_str, word_to_str
-
-
-class ClosureViolation(Exception):
-    pass
-
-
-class NotInSet(Exception):
-    pass
-
-
-class MalformedWord(Exception):
-    pass
-
-
-FusionVector = Counter  # word -> multiplicity
-
-
-def vector_to_str(v: Counter) -> str:
-    return " + ".join(f"{word_to_str(w)}:{m}" for w, m in sorted(v.items()))
 
 
 def product_u(w: str, w2: str) -> Counter:

@@ -25,19 +25,8 @@ from itertools import product
 
 import numpy as np
 
+from .errors import LawViolation, ShapeMismatch, TooLarge
 from .partitions import WHITE, Partition, UnionFind, enumerate_partitions
-
-
-class TooLarge(Exception):
-    pass
-
-
-class ShapeMismatch(Exception):
-    pass
-
-
-class LawViolation(Exception):
-    pass
 
 
 MAX_POINTS = 10

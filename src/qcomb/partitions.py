@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
+from .errors import NotFactorizable
 from .words import ALPHABET, WHITE, word_from_str, word_to_str
 
 _FLIP = str.maketrans("ox", "xo")
@@ -77,19 +78,6 @@ class Partition:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def from_blocks(upper: str, lower: str, blocks: list[list[int]]) -> "Partition":
-        n = len(upper) + len(lower)
-        lab = [-1] * n
-        for b, block in enumerate(blocks):
-            for i in block:
-                if lab[i] != -1:
-                    raise ValueError(f"point {i} in two blocks")
-                lab[i] = b
-        if -1 in lab:
-            raise ValueError("point missing from blocks")
-        return Partition(upper, lower, _canonical_labels(lab))
-
-    @staticmethod
     def from_str(s: str) -> "Partition":
         up_s, lo_s, lab_s = s.split(";")
         upper = word_from_str(up_s)
@@ -134,9 +122,6 @@ class Partition:
         k = self.n_upper
         return self.upper[i] if i < k else self.lower[i - k]
 
-    def block_sizes(self) -> list[int]:
-        return sorted(len(b) for b in self.blocks)
-
     @cached_property
     def through_blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks meeting both rows, ordered by smallest upper point."""
@@ -149,9 +134,6 @@ class Partition:
         return len(self.through_blocks)
 
     # -- structural predicates -----------------------------------------
-
-    def is_pair_partition(self) -> bool:
-        return all(len(b) == 2 for b in self.blocks)
 
     def is_noncrossing(self) -> bool:
         """Noncrossing on the circular order.  Checked with a stack on that
@@ -292,28 +274,6 @@ class Partition:
             return False
         comp, _ = self.compose(self)
         return comp == self
-
-    def build_projective(self) -> "Partition":
-        """p* p, the canonical projective partition below p's domain."""
-        comp, _ = self.adjoint().compose(self)
-        return comp
-
-    def range_projective(self) -> "Partition":
-        """p p*, the canonical projective partition on p's codomain."""
-        comp, _ = self.compose(self.adjoint())
-        return comp
-
-    def dominates(self, other: "Partition") -> bool:
-        """q <= p when qp = q = pq (both projective, same colors)."""
-        if self.upper != other.upper or self.lower != other.lower:
-            return False
-        a, _ = other.compose(self)
-        b, _ = self.compose(other)
-        return a == other and b == other
-
-
-class NotFactorizable(Exception):
-    pass
 
 
 def through_factorize(p: Partition) -> list[Partition]:

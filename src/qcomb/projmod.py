@@ -18,18 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, CategorySpec, all_members
+from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, CategorySpec
+from .categories import all_members, enumerate_members, in_cu
+from .errors import NoCatalogMatch, NotInCategory
 from .partitions import Partition, UnionFind, identity, one_block, singleton, word_partition
 from .words import WHITE
-
-
-class NoCatalogMatch(Exception):
-    pass
-
-
-class NotInCategory(Exception):
-    pass
-
 
 EMPTY = Partition("", "", ())
 
@@ -88,14 +81,10 @@ class PartitionUniverse:
         by_frame: dict[str, list[Partition]] = {}
         for p in self.projectives:
             by_frame.setdefault(p.upper, []).append(p)
-        out = {}
-        for p in self.projectives:
-            doms = []
-            for q in by_frame[p.upper]:
-                if q.compose(p)[0] == q and p.compose(q)[0] == q:
-                    doms.append(q)
-            out[p] = frozenset(doms)
-        return out
+        return {
+            p: frozenset(q for q in by_frame[p.upper] if dominated(q, p))
+            for p in self.projectives
+        }
 
 
 def dominated(q: Partition, p: Partition) -> bool:
@@ -108,8 +97,6 @@ def dominated(q: Partition, p: Partition) -> bool:
 def equivalent(universe: PartitionUniverse, p: Partition, q: Partition):
     """Search for a witness r in the category with r*r = p and rr* = q.
     The witness frame is forced: upper = frame of p, lower = frame of q."""
-    from .categories import enumerate_members
-
     for r in enumerate_members(universe.cat, p.upper, q.upper):
         if r.adjoint().compose(r)[0] == p and r.compose(r.adjoint())[0] == q:
             return r
@@ -125,10 +112,6 @@ class ProjectiveModule:
 
     def __contains__(self, p: Partition) -> bool:
         return p in self.members
-
-    def dump(self) -> str:
-        head = f"{self.cat_name};{self.point_bound};{self.name}"
-        return "\n".join([head] + sorted(str(p) for p in self.members))
 
 
 def closure(universe: PartitionUniverse, gens, name: str = "") -> ProjectiveModule:
@@ -250,8 +233,6 @@ def through_word_module(mod: ProjectiveModule) -> frozenset[str]:
 
 def through_word(p: Partition) -> str:
     """The word read off the through-blocks of a CU projective."""
-    from .categories import in_cu
-
     if not in_cu(p):
         raise NotInCategory("not a CU partition")
     return "".join(p.upper[blk[0]] for blk in p.through_blocks)

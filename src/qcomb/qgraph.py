@@ -19,17 +19,10 @@ from itertools import product
 
 import numpy as np
 
+from .errors import NonBinaryEntry, NotUnitary, TooLarge
 
-class TooLarge(Exception):
-    pass
-
-
-class NotUnitary(Exception):
-    pass
-
-
-class NonBinaryEntry(Exception):
-    pass
+# the largest dimension of a tree level, B^i for i <= depth
+MAX_LEVEL_DIM = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +146,6 @@ class QuantumSpace:
             return [(z, z)]
         return [((z[0], b), (b, z[1])) for b in range(self.N)]
 
-    def star(self, x):
-        return x if self.kind == "classical" else (x[1], x[0])
-
     def state(self, x) -> Fraction:
         """psi on a basis element."""
         if self.kind == "classical":
@@ -203,7 +193,7 @@ class QuantumTree:
     """Direct sum of B^0..B^k; basis elements are (level, tuple) pairs."""
 
     def __init__(self, base: QuantumSpace, depth: int):
-        if base.dim**depth > 5000:
+        if base.dim**depth > MAX_LEVEL_DIM:
             raise TooLarge("tree level dimension out of budget")
         self.base = base
         self.depth = depth
@@ -219,9 +209,6 @@ class QuantumTree:
 
     def basis(self) -> list:
         return [(i, t) for i in range(self.depth + 1) for t in self.level_basis(i)]
-
-    def level_dims(self) -> list[int]:
-        return [self.base.dim**i for i in range(self.depth + 1)]
 
     def delta_pow(self, i: int) -> Quad:
         out = ONE

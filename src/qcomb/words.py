@@ -12,8 +12,10 @@ canonical reduction of a balanced word to ``o^k x^k``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from .errors import NoCatalogMatch, PreconditionViolated
 
 WHITE = "o"
 BLACK = "x"
@@ -22,14 +24,6 @@ ALPHABET = (WHITE, BLACK)
 _FLIP = str.maketrans("ox", "xo")
 
 INF = math.inf
-
-
-class NoCatalogMatch(Exception):
-    """The generated set matches no catalog truncation (bug or bound too small)."""
-
-
-class PreconditionViolated(Exception):
-    pass
 
 
 def validate_word(w: str) -> str:

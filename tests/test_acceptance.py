@@ -10,14 +10,12 @@ project decision notes.
 """
 
 import itertools
-import random
 
 import numpy as np
 import pytest
 
-from qcomb import fusion, linreal, projmod, qgraph, words
+from qcomb import fusion, linreal, projmod, qgraph, suites, words
 from qcomb.categories import CU, NAMED, enumerate_members
-from qcomb.fusion import WreathWord
 from qcomb.projmod import PartitionUniverse
 
 
@@ -35,44 +33,22 @@ def report(capfd):
 
 # -- criterion 1: the induced module table ---------------------------------
 
-REFERENCE_COUNTS = {
-    "NC2": 3,
-    "NC12": 3,
-    "NC12prime": 4,
-    "NC12sharp": 4,
-    "NCeven": 4,
-    "NCall": 2,
-    "NCprime": 3,
-}
-
-# what the stated closure, equivalence and domination rules actually give;
-# NC12 collapses the doubled strand onto the full module (a strand plus a
-# lower singleton is a legal conjugator) and NCprime gains a genuine fourth
-# module because every diagram there has an even total number of points
-COMPUTED_COUNTS = dict(REFERENCE_COUNTS, NC12=2, NCprime=4)
-
 
 def test_criterion_1_module_table(report):
-    found = {}
-    for name in REFERENCE_COUNTS:
-        universe = PartitionUniverse(NAMED[name], 8)
-        modules = projmod.distinct_generated_modules(universe)
-        catalog = projmod.catalog(universe)
-        labels = []
-        for mod in modules:
-            # several catalog names may denote the same member set (that is
-            # exactly the NC12 collapse), any set-exact match will do
-            matches = sorted(k for k, v in catalog.items() if v.members == mod.members)
-            assert matches, f"unmatched module in {name}"
-            labels.append("/".join(matches))
+    reference = suites.REFERENCE_MODULE_COUNTS
+    found = suites.table(reference, 8).data
+    for name, modules in found.items():
+        # several catalog names may denote the same member set (that is
+        # exactly the NC12 collapse), any set-exact match will do
+        assert all(modules), f"unmatched module in {name}"
+        labels = ["/".join(sorted(names)) for names in modules]
         assert len(labels) == len(set(labels))
-        found[name] = sorted(labels)
     counts = {k: len(v) for k, v in found.items()}
-    ok = counts == REFERENCE_COUNTS
+    ok = counts == reference
     diffs = ", ".join(
-        f"{k}: {counts[k]} vs {REFERENCE_COUNTS[k]} expected"
-        for k in REFERENCE_COUNTS
-        if counts[k] != REFERENCE_COUNTS[k]
+        f"{k}: {counts[k]} vs {reference[k]} expected"
+        for k in reference
+        if counts[k] != reference[k]
     )
     report(
         1,
@@ -80,7 +56,7 @@ def test_criterion_1_module_table(report):
         "modules named set-exactly in every category; "
         + (f"counts differ ({diffs}); documented discrepancy" if diffs else "all counts match"),
     )
-    assert counts == COMPUTED_COUNTS
+    assert counts == {**reference, **suites.DOCUMENTED_MODULE_COUNTS}
 
 
 # -- criterion 2: word-set classification ----------------------------------
@@ -130,16 +106,9 @@ def test_criterion_2_classification_and_closure(report):
 
 
 def test_criterion_3_reduction_traces(report):
-    rng = random.Random(20260826)
-    for _ in range(1000):
-        k = rng.randint(1, 4)
-        w = words.sample_peak_word(k, 12, rng)
-        assert len(w) <= 12
-        assert max(words.prefix_balances(w)) == k
-        trace = words.reduce(w, k)
-        assert trace[0] == w
-        assert trace[-1] == "o" * k + "x" * k
-        assert all(b in words.cancellations(a) for a, b in zip(trace, trace[1:]))
+    # the suite checks each sample's length, peak and trace
+    outcome = suites.reduce(12, 1000, 20260826)
+    assert outcome.ok, outcome.lines
     report(3, True, "1000 sampled words reduced with valid single-cancellation traces")
 
 
@@ -147,12 +116,9 @@ def test_criterion_3_reduction_traces(report):
 
 
 def test_criterion_4_realization_laws(report):
-    orientations = set()
-    checked = 0
-    for N in (2, 3, 4):
-        result = linreal.check_laws(linreal.law_pairs(6), N)
-        orientations.add(result["orientation"])
-        checked = max(checked, result["pairs_checked"])
+    reports = suites.laws(6, (2, 3, 4)).data
+    orientations = {r["orientation"] for r in reports}
+    checked = max(r["pairs_checked"] for r in reports)
     assert orientations == {"maps_scale_composite"}
     report(
         4,
@@ -204,11 +170,8 @@ def test_criterion_5_linear_independence(report):
 
 
 def test_criterion_6_trivial_multiplicities(report):
-    for w in words.all_words(6):
-        mult = fusion.fold_product(list(w))[""]
-        dim = linreal.fixed_points_dim(w, 4)
-        count = len(enumerate_members(CU, "", w))
-        assert mult == dim == count, w
+    outcome = suites.fusion_rank(6, 4)
+    assert outcome.ok, [line for line in outcome.lines if "MISMATCH" in line]
     report(
         6,
         True,
@@ -224,21 +187,12 @@ def test_criterion_7_level_shift(report):
     inverted = 0
     products = 0
     for k in (0, 1, 2):
-        seen = set()
-        for v in sorted(words.truncation(words.white(k + 1), 8)):
-            x = fusion.psi_inverse(v, k)
-            assert fusion.psi(x, k) == v
-            assert all(words.member(words.white(k), l) for l in x.letters)
-            assert x not in seen
-            seen.add(x)
-        inverted += len(seen)
-        letters = sorted(words.truncation(words.white(k), 4))
-        for a, b in itertools.product(letters, repeat=2):
-            x, y = WreathWord((a,)), WreathWord((b,))
-            lhs = fusion.psi_vector(fusion.wreath_product(x, y), k)
-            rhs = fusion.product_u(fusion.psi(x, k), fusion.psi(y, k))
-            assert lhs == rhs
-            products += 1
+        # the suite checks the roundtrip, the letters, collisions and
+        # multiplicativity
+        outcome = suites.psi(k, word_len=8, letter_len=4)
+        assert outcome.ok, outcome.lines
+        inverted += outcome.data[0]
+        products += outcome.data[1]
     report(
         7,
         True,

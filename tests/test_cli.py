@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qcomb import cli
+from qcomb import cli, errors, suites
 
 
 def run(capsys, argv):
@@ -102,6 +102,28 @@ def test_text_format_is_the_default(capsys):
         ["verify", "laws", "--points", "11"],
         ["verify", "fusion-rank", "--length", "13"],
         ["table", "--bound", "13"],
+        # negative values
+        ["verify", "laws", "--points", "-1"],
+        ["verify", "psi", "--length", "-3"],
+        ["verify", "psi", "--k", "-1"],
+        ["verify", "reduce", "--count", "-1"],
+        ["verify", "reduce", "--bound", "-1"],
+        ["verify", "fusion-rank", "--length", "-1"],
+        ["verify", "trees", "--depth", "-1"],
+        ["table", "--bound", "-1"],
+        ["classify-words", "--gens", "ox", "--bound", "-1"],
+        # work budgets
+        ["verify", "laws", "--points", "8"],
+        ["verify", "laws", "--points", "6", "--N", "5"],
+        ["verify", "psi", "--length", "23"],
+        ["verify", "psi", "--k", "2", "--length", "20"],
+        ["verify", "reduce", "--bound", "101"],
+        ["verify", "reduce", "--count", "10001"],
+        ["verify", "trees", "--base", "c5001", "--depth", "0"],
+        ["verify", "trees", "--base", "m71", "--depth", "0"],
+        ["verify", "trees", "--base", "c1", "--depth", "101"],
+        ["table", "--bound", "11"],
+        ["classify-words", "--gens", "ox", "--bound", "17"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -111,3 +133,23 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, Exception)
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error_class(capsys, monkeypatch, cls):
+    def fail(*args):
+        raise cls("boom")
+
+    monkeypatch.setattr(suites, "trees", fail)
+    code = cli.main(["verify", "trees"])
+    captured = capsys.readouterr()
+    violation = issubclass(cls, errors.Violation)
+    assert violation != issubclass(cls, errors.InputError)
+    assert code == cls.exit_code == (1 if violation else 2)
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{'violation' if violation else 'error'}: boom"]
