@@ -12,8 +12,10 @@ predicate here.)
 Members of a frame are enumerated directly, not filtered: every category
 but P2 is built as noncrossing partitions in the circular order, pruned
 by its block sizes (and, for CU, by the color rule), and sorted by
-labels.  P2 takes every pair partition.  The membership predicate still
-runs on each candidate, so it stays the one definition of membership.
+labels.  P2 takes every pair partition.  Of each membership predicate,
+only the part the construction does not guarantee runs on the members
+built (singleton parity, the NC12sharp rule, odd-block parity); the full
+predicate stays the one definition of membership, behind `contains`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ def _sizes(p: Partition) -> list[int]:
 
 def _singleton_parity_ok(p: Partition) -> bool:
     return sum(1 for b in p.blocks if len(b) == 1) % 2 == 0
+
+
+def _odd_block_parity_ok(p: Partition) -> bool:
+    return sum(1 for s in _sizes(p) if s % 2) % 2 == 0
 
 
 def _sharp_ok(p: Partition) -> bool:
@@ -84,7 +90,7 @@ def in_nc_even(p: Partition) -> bool:
 
 
 def in_nc_prime(p: Partition) -> bool:
-    return p.is_noncrossing() and sum(1 for s in _sizes(p) if s % 2) % 2 == 0
+    return p.is_noncrossing() and _odd_block_parity_ok(p)
 
 
 def in_nc(p: Partition) -> bool:
@@ -148,6 +154,14 @@ _BLOCK_SIZES = {
     "NCeven": set(range(2, MAX_FRAME_POINTS + 1, 2)),
 }
 
+# the part of each predicate that this block-size and color-pruned
+# construction does not guarantee; the other categories need no check
+_UNGUARANTEED = {
+    "NC12prime": _singleton_parity_ok,
+    "NC12sharp": lambda p: _singleton_parity_ok(p) and _sharp_ok(p),
+    "NCprime": _odd_block_parity_ok,
+}
+
 
 def contains(cat: CategorySpec, p: Partition) -> bool:
     return cat.predicate(p)
@@ -162,7 +176,8 @@ def _enumerate_cached(cat_name: str, upper: str, lower: str) -> tuple[Partition,
         candidates = enumerate_noncrossing(
             upper, lower, _BLOCK_SIZES.get(cat_name), colored=cat.colored
         )
-    return tuple(p for p in candidates if cat.predicate(p))
+    check = _UNGUARANTEED.get(cat_name)
+    return tuple(p for p in candidates if check is None or check(p))
 
 
 def enumerate_members(cat: CategorySpec, upper: str, lower: str) -> list[Partition]:

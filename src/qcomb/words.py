@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import NoCatalogMatch, PreconditionViolated
+from .errors import NoCatalogMatch, PreconditionViolated, TooLarge
 
 WHITE = "o"
 BLACK = "x"
@@ -24,6 +25,10 @@ ALPHABET = (WHITE, BLACK)
 _FLIP = str.maketrans("ox", "xo")
 
 INF = math.inf
+
+# Largest working length (bound plus headroom) classify runs a closure at:
+# the closure of a word set can hold every word up to that length.
+MAX_WORKING_LENGTH = 18
 
 
 def validate_word(w: str) -> str:
@@ -157,20 +162,23 @@ def pair(k, k2) -> AdmissibleSetSpec:
     return AdmissibleSetSpec("pair", k, k2)
 
 
+def _band(spec: AdmissibleSetSpec) -> tuple[float, float]:
+    """The interval [lo, hi] every prefix balance of a member of a
+    balanced kind stays in."""
+    if spec.kind == "white":
+        return 0, spec.k
+    if spec.kind == "black":
+        return -spec.k, 0
+    return -spec.k2, spec.k
+
+
 def member(spec: AdmissibleSetSpec, w: str) -> bool:
     """Decide membership in one left-to-right scan."""
     if spec.kind == "empty":
         return False
     if spec.kind == "mod":
         return color_balance(w) % spec.k == 0
-    lo: float
-    hi: float
-    if spec.kind == "white":
-        lo, hi = 0, spec.k
-    elif spec.kind == "black":
-        lo, hi = -spec.k, 0
-    else:
-        lo, hi = -spec.k2, spec.k
+    lo, hi = _band(spec)
     c = 0
     for ch in w:
         c += 1 if ch == WHITE else -1
@@ -215,33 +223,70 @@ def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> Gener
     Some short members are only derivable through longer intermediates
     (a concatenation followed by cancellations); headroom admits
     intermediate words up to length_bound + headroom, keeping only the
-    final slice.  Every returned word is genuinely derivable."""
+    final slice.  Every returned word is genuinely derivable.
+
+    The members are also kept in buckets by length, so a word w taken
+    from the work list concatenates, in both orders, only with the
+    members of length <= length_bound + headroom - len(w): every pair it
+    forms fits the working length, and no longer member is visited."""
     gens = frozenset(validate_word(g) for g in gens)
     if any(len(g) > length_bound for g in gens):
         raise ValueError("generator longer than the length bound")
+    if headroom < 0:
+        raise ValueError("headroom must be >= 0")
     bound = length_bound + headroom
     members: set[str] = set(gens)
+    by_length: list[list[str]] = [[] for _ in range(bound + 1)]
+    for g in gens:
+        by_length[len(g)].append(g)
     queue = list(gens)
     while queue:
         w = queue.pop()
-        new = {conjugate(w)}
-        new |= cancellations(w)
-        for v in members:
-            for cat in (w + v, v + w):
-                if len(cat) <= bound:
-                    new.add(cat)
+        new = cancellations(w)
+        new.add(conjugate(w))
+        for bucket in by_length[: bound - len(w) + 1]:
+            for v in bucket:
+                new.add(w + v)
+                new.add(v + w)
+        new -= members
+        members |= new
         for v in new:
-            if v not in members:
-                members.add(v)
-                queue.append(v)
+            by_length[len(v)].append(v)
+        queue.extend(new)
     return GeneratedWordSet(
         gens, length_bound, frozenset(w for w in members if len(w) <= length_bound)
     )
 
 
 def truncation(spec: AdmissibleSetSpec, length_bound: int) -> frozenset[str]:
-    """Members of the set with length <= length_bound."""
-    return frozenset(w for w in all_words(length_bound) if member(spec, w))
+    """Members of the set with length <= length_bound.
+
+    The members are grown letter by letter from the empty word, with the
+    prefixes of each length grouped by their balance.  For the balanced
+    kinds a prefix is extended only while its balance stays in the
+    spec's band and can still return to 0 in the letters left, so every
+    prefix grown is the start of a member.  The mod kind extends every
+    prefix and keeps the words whose balance is 0 mod k."""
+    if spec.kind == "empty":
+        return frozenset()
+    mod = spec.k if spec.kind == "mod" else None
+    lo, hi = (-INF, INF) if mod else _band(spec)
+    out: list[str] = []
+    level = {0: [""]}
+    for n in range(length_bound + 1):
+        for c, ws in level.items():
+            if (c % mod == 0) if mod else (c == 0):
+                out.extend(ws)
+        left = length_bound - n - 1  # letters left after the next one
+        if left < 0:
+            break
+        nxt: dict[int, list[str]] = {}
+        for c, ws in level.items():
+            for b, letter in ((c + 1, WHITE), (c - 1, BLACK)):
+                if lo <= b <= hi and (mod or abs(b) <= left):
+                    nxt.setdefault(b, []).extend([w + letter for w in ws])
+        level = nxt
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -272,12 +317,30 @@ def _candidate_specs(length_bound: int) -> list[AdmissibleSetSpec]:
     return cands
 
 
+def _slice_key(ws: Iterable[str]) -> str:
+    """An exact key of a word set that is smaller than the set: its words,
+    each ended by a '.', in sorted order."""
+    return "".join(sorted(w + "." for w in ws))
+
+
+@lru_cache(maxsize=1)
+def _catalog_slices(length_bound: int) -> dict[str, tuple[AdmissibleSetSpec, ...]]:
+    """Each distinct catalog truncation at the bound, by its _slice_key,
+    mapped to the specs that have it, in reporting priority."""
+    slices: dict[str, list[AdmissibleSetSpec]] = {}
+    for sp in _candidate_specs(length_bound):
+        slices.setdefault(_slice_key(truncation(sp, length_bound)), []).append(sp)
+    return {key: tuple(specs) for key, specs in slices.items()}
+
+
 def classify(gens: Iterable[str], length_bound: int) -> ClassificationResult:
     """Match the generated closure against the catalog of admissible sets.
 
     Truncation semantics: specs are compared through their length-bounded
     slices; when several parameters give the same slice, the smallest one
-    is reported and the ambiguity is flagged.
+    is reported and the ambiguity is flagged.  Raises TooLarge before a
+    closure would run at a working length (bound plus headroom) above
+    MAX_WORKING_LENGTH.
     """
     gens = frozenset(gens)
     max_gen = max((len(g) for g in gens), default=0)
@@ -288,11 +351,16 @@ def classify(gens: Iterable[str], length_bound: int) -> ClassificationResult:
     # as the slice coincides with a catalog truncation, that catalog set
     # contains the generators and hence the whole closure, and the match
     # is the answer; widen the headroom until that happens.
-    cands = _candidate_specs(length_bound)
-    matches: list[AdmissibleSetSpec] = []
+    slices = _catalog_slices(length_bound)
+    matches: tuple[AdmissibleSetSpec, ...] = ()
     for headroom in range(0, 2 * max_gen + 5, 2):
-        closed = generate(gens, length_bound, headroom).members
-        matches = [sp for sp in cands if truncation(sp, length_bound) == closed]
+        if length_bound + headroom > MAX_WORKING_LENGTH:
+            raise TooLarge(
+                f"the closure of {','.join(sorted(map(word_to_str, gens)))} at bound"
+                f" {length_bound} needs working length {length_bound + headroom}"
+                f" > {MAX_WORKING_LENGTH}"
+            )
+        matches = slices.get(_slice_key(generate(gens, length_bound, headroom).members), ())
         if matches:
             break
     if not matches:

@@ -31,6 +31,12 @@ def test_classify_words_accepts_e_as_the_empty_word(capsys):
     assert code == 0
 
 
+def test_classify_words_widens_the_headroom_for_a_long_unbalanced_generator(capsys):
+    code, out = run(capsys, ["classify-words", "--gens", "oooooooo"])
+    assert code == 0
+    assert out.splitlines()[0] == "catalog: ModK(8)"
+
+
 def test_classify_words_rejects_bad_letters(capsys):
     assert cli.main(["classify-words", "--gens", "zz"]) == 2
 
@@ -124,6 +130,7 @@ def test_text_format_is_the_default(capsys):
         ["verify", "trees", "--base", "c1", "--depth", "101"],
         ["table", "--bound", "11"],
         ["classify-words", "--gens", "ox", "--bound", "17"],
+        ["classify-words", "--gens", "o" * 16, "--bound", "16"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):

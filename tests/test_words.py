@@ -6,14 +6,56 @@ height at most k.  For k = 1 that is 1, for k = 2 it is 2^(n-1), and for
 k = 3 it is the odd-indexed Fibonacci numbers 1, 2, 5, 13.
 """
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcomb import words
 
 word_st = st.text(alphabet="ox", max_size=8)
+
+SHORT_WORDS = ["".join(t) for n in range(1, 5) for t in itertools.product("ox", repeat=n)]
+LADDER_WORDS = ["o", "oo", "ooo", "ooxx", "oxxo", "ooooo", "xxxxx"]
+GENERATOR_PAIRS = [
+    ("ox", "ooo"),
+    ("xo", "oooo"),
+    ("ox", "xxoo"),
+    ("ooxx", "oxox"),
+    ("oooo", "xxxxx"),
+    ("oox", "xxo"),
+]
+
+
+# -- differential oracles ---------------------------------------------------
+
+
+def generate_oracle(gens, length_bound, headroom=0):
+    """The pairwise closure generate computed before its length buckets:
+    each word taken from the work list is tried against every member, and
+    pairs too long for the working length are dropped (here before
+    concatenating, which changes no result)."""
+    bound = length_bound + headroom
+    members = set(gens)
+    queue = list(gens)
+    while queue:
+        w = queue.pop()
+        new = {words.conjugate(w)} | words.cancellations(w)
+        for v in members:
+            if len(w) + len(v) <= bound:
+                new.add(w + v)
+                new.add(v + w)
+        for v in new:
+            if v not in members:
+                members.add(v)
+                queue.append(v)
+    return frozenset(w for w in members if len(w) <= length_bound)
+
+
+def truncation_oracle(spec, length_bound):
+    """Every word up to the bound, filtered by membership."""
+    return frozenset(w for w in words.all_words(length_bound) if words.member(spec, w))
 
 
 def test_str_roundtrip_uses_e_for_the_empty_word():
@@ -133,6 +175,54 @@ def test_generated_set_fills_its_truncation_with_headroom():
     # classifier widens the working bound before comparing
     g = words.generate(["ooxx"], 8, headroom=2)
     assert set(g.members) == set(words.truncation(words.white(2), 8))
+
+
+@pytest.mark.parametrize("headroom", [0, 2])
+def test_generate_matches_the_pairwise_closure_on_short_generators(headroom):
+    for w in SHORT_WORDS:
+        assert words.generate([w], 8, headroom).members == generate_oracle([w], 8, headroom), w
+
+
+@pytest.mark.parametrize("headroom", [2, 3, 4])
+def test_generate_matches_the_pairwise_closure_on_the_ladder(headroom):
+    for w in LADDER_WORDS:
+        assert words.generate([w], 8, headroom).members == generate_oracle([w], 8, headroom), w
+
+
+@pytest.mark.parametrize("headroom", [0, 2])
+def test_generate_matches_the_pairwise_closure_on_generator_pairs(headroom):
+    for gens in GENERATOR_PAIRS:
+        got = words.generate(gens, 8, headroom).members
+        assert got == generate_oracle(gens, 8, headroom), gens
+
+
+def test_generate_rejects_negative_headroom():
+    with pytest.raises(ValueError):
+        words.generate(["ox"], 8, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(alphabet="ox", min_size=1, max_size=4), min_size=1, max_size=3),
+    st.integers(min_value=4, max_value=8),
+    st.integers(min_value=0, max_value=2),
+)
+def test_generated_sets_are_closed_within_the_bound(gens, bound, headroom):
+    got = words.generate(gens, bound, headroom).members
+    assert set(gens) <= got
+    for w in got:
+        assert len(w) <= bound
+        assert words.conjugate(w) in got
+        assert words.cancellations(w) <= got
+    for u, v in itertools.product(got, repeat=2):
+        if len(u) + len(v) <= bound:
+            assert u + v in got, (u, v)
+
+
+def test_truncation_matches_the_filter_on_every_candidate_spec():
+    for bound in range(13):
+        for spec in words._candidate_specs(bound):
+            assert words.truncation(spec, bound) == truncation_oracle(spec, bound), (spec, bound)
 
 
 def test_reduce_fixes_the_normal_form_and_traces_single_cancellations():
