@@ -1,8 +1,16 @@
 """Exact linear realizations of partitions on (C^N)^(tensor k).
 
 T_p sends a source multi-index to the sum of target multi-indices such
-that the joint assignment is constant on every block of p.  Entries are
-0/1, so everything here is integer arithmetic; no floating point.
+that the joint assignment is constant on every block of p.  realize
+builds it as a dense int64 matrix of shape N^l x N^k, multi-indices read
+big-endian, so the category operations become matrix operations: the
+adjoint is the transpose, the tensor product is the Kronecker product
+and composition is the matrix product.  Entries are 0/1 and a product of
+two realizations has entries at most N^loops, so everything here is
+exact integer arithmetic; no floating point.
+
+check_laws realizes each distinct partition once per N and checks the
+adjoint law once per partition, the tensor and loop laws once per pair.
 
 Ranks are certified exactly through the Gram matrix: for 0/1 vectors
 indexed by joint assignments, <T_p, T_q> = N^(number of blocks of the
@@ -20,80 +28,39 @@ one matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .errors import LawViolation, ShapeMismatch, TooLarge
-from .partitions import WHITE, Partition, UnionFind, enumerate_partitions
+from .partitions import WHITE, Partition, enumerate_partitions
 
 
 MAX_POINTS = 10
+MAX_ENTRIES = 2**20  # N^points, the largest dense realization
 _PRIMES = (2147483647, 2147483629, 2147483587)
 
 
-class PartitionMap:
-    """Sparse integer matrix of shape N^l x N^k realizing a partition with
-    k upper (source) and l lower (target) points.  Stored as a map from
-    (target tuple, source tuple) to integer entry."""
+def realize(p: Partition, N: int) -> np.ndarray:
+    """The dense 0/1 matrix delta_p of shape N^l x N^k, int64.
 
-    def __init__(self, k: int, l: int, N: int, entries: dict):
-        self.k = k
-        self.l = l
-        self.N = N
-        self.entries = {key: v for key, v in entries.items() if v}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PartitionMap)
-            and (self.k, self.l, self.N) == (other.k, other.l, other.N)
-            and self.entries == other.entries
-        )
-
-    def scaled(self, c: int) -> "PartitionMap":
-        return PartitionMap(self.k, self.l, self.N, {key: c * v for key, v in self.entries.items()})
-
-    def adjoint(self) -> "PartitionMap":
-        return PartitionMap(
-            self.l, self.k, self.N, {(s, t): v for (t, s), v in self.entries.items()}
-        )
-
-    def tensor(self, other: "PartitionMap") -> "PartitionMap":
-        if self.N != other.N:
-            raise ShapeMismatch("dimension mismatch")
-        entries = {}
-        for (t1, s1), v1 in self.entries.items():
-            for (t2, s2), v2 in other.entries.items():
-                entries[(t1 + t2, s1 + s2)] = v1 * v2
-        return PartitionMap(self.k + other.k, self.l + other.l, self.N, entries)
-
-    def compose(self, other: "PartitionMap") -> "PartitionMap":
-        """self after other."""
-        if self.N != other.N or self.k != other.l:
-            raise ShapeMismatch("composition shapes do not match")
-        by_target: dict = {}
-        for (t, s), v in other.entries.items():
-            by_target.setdefault(t, []).append((s, v))
-        entries: dict = {}
-        for (t, m), v1 in self.entries.items():
-            for s, v2 in by_target.get(m, ()):
-                key = (t, s)
-                entries[key] = entries.get(key, 0) + v1 * v2
-        return PartitionMap(other.k, self.l, self.N, entries)
-
-
-def realize(p: Partition, N: int) -> PartitionMap:
-    """The 0/1 matrix delta_p; the number of nonzeros is N^b(p)."""
+    Rows index the lower multi-index and columns the upper one, both
+    big-endian; the entry is 1 exactly where the joint assignment is
+    constant on every block, so N^b(p) entries are nonzero."""
     k, l = p.n_upper, p.n_lower
     if k + l > MAX_POINTS:
         raise TooLarge(f"{k + l} points exceeds the {MAX_POINTS}-point budget")
+    if N ** (k + l) > MAX_ENTRIES:
+        raise TooLarge(f"N^points = {N ** (k + l)} exceeds the {MAX_ENTRIES}-entry budget")
     nb = p.n_blocks
-    entries = {}
-    for assign in product(range(N), repeat=nb):
-        joint = tuple(assign[b] for b in p.labels)
-        entries[(joint[k:], joint[:k])] = 1
-    return PartitionMap(k, l, N, entries)
+    # one column per assignment of values to the blocks, gathered to points
+    joint = np.indices((N,) * nb).reshape(nb, N**nb)[list(p.labels)]
+    rows = N ** np.arange(l - 1, -1, -1, dtype=np.int64) @ joint[k:]
+    cols = N ** np.arange(k - 1, -1, -1, dtype=np.int64) @ joint[:k]
+    T = np.zeros((N**l, N**k), dtype=np.int64)
+    T[rows, cols] = 1
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -113,39 +80,60 @@ def small_partitions(max_points: int) -> list[Partition]:
 
 def law_pairs(max_points: int):
     """Pairs (q, p) with combined point count within max_points, for the
-    composition-law suite."""
+    composition-law suite.  small_partitions is sorted by point count, so
+    each p is paired with the prefix of partners that fit."""
     parts = small_partitions(max_points)
+    counts = [p.n_points for p in parts]
     for p in parts:
-        for q in parts:
-            if p.n_points + q.n_points <= max_points:
-                yield q, p
+        for q in parts[: bisect_right(counts, max_points - p.n_points)]:
+            yield q, p
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two matrices by broadcasting."""
+    (r1, c1), (r2, c2) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
 
 
 def check_laws(pairs, N: int) -> dict:
     """Verify the adjoint, tensor and loop laws on composable pairs.
 
-    The loop law is oriented empirically: for each composable pair the
-    matrix product T_q . T_p is compared with both N^rl * T_{qp} and
-    T_{qp} scaled the other way; a single orientation must fit all pairs.
-    Returns a report dict with the orientation and the number of pairs
-    checked.  Raises LawViolation on any failure.
+    Each distinct partition is realized once; the adjoint law depends on
+    p alone, so it is checked once per distinct p.  The loop law is
+    oriented empirically: for each composable pair the matrix product
+    T_q . T_p is compared with both N^rl * T_{qp} and T_{qp} scaled the
+    other way; a single orientation must fit all pairs.  Returns a report
+    dict with the orientation and the number of pairs checked.  Raises
+    LawViolation on any failure.
     """
+    memo: dict[Partition, np.ndarray] = {}
+
+    def T(p: Partition) -> np.ndarray:
+        m = memo.get(p)
+        if m is None:
+            m = memo[p] = realize(p, N)
+        return m
+
+    adjoint_checked: set[Partition] = set()
     checked = 0
     orientation = None
     for q, p in pairs:
-        tp, tq = realize(p, N), realize(q, N)
-        if realize(p.adjoint(), N) != tp.adjoint():
-            raise LawViolation(f"adjoint law fails for {p}")
-        if realize(p.tensor(q), N) != tp.tensor(tq):
+        tp, tq = T(p), T(q)
+        if p not in adjoint_checked:
+            if not np.array_equal(T(p.adjoint()), tp.T):
+                raise LawViolation(f"adjoint law fails for {p}")
+            adjoint_checked.add(p)
+        if not np.array_equal(T(p.tensor(q)), _outer(tp, tq)):
             raise LawViolation(f"tensor law fails for {p} (x) {q}")
         if p.lower != q.upper:
             continue
         comp, rl = q.compose(p)
-        lhs = tq.compose(tp)
-        rhs = realize(comp, N)
-        if lhs == rhs.scaled(N**rl):
+        lhs = tq @ tp
+        rhs = T(comp)
+        scale = N**rl
+        if np.array_equal(lhs, scale * rhs):
             fit = "maps_scale_composite"  # T_q . T_p = N^rl T_{qp}
-        elif rhs == lhs.scaled(N**rl):
+        elif np.array_equal(rhs, scale * lhs):
             fit = "composite_scales_maps"  # T_{qp} = N^rl T_q . T_p
         else:
             raise LawViolation(f"loop law fails for {q} after {p}")
@@ -163,17 +151,6 @@ def check_laws(pairs, N: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # Exact ranks
-
-
-def join_block_count(p: Partition, q: Partition) -> int:
-    """Number of blocks of the join of p and q on their common point set."""
-    n = p.n_points
-    uf = UnionFind(n)
-    for part in (p, q):
-        for blk in part.blocks:
-            for a, b in zip(blk, blk[1:]):
-                uf.union(a, b)
-    return len({uf.find(i) for i in range(n)})
 
 
 # pairs per batch in gram_exponents; keeps each temporary near 1 MB
@@ -308,16 +285,15 @@ def gram_rank(parts: list[Partition], N: int) -> int:
     return _rank_bareiss(G_exact)
 
 
-def rank(maps: list[PartitionMap]) -> int:
-    """Exact rank of explicit partition maps (small inputs)."""
+def rank(maps: list[np.ndarray]) -> int:
+    """Exact rank of explicit realizations (small inputs)."""
     if not maps:
         return 0
-    shape = {(m.k, m.l, m.N) for m in maps}
-    if len(shape) > 1:
+    if len({m.shape for m in maps}) > 1:
         raise ShapeMismatch("mixed shapes")
-    keys = sorted({key for m in maps for key in m.entries})
-    M = [[m.entries.get(key, 0) for key in keys] for m in maps]
-    return _rank_bareiss(M)
+    M = np.stack([m.ravel() for m in maps])
+    # the all-zero columns do not change the rank
+    return _rank_bareiss(M[:, M.any(axis=0)].tolist())
 
 
 def fixed_points_dim(w: str, N: int) -> int:

@@ -225,10 +225,15 @@ def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> Gener
     intermediate words up to length_bound + headroom, keeping only the
     final slice.  Every returned word is genuinely derivable.
 
-    The members are also kept in buckets by length, so a word w taken
-    from the work list concatenates, in both orders, only with the
-    members of length <= length_bound + headroom - len(w): every pair it
-    forms fits the working length, and no longer member is visited."""
+    The members are kept in buckets by length, and a word w taken from
+    the work list concatenates, in both orders, only with the members of
+    length <= length_bound + headroom - len(w), so every pair it forms
+    fits the working length.  Nothing is formed at a length that already
+    holds all 2^n words, since every product, conjugate or cancellation
+    of that length is already a member.  The work list is taken shortest
+    word first, so a length fills from its shorter factors before the
+    longer words reach it.  A one-letter member ends the closure at once:
+    with its conjugate it generates every word up to the working length."""
     gens = frozenset(validate_word(g) for g in gens)
     if any(len(g) > length_bound for g in gens):
         raise ValueError("generator longer than the length bound")
@@ -237,22 +242,34 @@ def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> Gener
     bound = length_bound + headroom
     members: set[str] = set(gens)
     by_length: list[list[str]] = [[] for _ in range(bound + 1)]
+    pending: list[list[str]] = [[] for _ in range(bound + 1)]  # not yet taken
     for g in gens:
         by_length[len(g)].append(g)
-    queue = list(gens)
-    while queue:
-        w = queue.pop()
-        new = cancellations(w)
-        new.add(conjugate(w))
-        for bucket in by_length[: bound - len(w) + 1]:
-            for v in bucket:
-                new.add(w + v)
-                new.add(v + w)
+        pending[len(g)].append(g)
+    n = 0
+    while n <= bound:
+        if not pending[n]:
+            n += 1
+            continue
+        if bound and by_length[1]:
+            return GeneratedWordSet(gens, length_bound, frozenset(all_words(length_bound)))
+        w = pending[n].pop()
+        new = set()
+        if len(by_length[n]) < 1 << n:
+            new.add(conjugate(w))
+        if n >= 2 and len(by_length[n - 2]) < 1 << (n - 2):
+            new |= cancellations(w)
+        for m in range(n, bound + 1):
+            if len(by_length[m]) < 1 << m:
+                for v in by_length[m - n]:
+                    new.add(w + v)
+                    new.add(v + w)
         new -= members
         members |= new
         for v in new:
             by_length[len(v)].append(v)
-        queue.extend(new)
+            pending[len(v)].append(v)
+            n = min(n, len(v))
     return GeneratedWordSet(
         gens, length_bound, frozenset(w for w in members if len(w) <= length_bound)
     )
@@ -264,9 +281,9 @@ def truncation(spec: AdmissibleSetSpec, length_bound: int) -> frozenset[str]:
     The members are grown letter by letter from the empty word, with the
     prefixes of each length grouped by their balance.  For the balanced
     kinds a prefix is extended only while its balance stays in the
-    spec's band and can still return to 0 in the letters left, so every
-    prefix grown is the start of a member.  The mod kind extends every
-    prefix and keeps the words whose balance is 0 mod k."""
+    spec's band and can still return to 0 in the letters left; for the
+    mod kind, while it can still reach a multiple of k in the letters
+    left.  So every prefix grown is the start of a member."""
     if spec.kind == "empty":
         return frozenset()
     mod = spec.k if spec.kind == "mod" else None
@@ -283,7 +300,9 @@ def truncation(spec: AdmissibleSetSpec, length_bound: int) -> frozenset[str]:
         nxt: dict[int, list[str]] = {}
         for c, ws in level.items():
             for b, letter in ((c + 1, WHITE), (c - 1, BLACK)):
-                if lo <= b <= hi and (mod or abs(b) <= left):
+                # the distance to the nearest balance a member may end on
+                to_end = min(b % mod, -b % mod) if mod else abs(b)
+                if lo <= b <= hi and to_end <= left:
                     nxt.setdefault(b, []).extend([w + letter for w in ws])
         level = nxt
     return frozenset(out)
@@ -317,10 +336,10 @@ def _candidate_specs(length_bound: int) -> list[AdmissibleSetSpec]:
     return cands
 
 
-def _slice_key(ws: Iterable[str]) -> str:
+def _slice_key(ws: frozenset[str]) -> str:
     """An exact key of a word set that is smaller than the set: its words,
     each ended by a '.', in sorted order."""
-    return "".join(sorted(w + "." for w in ws))
+    return ".".join(sorted(ws)) + "." if ws else ""
 
 
 @lru_cache(maxsize=1)

@@ -4,9 +4,14 @@ Rank oracle: over (C^N)^{\\otimes n} the span of the maps of all set
 partitions of n points equals the space of vectors invariant under the
 diagonal symmetric group S_N, whose dimension is the number of index
 orbits, i.e. the sum of Stirling numbers S(n, j) for j <= N.
+
+Differential oracles: the sparse PartitionMap realization, the per-pair
+law check built on it, the all-pairs law pairing and the union-find
+join_block_count are the code the dense kernels replaced.
 """
 
 import itertools
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 
 from qcomb import linreal
 from qcomb.categories import CU, NAMED, enumerate_members
+from qcomb.errors import LawViolation, ShapeMismatch, TooLarge
 from qcomb.linreal import (
     _PRIMES,
     _rank_bareiss,
@@ -23,11 +29,143 @@ from qcomb.linreal import (
     fixed_points_dim,
     gram_exponents,
     gram_rank,
-    join_block_count,
     law_pairs,
     realize,
+    small_partitions,
 )
-from qcomb.partitions import duality, enumerate_partitions, identity
+from qcomb.partitions import (
+    Partition,
+    UnionFind,
+    duality,
+    enumerate_partitions,
+    identity,
+    one_block,
+)
+
+
+# -- differential oracles ---------------------------------------------------
+
+
+class PartitionMap:
+    """Sparse integer matrix of shape N^l x N^k realizing a partition with
+    k upper (source) and l lower (target) points.  Stored as a map from
+    (target tuple, source tuple) to integer entry."""
+
+    def __init__(self, k: int, l: int, N: int, entries: dict):
+        self.k = k
+        self.l = l
+        self.N = N
+        self.entries = {key: v for key, v in entries.items() if v}
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PartitionMap)
+            and (self.k, self.l, self.N) == (other.k, other.l, other.N)
+            and self.entries == other.entries
+        )
+
+    def scaled(self, c: int) -> "PartitionMap":
+        return PartitionMap(self.k, self.l, self.N, {key: c * v for key, v in self.entries.items()})
+
+    def adjoint(self) -> "PartitionMap":
+        return PartitionMap(
+            self.l, self.k, self.N, {(s, t): v for (t, s), v in self.entries.items()}
+        )
+
+    def tensor(self, other: "PartitionMap") -> "PartitionMap":
+        if self.N != other.N:
+            raise ShapeMismatch("dimension mismatch")
+        entries = {}
+        for (t1, s1), v1 in self.entries.items():
+            for (t2, s2), v2 in other.entries.items():
+                entries[(t1 + t2, s1 + s2)] = v1 * v2
+        return PartitionMap(self.k + other.k, self.l + other.l, self.N, entries)
+
+    def compose(self, other: "PartitionMap") -> "PartitionMap":
+        """self after other."""
+        if self.N != other.N or self.k != other.l:
+            raise ShapeMismatch("composition shapes do not match")
+        by_target: dict = {}
+        for (t, s), v in other.entries.items():
+            by_target.setdefault(t, []).append((s, v))
+        entries: dict = {}
+        for (t, m), v1 in self.entries.items():
+            for s, v2 in by_target.get(m, ()):
+                key = (t, s)
+                entries[key] = entries.get(key, 0) + v1 * v2
+        return PartitionMap(other.k, self.l, self.N, entries)
+
+
+def realize_oracle(p, N):
+    """The 0/1 matrix delta_p as a PartitionMap, one entry per assignment."""
+    k, l = p.n_upper, p.n_lower
+    entries = {}
+    for assign in product(range(N), repeat=p.n_blocks):
+        joint = tuple(assign[b] for b in p.labels)
+        entries[(joint[k:], joint[:k])] = 1
+    return PartitionMap(k, l, N, entries)
+
+
+def check_laws_oracle(pairs, N):
+    """check_laws before the dense kernel: every map realized per pair."""
+    checked = 0
+    orientation = None
+    for q, p in pairs:
+        tp, tq = realize_oracle(p, N), realize_oracle(q, N)
+        if realize_oracle(p.adjoint(), N) != tp.adjoint():
+            raise LawViolation(f"adjoint law fails for {p}")
+        if realize_oracle(p.tensor(q), N) != tp.tensor(tq):
+            raise LawViolation(f"tensor law fails for {p} (x) {q}")
+        if p.lower != q.upper:
+            continue
+        comp, rl = q.compose(p)
+        lhs = tq.compose(tp)
+        rhs = realize_oracle(comp, N)
+        if lhs == rhs.scaled(N**rl):
+            fit = "maps_scale_composite"
+        elif rhs == lhs.scaled(N**rl):
+            fit = "composite_scales_maps"
+        else:
+            raise LawViolation(f"loop law fails for {q} after {p}")
+        if rl > 0:
+            if orientation is None:
+                orientation = fit
+            elif orientation != fit:
+                raise LawViolation(
+                    f"loop-law orientation flips at {q} after {p}: {orientation} vs {fit}"
+                )
+        checked += 1
+    return {"orientation": orientation, "pairs_checked": checked, "N": N}
+
+
+def law_pairs_oracle(max_points):
+    """Every pair of small partitions, filtered by combined point count."""
+    parts = small_partitions(max_points)
+    for p in parts:
+        for q in parts:
+            if p.n_points + q.n_points <= max_points:
+                yield q, p
+
+
+def join_block_count(p, q):
+    """Number of blocks of the join of p and q on their common point set."""
+    n = p.n_points
+    uf = UnionFind(n)
+    for part in (p, q):
+        for blk in part.blocks:
+            for a, b in zip(blk, blk[1:]):
+                uf.union(a, b)
+    return len({uf.find(i) for i in range(n)})
+
+
+def dense(m):
+    """A PartitionMap as a dense matrix, multi-indices read big-endian."""
+    out = np.zeros((m.N**m.l, m.N**m.k), dtype=np.int64)
+    for (t, s), v in m.entries.items():
+        row = sum(x * m.N ** (m.l - 1 - i) for i, x in enumerate(t))
+        col = sum(x * m.N ** (m.k - 1 - i) for i, x in enumerate(s))
+        out[row, col] = v
+    return out
 
 
 def stirling2(n, j):
@@ -76,15 +214,25 @@ def test_fixed_point_dimensions_count_unitary_pairings():
 
 def test_realized_identity_has_diagonal_entries():
     m = realize(identity("o"), 3)
-    assert (m.k, m.l) == (1, 1)
-    assert m.entries == {((i,), (i,)): 1 for i in range(3)}
+    assert m.shape == (3, 3)  # one upper and one lower point
+    assert m.dtype == np.int64
+    assert np.array_equal(m, np.eye(3, dtype=np.int64))
 
 
 def test_realized_cup_pairs_equal_indices():
     d = duality("o", "x").adjoint()  # no upper points, two lower points
     m = realize(d, 2)
-    assert (m.k, m.l) == (0, 2)
-    assert m.entries == {((0, 0), ()): 1, ((1, 1), ()): 1}
+    assert m.shape == (4, 1)
+    # rows are the lower multi-indices 00, 01, 10, 11
+    assert m[:, 0].tolist() == [1, 0, 0, 1]
+
+
+def test_realization_budgets_are_checked_before_allocating():
+    with pytest.raises(TooLarge, match="point budget"):
+        realize(one_block("o" * 6, "o" * 5), 2)
+    with pytest.raises(TooLarge, match="entry budget"):
+        realize(one_block("o" * 5, "o" * 5), 5)  # 5^10 entries
+    assert realize(one_block("o" * 5, "o" * 5), 4).shape == (4**5, 4**5)
 
 
 def test_laws_hold_exactly_on_small_diagrams():
@@ -98,6 +246,94 @@ def test_law_pairs_stay_within_the_point_bound():
     for p, q in law_pairs(4):
         assert len(p.upper) + len(p.lower) <= 4
         assert len(q.upper) + len(q.lower) <= 4
+
+
+# -- differential and negative tests of the dense law kernel -----------------
+
+
+@pytest.mark.parametrize("N,max_points", [(2, 6), (3, 5), (4, 5)])
+def test_dense_realization_matches_the_sparse_oracle(N, max_points):
+    for p in small_partitions(max_points):
+        assert np.array_equal(realize(p, N), dense(realize_oracle(p, N))), p
+
+
+@pytest.mark.parametrize("N", (2, 3, 4))
+@pytest.mark.parametrize("max_points", range(6))
+def test_law_report_matches_the_per_pair_oracle(max_points, N):
+    assert check_laws(law_pairs(max_points), N) == check_laws_oracle(
+        law_pairs_oracle(max_points), N
+    )
+
+
+@pytest.mark.parametrize("max_points", range(7))
+def test_law_pairs_match_the_all_pairs_filter(max_points):
+    assert list(law_pairs(max_points)) == list(law_pairs_oracle(max_points))
+
+
+EMPTY = Partition("", "", ())
+CUP = Partition("", "oo", (0, 0))
+CAP = CUP.adjoint()
+# a strand beside a cup, and a strand beside a cap: the cap after the cup
+# closes one loop and leaves the strand
+STRAND_CUP = Partition("o", "ooo", (0, 0, 1, 1))
+STRAND_CAP = STRAND_CUP.adjoint()
+
+
+def realize_but(target, change):
+    """realize with one partition's matrix replaced by change(matrix, N)."""
+    real = linreal.realize
+
+    def fake(p, N):
+        m = real(p, N)
+        return change(m, N) if p == target else m
+
+    return fake
+
+
+def test_transposed_realization_breaks_the_adjoint_law(monkeypatch):
+    # both upper points in one block, the lower points apart
+    p = Partition("oo", "oo", (0, 0, 1, 2))
+    assert p.adjoint() != p
+    monkeypatch.setattr(linreal, "realize", realize_but(p, lambda m, N: m.T))
+    with pytest.raises(LawViolation, match="adjoint law fails"):
+        check_laws([(EMPTY, p)], 2)
+    with pytest.raises(LawViolation):
+        check_laws(law_pairs(4), 2)
+
+
+def test_flipped_tensor_entry_breaks_the_tensor_law(monkeypatch):
+    def flip(m, N):
+        m = m.copy()
+        m[0, 0] = 1 - m[0, 0]
+        return m
+
+    monkeypatch.setattr(linreal, "realize", realize_but(CUP.tensor(CAP), flip))
+    with pytest.raises(LawViolation, match="tensor law fails"):
+        check_laws([(CAP, CUP)], 3)
+    with pytest.raises(LawViolation):
+        check_laws(law_pairs(4), 3)
+
+
+def test_composite_scaled_by_the_wrong_power_breaks_the_loop_law(monkeypatch):
+    comp, loops = STRAND_CAP.compose(STRAND_CUP)
+    assert (comp, loops) == (identity("o"), 1)
+    monkeypatch.setattr(linreal, "realize", realize_but(comp, lambda m, N: N * m))
+    with pytest.raises(LawViolation, match="loop law fails"):
+        check_laws([(STRAND_CAP, STRAND_CUP)], 2)
+
+
+def test_one_pair_in_the_other_orientation_is_a_flip(monkeypatch):
+    # T_{qp} = N^rl T_q . T_p on the second pair only: its realization
+    # carries N^(2 rl) instead of 1
+    assert CAP.compose(CUP) == (EMPTY, 1)
+    comp, loops = STRAND_CAP.compose(STRAND_CUP)
+    monkeypatch.setattr(
+        linreal, "realize", realize_but(comp, lambda m, N: N ** (2 * loops) * m)
+    )
+    pairs = [(CAP, CUP), (STRAND_CAP, STRAND_CUP)]
+    with pytest.raises(LawViolation, match="orientation flips"):
+        check_laws(pairs, 2)
+    assert check_laws(pairs[1:], 2)["orientation"] == "composite_scales_maps"
 
 
 # -- differential tests of the batched Gram kernel ---------------------------
