@@ -1,47 +1,46 @@
-"""Named categories of partitions: membership and enumeration.
+"""Named categories of partitions: one definition each, read by both
+membership and enumeration.
 
-The named categories come in two groups.  The uncolored ones (NC2, NC12,
-NC12', NC12#, NCeven, NC', NC, P2) are color-insensitive predicates on the
-block structure; membership ignores the coloring entirely.  CU is the
-colored category of noncrossing pair partitions where connected points
-have the same color in different rows and different colors in the same
-row.  (The pair-and-color rule alone admits the crossing swap, which the
-corresponding quantum group excludes, so noncrossing is part of the CU
-predicate here.)
+Each category is a `CategorySpec`, a piece of data with four fields (the
+classification of Banica-Speicher, "Liberation of orthogonal Lie
+groups", and Weber, "On the classification of easy quantum groups"):
 
-Members of a frame are enumerated directly, not filtered: every category
-but P2 is built as noncrossing partitions in the circular order, pruned
-by its block sizes (and, for CU, by the color rule), and sorted by
-labels.  P2 takes every pair partition.  Of each membership predicate,
-only the part the construction does not guarantee runs on the members
-built (singleton parity, the NC12sharp rule, odd-block parity); the full
-predicate stays the one definition of membership, behind `contains`.
+* `block_size`: which block sizes are allowed, as a function of the
+  size, so that no point bound is built into a category;
+* `rule`: at most one extra condition on the whole partition, namely an
+  even number of singletons (NC12prime), that and an even number of
+  singletons between any two connected points (NC12sharp), or an even
+  number of odd blocks (NCprime);
+* `colored`: whether the unitary color rule applies, so that connected
+  points have the same color in different rows and different colors in
+  the same row (only CU; the other categories ignore the coloring);
+* `crossing`: whether crossings are allowed (only P2).  The pair-and-color
+  rule alone admits the crossing swap, which the corresponding quantum
+  group excludes, so CU is noncrossing.
+
+`contains` checks the four fields.  `enumerate_members` builds the members
+of a frame from the same fields rather than filtering every partition:
+noncrossing partitions in the circular order (every set partition when
+crossings are allowed), pruned by the block sizes and, for CU, by the
+color rule, then filtered by the rule and sorted by labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from typing import Callable
 
 from .errors import TooLarge
-from .partitions import (
-    Partition,
-    all_colorings,
-    circular_order,
-    enumerate_noncrossing,
-    enumerate_partitions,
-)
-from .words import WHITE
+from .partitions import Partition, circular_order, enumerate_noncrossing, enumerate_partitions
+from .words import WHITE, all_words
 
 MAX_FRAME_POINTS = 12
 
 
 # ---------------------------------------------------------------------------
-# Membership predicates
-
-
-def _sizes(p: Partition) -> list[int]:
-    return [len(b) for b in p.blocks]
+# The rules
 
 
 def _singleton_parity_ok(p: Partition) -> bool:
@@ -49,7 +48,7 @@ def _singleton_parity_ok(p: Partition) -> bool:
 
 
 def _odd_block_parity_ok(p: Partition) -> bool:
-    return sum(1 for s in _sizes(p) if s % 2) % 2 == 0
+    return sum(1 for b in p.blocks if len(b) % 2) % 2 == 0
 
 
 def _sharp_ok(p: Partition) -> bool:
@@ -69,122 +68,74 @@ def _sharp_ok(p: Partition) -> bool:
     return True
 
 
-def in_nc2(p: Partition) -> bool:
-    return p.is_noncrossing() and all(s == 2 for s in _sizes(p))
-
-
-def in_nc12(p: Partition) -> bool:
-    return p.is_noncrossing() and all(s <= 2 for s in _sizes(p))
-
-
-def in_nc12_prime(p: Partition) -> bool:
-    return in_nc12(p) and _singleton_parity_ok(p)
-
-
-def in_nc12_sharp(p: Partition) -> bool:
-    return in_nc12_prime(p) and _sharp_ok(p)
-
-
-def in_nc_even(p: Partition) -> bool:
-    return p.is_noncrossing() and all(s % 2 == 0 for s in _sizes(p))
-
-
-def in_nc_prime(p: Partition) -> bool:
-    return p.is_noncrossing() and _odd_block_parity_ok(p)
-
-
-def in_nc(p: Partition) -> bool:
-    return p.is_noncrossing()
-
-
-def in_p2(p: Partition) -> bool:
-    return all(s == 2 for s in _sizes(p))
-
-
-def in_cu(p: Partition) -> bool:
-    """Noncrossing pairs; same color across rows, different color within."""
-    if not p.is_noncrossing():
-        return False
+def _unitary_colors_ok(p: Partition) -> bool:
+    """Connected points have the same color in different rows and
+    different colors in the same row."""
     k = p.n_upper
-    for blk in p.blocks:
-        if len(blk) != 2:
-            return False
-        a, b = blk
-        same_row = (a < k) == (b < k)
-        if same_row and p.color(a) == p.color(b):
-            return False
-        if not same_row and p.color(a) != p.color(b):
-            return False
-    return True
+    return all(
+        (p.color(a) == p.color(b)) != ((a < k) == (b < k))
+        for blk in p.blocks
+        for a, b in zip(blk, blk[1:])
+    )
 
 
 @dataclass(frozen=True)
 class CategorySpec:
-    """A named category: a membership predicate."""
+    """A named category: allowed block sizes, one optional rule on the
+    whole partition, and whether colors and crossings matter."""
 
     name: str
-    predicate: callable = field(compare=False)
+    block_size: Callable[[int], bool]
+    rule: Callable[[Partition], bool] | None = None
     colored: bool = False
+    crossing: bool = False
 
     def __str__(self) -> str:
         return self.name
 
 
-CU = CategorySpec("CU", in_cu, colored=True)
-NC2 = CategorySpec("NC2", in_nc2)
-NC12 = CategorySpec("NC12", in_nc12)
-NC12_PRIME = CategorySpec("NC12prime", in_nc12_prime)
-NC12_SHARP = CategorySpec("NC12sharp", in_nc12_sharp)
-NC_EVEN = CategorySpec("NCeven", in_nc_even)
-NC_PRIME = CategorySpec("NCprime", in_nc_prime)
-NC = CategorySpec("NCall", in_nc)
-P2 = CategorySpec("P2", in_p2)
+CU = CategorySpec("CU", lambda s: s == 2, colored=True)
+NC2 = CategorySpec("NC2", lambda s: s == 2)
+NC12 = CategorySpec("NC12", lambda s: s <= 2)
+NC12_PRIME = CategorySpec("NC12prime", lambda s: s <= 2, _singleton_parity_ok)
+NC12_SHARP = CategorySpec(
+    "NC12sharp", lambda s: s <= 2, lambda p: _singleton_parity_ok(p) and _sharp_ok(p)
+)
+NC_EVEN = CategorySpec("NCeven", lambda s: s % 2 == 0)
+NC_PRIME = CategorySpec("NCprime", lambda s: True, _odd_block_parity_ok)
+NC = CategorySpec("NCall", lambda s: True)
+P2 = CategorySpec("P2", lambda s: s == 2, crossing=True)
 
 NAMED = {
     c.name: c
     for c in (CU, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, NC, P2)
 }
 
-# block sizes that bound the noncrossing enumeration of each category
-_BLOCK_SIZES = {
-    "NC2": {2},
-    "NC12": {1, 2},
-    "NC12prime": {1, 2},
-    "NC12sharp": {1, 2},
-    "NCeven": set(range(2, MAX_FRAME_POINTS + 1, 2)),
-}
-
-# the part of each predicate that this block-size and color-pruned
-# construction does not guarantee; the other categories need no check
-_UNGUARANTEED = {
-    "NC12prime": _singleton_parity_ok,
-    "NC12sharp": lambda p: _singleton_parity_ok(p) and _sharp_ok(p),
-    "NCprime": _odd_block_parity_ok,
-}
-
 
 def contains(cat: CategorySpec, p: Partition) -> bool:
-    return cat.predicate(p)
+    return (
+        all(cat.block_size(len(b)) for b in p.blocks)
+        and (cat.crossing or p.is_noncrossing())
+        and (not cat.colored or _unitary_colors_ok(p))
+        and (cat.rule is None or cat.rule(p))
+    )
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(cat_name: str, upper: str, lower: str) -> tuple[Partition, ...]:
-    cat = NAMED[cat_name]
-    if cat is P2:
-        candidates = enumerate_partitions(upper, lower, pair_only=True)
+def _enumerate_cached(cat: CategorySpec, upper: str, lower: str) -> tuple[Partition, ...]:
+    sizes = {s for s in range(1, len(upper) + len(lower) + 1) if cat.block_size(s)}
+    if cat.crossing:
+        candidates = enumerate_partitions(upper, lower, sizes)
     else:
-        candidates = enumerate_noncrossing(
-            upper, lower, _BLOCK_SIZES.get(cat_name), colored=cat.colored
-        )
-    check = _UNGUARANTEED.get(cat_name)
-    return tuple(p for p in candidates if check is None or check(p))
+        candidates = enumerate_noncrossing(upper, lower, sizes, colored=cat.colored)
+    return tuple(p for p in candidates if cat.rule is None or cat.rule(p))
 
 
 def enumerate_members(cat: CategorySpec, upper: str, lower: str) -> list[Partition]:
-    """All members of the category with the given frame."""
+    """All members of the category with the given frame, sorted by labels."""
     if len(upper) + len(lower) > MAX_FRAME_POINTS:
         raise TooLarge(f"frame has {len(upper) + len(lower)} > {MAX_FRAME_POINTS} points")
-    return list(_enumerate_cached(cat.name, upper, lower))
+    return list(_enumerate_cached(cat, upper, lower))
 
 
 def all_members(cat: CategorySpec, point_bound: int) -> list[Partition]:
@@ -194,13 +145,14 @@ def all_members(cat: CategorySpec, point_bound: int) -> list[Partition]:
     does not depend on the coloring, and all computations downstream are
     color-blind for these categories).  For CU every coloring is scanned.
     """
+    if cat.colored:
+        rows = [list(ws) for _, ws in groupby(all_words(point_bound), len)]
+    else:
+        rows = [[WHITE * n] for n in range(point_bound + 1)]
     out = []
     for k in range(point_bound + 1):
         for l in range(point_bound + 1 - k):
-            if cat.colored:
-                for up in all_colorings(k):
-                    for lo in all_colorings(l):
-                        out.extend(enumerate_members(cat, up, lo))
-            else:
-                out.extend(enumerate_members(cat, WHITE * k, WHITE * l))
+            for up in rows[k]:
+                for lo in rows[l]:
+                    out.extend(enumerate_members(cat, up, lo))
     return out

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ClosureViolation, MalformedWord, NotInSet
-from .words import AdmissibleSetSpec, conjugate, member, word_from_str, word_to_str
+from .words import AdmissibleSetSpec, conjugate, member, white, word_from_str, word_to_str
 
 
 def product_u(w: str, w2: str) -> Counter:
@@ -117,7 +117,7 @@ def a_map(w: str) -> str:
 def psi(x: WreathWord, k: int) -> str:
     """Concatenate a(letter) over the letters; letters must be balanced
     words with prefix balances in [0, k]."""
-    spec = AdmissibleSetSpec("white", k)
+    spec = white(k)
     for l in x.letters:
         if not member(spec, l):
             raise NotInSet(f"letter {word_to_str(l)} not in White({k})")
@@ -127,7 +127,7 @@ def psi(x: WreathWord, k: int) -> str:
 def psi_inverse(v: str, k: int) -> WreathWord:
     """Maximal decomposition: split at every first return of the prefix
     balance to zero and strip the outer o/x of each piece."""
-    if not member(AdmissibleSetSpec("white", k + 1), v):
+    if not member(white(k + 1), v):
         raise NotInSet(f"{word_to_str(v)} not in White({k + 1})")
     letters = []
     start = 0

@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .categories import CU, enumerate_members
 from .errors import LawViolation, ShapeMismatch, TooLarge
 from .partitions import WHITE, Partition, enumerate_partitions
 
@@ -298,7 +299,5 @@ def rank(maps: list[np.ndarray]) -> int:
 
 def fixed_points_dim(w: str, N: int) -> int:
     """Dimension of the span of {T_p : p in CU(empty, w)}."""
-    from .categories import CU, enumerate_members
-
     parts = enumerate_members(CU, "", w)
     return gram_rank(parts, N)

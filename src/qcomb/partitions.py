@@ -16,12 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .errors import NotFactorizable
-from .words import ALPHABET, WHITE, word_from_str, word_to_str
-
-_FLIP = str.maketrans("ox", "xo")
+from .words import WHITE, conjugate, word_from_str, word_to_str
 
 
 @lru_cache(maxsize=None)
@@ -68,6 +65,8 @@ class Partition:
     labels: tuple[int, ...]  # canonical block label of each point
 
     def __post_init__(self):
+        # the one place labels are canonicalized: any sequence of block
+        # ids is stored as a tuple numbered by first appearance
         n = len(self.upper) + len(self.lower)
         if len(self.labels) != n:
             raise ValueError("label count does not match point count")
@@ -133,7 +132,7 @@ class Partition:
     def n_through(self) -> int:
         return len(self.through_blocks)
 
-    # -- structural predicates -----------------------------------------
+    # -- structural properties -----------------------------------------
 
     def is_noncrossing(self) -> bool:
         """Noncrossing on the circular order.  Checked with a stack on that
@@ -168,13 +167,13 @@ class Partition:
         for i, b in enumerate(other.labels):
             j = k1 + i if i < k2 else k1 + l1 + i
             lab[j] = b + shift
-        return Partition(self.upper + other.upper, self.lower + other.lower, _canonical_labels(lab))
+        return Partition(self.upper + other.upper, self.lower + other.lower, lab)
 
     def adjoint(self) -> "Partition":
         """Reflect across the horizontal axis; colors stay with their points."""
         k, l = self.n_upper, self.n_lower
         lab = list(self.labels[k:]) + list(self.labels[:k])
-        return Partition(self.lower, self.upper, _canonical_labels(lab))
+        return Partition(self.lower, self.upper, lab)
 
     def compose(self, other: "Partition") -> tuple["Partition", int]:
         """Vertical composition self . other, stacking other on top.
@@ -206,7 +205,7 @@ class Partition:
             lab.append(roots_outer[r])
         loops = len({uf.find(i) for i in range(k, k + l)} - set(roots_outer))
         return (
-            Partition(other.upper, self.lower, _canonical_labels(lab)),
+            Partition(other.upper, self.lower, lab),
             loops,
         )
 
@@ -218,8 +217,8 @@ class Partition:
         k = self.n_upper
         lab = list(self.labels[1:k]) + [self.labels[0]] + list(self.labels[k:])
         upper = self.upper[1:]
-        lower = self.upper[0].translate(_FLIP) + self.lower
-        return Partition(upper, lower, _canonical_labels(lab))
+        lower = conjugate(self.upper[0]) + self.lower
+        return Partition(upper, lower, lab)
 
     def rotate_down_left(self) -> "Partition":
         """Inverse of rotate_left_down."""
@@ -227,9 +226,9 @@ class Partition:
             raise ValueError("no lower point to rotate")
         k = self.n_upper
         lab = [self.labels[k]] + list(self.labels[:k]) + list(self.labels[k + 1 :])
-        upper = self.lower[0].translate(_FLIP) + self.upper
+        upper = conjugate(self.lower[0]) + self.upper
         lower = self.lower[1:]
-        return Partition(upper, lower, _canonical_labels(lab))
+        return Partition(upper, lower, lab)
 
     def rotate_right_down(self) -> "Partition":
         """Move the rightmost upper point to the end of the lower row,
@@ -239,8 +238,8 @@ class Partition:
         k = self.n_upper
         lab = list(self.labels[: k - 1]) + list(self.labels[k:]) + [self.labels[k - 1]]
         upper = self.upper[:-1]
-        lower = self.lower + self.upper[-1].translate(_FLIP)
-        return Partition(upper, lower, _canonical_labels(lab))
+        lower = self.lower + conjugate(self.upper[-1])
+        return Partition(upper, lower, lab)
 
     def rotate_down_right(self) -> "Partition":
         """Inverse of rotate_right_down."""
@@ -248,20 +247,16 @@ class Partition:
             raise ValueError("no lower point to rotate")
         k = self.n_upper
         lab = list(self.labels[:k]) + [self.labels[-1]] + list(self.labels[k:-1])
-        upper = self.upper + self.lower[-1].translate(_FLIP)
+        upper = self.upper + conjugate(self.lower[-1])
         lower = self.lower[:-1]
-        return Partition(upper, lower, _canonical_labels(lab))
+        return Partition(upper, lower, lab)
 
     def reverse(self) -> "Partition":
         """Mirror left-right and invert every color."""
         k, l = self.n_upper, self.n_lower
         perm = list(range(k - 1, -1, -1)) + list(range(k + l - 1, k - 1, -1))
         lab = [self.labels[p] for p in perm]
-        return Partition(
-            self.upper[::-1].translate(_FLIP),
-            self.lower[::-1].translate(_FLIP),
-            _canonical_labels(lab),
-        )
+        return Partition(conjugate(self.upper), conjugate(self.lower), lab)
 
     # -- projective structure --------------------------------------------
 
@@ -296,7 +291,7 @@ def through_factorize(p: Partition) -> list[Partition]:
     for a, b in zip(cuts, cuts[1:]):
         pts = list(range(a, b)) + list(range(k + a, k + b))
         lab = [p.labels[i] for i in pts]
-        factors.append(Partition(p.upper[a:b], p.lower[a:b], _canonical_labels(lab)))
+        factors.append(Partition(p.upper[a:b], p.lower[a:b], lab))
     return factors
 
 
@@ -341,53 +336,45 @@ def crossing(c1: str, c2: str) -> Partition:
 # Enumeration
 
 
-def _all_set_partitions(n: int):
-    """All set partitions of range(n) as canonical label tuples."""
+def _set_partitions(n: int, sizes: frozenset | None):
+    """All set partitions of range(n) whose block sizes lie in sizes (every
+    size when None), as canonical label tuples in increasing order.
 
-    def rec(i, labels, nb):
+    Each point joins an open block or opens a new one.  A block takes no
+    point past the largest size in sizes, and a branch ends once fewer
+    points are left than blocks whose size is not in sizes.
+    """
+    top = n if sizes is None else max(sizes, default=0)
+    labels: list[int] = []
+    counts: list[int] = []
+
+    def rec(i):
+        if sizes is not None and sum(c not in sizes for c in counts) > n - i:
+            return
         if i == n:
             yield tuple(labels)
             return
-        for b in range(nb):
-            labels.append(b)
-            yield from rec(i + 1, labels, nb)
-            labels.pop()
-        labels.append(nb)
-        yield from rec(i + 1, labels, nb + 1)
+        for b, c in enumerate(counts):
+            if c < top:
+                counts[b] += 1
+                labels.append(b)
+                yield from rec(i + 1)
+                labels.pop()
+                counts[b] -= 1
+        counts.append(1)
+        labels.append(len(counts) - 1)
+        yield from rec(i + 1)
         labels.pop()
+        counts.pop()
 
-    yield from rec(0, [], 0)
-
-
-def _pair_partitions(n: int):
-    """All perfect matchings of range(n) as canonical label tuples."""
-    if n % 2:
-        return
-    points = list(range(n))
-
-    def rec(free: list[int], pairs: list[tuple[int, int]]):
-        if not free:
-            lab = [0] * n
-            for b, (a, c) in enumerate(pairs):
-                lab[a] = lab[c] = b
-            yield _canonical_labels(lab)
-            return
-        a = free[0]
-        rest = free[1:]
-        for j, c in enumerate(rest):
-            pairs.append((a, c))
-            yield from rec(rest[:j] + rest[j + 1 :], pairs)
-            pairs.pop()
-
-    yield from rec(points, [])
+    yield from rec(0)
 
 
-def enumerate_partitions(upper: str, lower: str, *, pair_only: bool = False):
-    """All partitions with the given colored rows; with pair_only, the
-    pair partitions only."""
-    n = len(upper) + len(lower)
-    source = _pair_partitions(n) if pair_only else _all_set_partitions(n)
-    for labels in source:
+def enumerate_partitions(upper: str, lower: str, block_sizes=None):
+    """All partitions with the given colored rows whose block sizes lie in
+    block_sizes (every size when None), sorted by labels."""
+    sizes = None if block_sizes is None else frozenset(block_sizes)
+    for labels in _set_partitions(len(upper) + len(lower), sizes):
         yield Partition(upper, lower, labels)
 
 
@@ -407,7 +394,7 @@ def _noncrossing_shapes(n: int, sizes: frozenset | None, colors: str | None):
         sizes = frozenset({2})
         if 2 * colors.count(WHITE) != n:
             return ()
-    top = n if sizes is None else max(sizes)
+    top = n if sizes is None else max(sizes, default=0)
     labels = [0] * n
     out = []
 
@@ -447,13 +434,9 @@ def enumerate_noncrossing(
     sizes = None if block_sizes is None else frozenset(block_sizes)
     # read in circular order with lower colors flipped, a pair obeys the
     # color rule exactly when its two colors differ
-    colors = upper + lower[::-1].translate(_FLIP) if colored else None
+    colors = upper + conjugate(lower) if colored else None
     shapes = _noncrossing_shapes(len(order), sizes, colors)
     # Partition canonicalizes the relabelled shape
     out = [Partition(upper, lower, tuple([shape[i] for i in order])) for shape in shapes]
     out.sort(key=lambda p: p.labels)
     return out
-
-
-def all_colorings(n: int):
-    return ("".join(c) for c in product(ALPHABET, repeat=n))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, CategorySpec
-from .categories import all_members, enumerate_members, in_cu
+from .categories import all_members, contains, enumerate_members
 from .errors import NoCatalogMatch, NotInCategory
 from .partitions import Partition, UnionFind, identity, one_block, singleton, word_partition
 from .words import WHITE
@@ -233,7 +233,7 @@ def through_word_module(mod: ProjectiveModule) -> frozenset[str]:
 
 def through_word(p: Partition) -> str:
     """The word read off the through-blocks of a CU projective."""
-    if not in_cu(p):
+    if not contains(CU, p):
         raise NotInCategory("not a CU partition")
     return "".join(p.upper[blk[0]] for blk in p.through_blocks)
 

@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NonBinaryEntry, NotUnitary, TooLarge
+from .errors import NonBinaryEntry, NotUnitary, TooLarge, Violation
 
 # the largest dimension of a tree level, B^i for i <= depth
 MAX_LEVEL_DIM = 5000
@@ -296,23 +296,20 @@ def schur_constants(tree: QuantumTree, weighted: bool = True) -> SchurReport:
     embed_consts: list[Quad] = []
     for i in range(tree.depth + 1):
         h = tree.basis_norm(i, weighted)
-        consts_id = set()
-        consts_embed = set()
+        consts = set()
         for t in tree.level_basis(i):
             pairs = tree.mult_pairs(t)
             # sanity: every pair multiplies back to t with coefficient 1
-            assert all(
-                tuple(base.mult(u, v) for u, v in zip(us, vs)) == t for us, vs in pairs
-            )
-            c = Quad.of(len(pairs)) / h
-            consts_id.add(c)
-            if i < tree.depth:
-                consts_embed.add(c)
-        assert len(consts_id) == 1
-        id_consts.append(consts_id.pop())
+            if any(tuple(base.mult(u, v) for u, v in zip(us, vs)) != t for us, vs in pairs):
+                raise Violation(f"a multiplication pair at level {i} does not give {t}")
+            consts.add(Quad.of(len(pairs)) / h)
+        if len(consts) != 1:
+            raise Violation(f"the level-{i} constant is not the same across the basis")
+        (c,) = consts
+        id_consts.append(c)
         if i < tree.depth:
-            assert len(consts_embed) == 1
-            embed_consts.append(consts_embed.pop())
+            # below the top level the embedding has the same constant
+            embed_consts.append(c)
     dk2 = tree.delta_k * tree.delta_k
     matches = all(c == dk2 for c in id_consts) and all(c == dk2 for c in embed_consts)
     return SchurReport(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import NoCatalogMatch, PreconditionViolated, TooLarge
+from .errors import NoCatalogMatch, PreconditionViolated, TooLarge, Violation
 
 WHITE = "o"
 BLACK = "x"
@@ -443,7 +443,8 @@ def reduce(w: str, k: int) -> list[str]:
             if peak == k and t is None:
                 t = idx
             peak -= j_r
-        assert t is not None
+        if t is None:
+            raise Violation(f"{word_to_str(cur)} does not reach peak balance {k}")
         if t <= n - 2:
             # trailing pair absorbs into its left neighbour: cancel 'ox'
             # at the last white/black junction i_n times
@@ -461,7 +462,8 @@ def reduce(w: str, k: int) -> list[str]:
                 cur = cur[:pos] + cur[pos + 2 :]
                 pos -= 1
                 trace.append(cur)
-    assert cur == WHITE * k + BLACK * k
+    if cur != WHITE * k + BLACK * k:
+        raise Violation(f"{word_to_str(w)} reduced to {word_to_str(cur)}, not o^{k} x^{k}")
     return trace
 
 

@@ -1,4 +1,4 @@
-"""Diagram categories: membership predicates and enumeration oracles.
+"""Diagram categories: membership and enumeration against oracles.
 
 Oracles on one-row all-white frames:
   * noncrossing pairings of 2n points: Catalan(n);
@@ -11,28 +11,130 @@ size at most two on an even frame always leave an even number of
 singletons, and every noncrossing partition of an even frame has an even
 number of odd blocks.
 
-Enumeration builds noncrossing members directly; the differential tests
-compare it with a filter that runs the membership predicate over every
-set partition (every pair partition for the pair categories).
+The categories are data; the differential oracle is one membership
+predicate per category, written out by hand rather than read from it.
+`contains` must agree with it on every partition of the frames checked,
+and the enumeration must equal its filter over every set partition (every
+pair partition, for the pair categories on the largest colored frames).
 The counts at 10 and 11 points are checked against closed forms: Catalan,
 Motzkin and the Fuss-Catalan numbers C(3m, m)/(2m+1), which count
 noncrossing partitions of 2m points into blocks of even size.
 """
 
+from functools import lru_cache
 from itertools import product
 from math import comb
 
 import pytest
 
-from qcomb.categories import CU, NAMED, all_members, contains, enumerate_members
+from qcomb.categories import CU, NAMED, NC_EVEN, all_members, contains, enumerate_members
 from qcomb.partitions import (
     Partition,
+    circular_order,
     crossing,
     duality,
     enumerate_partitions,
     identity,
+    one_block,
     singleton,
 )
+
+# ---------------------------------------------------------------------------
+# Membership oracle: one predicate per category
+
+
+def sizes(p):
+    return [len(b) for b in p.blocks]
+
+
+def singleton_parity_ok(p):
+    return sum(1 for b in p.blocks if len(b) == 1) % 2 == 0
+
+
+def odd_block_parity_ok(p):
+    return sum(1 for s in sizes(p) if s % 2) % 2 == 0
+
+
+def sharp_ok(p):
+    order = circular_order(p.n_upper, p.n_lower)
+    single = [len(p.blocks[p.labels[pt]]) == 1 for pt in order]
+    prefix = [0]
+    for s in single:
+        prefix.append(prefix[-1] + (1 if s else 0))
+    for blk in p.blocks:
+        if len(blk) != 2:
+            continue
+        a, b = sorted(order[pt] for pt in blk)
+        if (prefix[b] - prefix[a + 1]) % 2:
+            return False
+    return True
+
+
+def in_nc2(p):
+    return p.is_noncrossing() and all(s == 2 for s in sizes(p))
+
+
+def in_nc12(p):
+    return p.is_noncrossing() and all(s <= 2 for s in sizes(p))
+
+
+def in_nc12_prime(p):
+    return in_nc12(p) and singleton_parity_ok(p)
+
+
+def in_nc12_sharp(p):
+    return in_nc12_prime(p) and sharp_ok(p)
+
+
+def in_nc_even(p):
+    return p.is_noncrossing() and all(s % 2 == 0 for s in sizes(p))
+
+
+def in_nc_prime(p):
+    return p.is_noncrossing() and odd_block_parity_ok(p)
+
+
+def in_nc(p):
+    return p.is_noncrossing()
+
+
+def in_p2(p):
+    return all(s == 2 for s in sizes(p))
+
+
+def in_cu(p):
+    """Noncrossing pairs; same color across rows, different color within."""
+    if not p.is_noncrossing():
+        return False
+    k = p.n_upper
+    for blk in p.blocks:
+        if len(blk) != 2:
+            return False
+        a, b = blk
+        same_row = (a < k) == (b < k)
+        if same_row and p.color(a) == p.color(b):
+            return False
+        if not same_row and p.color(a) != p.color(b):
+            return False
+    return True
+
+
+ORACLE = {
+    "CU": in_cu,
+    "NC2": in_nc2,
+    "NC12": in_nc12,
+    "NC12prime": in_nc12_prime,
+    "NC12sharp": in_nc12_sharp,
+    "NCeven": in_nc_even,
+    "NCprime": in_nc_prime,
+    "NCall": in_nc,
+    "P2": in_p2,
+}
+
+
+def test_the_oracle_covers_every_named_category():
+    assert set(ORACLE) == set(NAMED)
+
 
 CATALAN = [1, 1, 2, 5, 14, 42]
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51]
@@ -120,14 +222,22 @@ def test_enumeration_is_deterministic():
     assert a == b
 
 
+def test_even_blocks_have_no_size_cap():
+    assert contains(NC_EVEN, one_block("o" * 7, "o" * 7))
+    assert not contains(NC_EVEN, one_block("o" * 7, "o" * 6))
+
+
 # ---------------------------------------------------------------------------
-# Direct enumeration against the filter over all candidates
-
-PAIR_CATEGORIES = {"NC2", "CU", "P2"}
+# Membership and enumeration against the oracle over all candidates
 
 
-def by_labels(parts):
-    return sorted(parts, key=lambda p: p.labels)
+@lru_cache(maxsize=None)
+def set_partition_labels(n, pairs_only):
+    """Labels of every set partition of n points (of every pair partition
+    with pairs_only), in increasing order, from the unrestricted
+    enumeration."""
+    parts = enumerate_partitions("", "o" * n)
+    return [p.labels for p in parts if not pairs_only or all(len(b) == 2 for b in p.blocks)]
 
 
 def frames(n, colorings):
@@ -136,15 +246,16 @@ def frames(n, colorings):
             yield "".join(colors[:k]), "".join(colors[k:])
 
 
-def assert_matches_filter(cats, upper, lower):
-    needed = {cat.name in PAIR_CATEGORIES for cat in cats}
-    candidates = {pair: list(enumerate_partitions(upper, lower, pair_only=pair)) for pair in needed}
+def assert_matches_filter(cats, upper, lower, pairs_only=False):
+    """The filter of the candidates by the oracle: contains keeps the same
+    candidates, and the enumeration yields them in the same order."""
+    n = len(upper) + len(lower)
+    candidates = [Partition(upper, lower, lab) for lab in set_partition_labels(n, pairs_only)]
     for cat in cats:
-        got = enumerate_members(cat, upper, lower)
-        filtered = [p for p in candidates[cat.name in PAIR_CATEGORIES] if cat.predicate(p)]
-        assert by_labels(got) == by_labels(filtered), (cat.name, upper, lower)
-        if cat.name != "P2":
-            assert got == by_labels(got), (cat.name, upper, lower)
+        oracle = ORACLE[cat.name]
+        kept = [p for p in candidates if oracle(p)]
+        assert [p for p in candidates if contains(cat, p)] == kept, (cat.name, upper, lower)
+        assert enumerate_members(cat, upper, lower) == kept, (cat.name, upper, lower)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -162,7 +273,7 @@ def test_enumeration_matches_the_filter_on_every_coloring(n):
 @pytest.mark.parametrize("n", [7, 8])
 def test_unitary_enumeration_matches_the_filter_on_every_coloring(n):
     for upper, lower in frames(n, product("ox", repeat=n)):
-        assert_matches_filter([CU], upper, lower)
+        assert_matches_filter([CU], upper, lower, pairs_only=True)
 
 
 def catalan(m):

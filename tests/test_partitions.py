@@ -59,6 +59,14 @@ def test_counts_noncrossing_pairings_are_catalan():
         assert len(got) == CATALAN[n]
 
 
+def test_block_sizes_keep_exactly_the_partitions_with_those_sizes():
+    for n in range(8):
+        every = frame("", "o" * n)
+        for sizes in ({2}, {1, 2}, {2, 4}, {1, 3}, {3}, set()):
+            got = tuple(enumerate_partitions("", "o" * n, sizes))
+            assert got == tuple(p for p in every if all(len(b) in sizes for b in p.blocks))
+
+
 def test_counts_do_not_depend_on_colors_or_split():
     assert len(frame("", "oxox")) == len(frame("", "oooo"))
     assert len(frame("ox", "ox")) == len(frame("", "oooo"))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcomb import qgraph
+from qcomb import cli, errors, qgraph
 from qcomb.qgraph import (
     ONE,
     Quad,
@@ -87,6 +87,32 @@ def test_per_level_constants_are_powers_of_the_base_dimension():
 def test_constants_match_the_single_global_value_only_at_depth_zero():
     assert schur_constants(QuantumTree(classical(2), 0)).matches_global_constant
     assert not schur_constants(QuantumTree(classical(2), 2)).matches_global_constant
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        lambda pairs: pairs[:1],  # a second copy: the level constant varies
+        lambda pairs: [((1, 1), (1, 1))],  # a pair that does not give (0, 0)
+    ],
+    ids=["repeated pair", "wrong product"],
+)
+def test_a_broken_multiplication_is_a_violation_not_an_assertion(monkeypatch, capsys, extra):
+    original = QuantumTree.mult_pairs
+
+    def one_extra_pair(self, t):
+        pairs = original(self, t)
+        return pairs + extra(pairs) if t == (0, 0) else pairs
+
+    monkeypatch.setattr(QuantumTree, "mult_pairs", one_extra_pair)
+    with pytest.raises(errors.Violation):
+        schur_constants(QuantumTree(classical(2), 2))
+    code = cli.main(["verify", "trees", "--base", "c2", "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("violation:")
 
 
 def test_embedding_scalars_are_the_square_root_of_the_dimension():

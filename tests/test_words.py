@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcomb import words
+from qcomb import errors, words
 
 word_st = st.text(alphabet="ox", max_size=8)
 
@@ -236,6 +236,12 @@ def test_reduce_fixes_the_normal_form_and_traces_single_cancellations():
 def test_reduce_rejects_words_with_the_wrong_peak():
     with pytest.raises(words.PreconditionViolated):
         words.reduce("ooxx", 1)
+
+
+def test_reduce_raises_a_violation_when_no_run_reaches_the_peak(monkeypatch):
+    monkeypatch.setattr(words, "_runs", lambda w: [(1, 1), (1, 1)])
+    with pytest.raises(errors.Violation):
+        words.reduce("oxooxx", 2)
 
 
 def test_sampled_peak_words_reduce_to_the_staircase():
