@@ -48,7 +48,9 @@ def _singleton_parity_ok(p: Partition) -> bool:
 
 
 def _odd_block_parity_ok(p: Partition) -> bool:
-    return sum(1 for b in p.blocks if len(b) % 2) % 2 == 0
+    # the block sizes add up to the point count, so the number of odd
+    # blocks has the parity of the point count
+    return p.n_points % 2 == 0
 
 
 def _sharp_ok(p: Partition) -> bool:
@@ -122,20 +124,42 @@ def contains(cat: CategorySpec, p: Partition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(cat: CategorySpec, upper: str, lower: str) -> tuple[Partition, ...]:
-    sizes = {s for s in range(1, len(upper) + len(lower) + 1) if cat.block_size(s)}
-    if cat.crossing:
-        candidates = enumerate_partitions(upper, lower, sizes)
-    else:
-        candidates = enumerate_noncrossing(upper, lower, sizes, colored=cat.colored)
-    return tuple(p for p in candidates if cat.rule is None or cat.rule(p))
+def _candidates(
+    upper: str, lower: str, sizes: frozenset, colored: bool, crossing: bool
+) -> tuple[Partition, ...]:
+    """The partitions of a frame allowed by everything but the rule, shared
+    by the categories with the same block sizes (NCall and NCprime; NC12,
+    NC12prime and NC12sharp)."""
+    if crossing:
+        return tuple(enumerate_partitions(upper, lower, sizes))
+    return tuple(enumerate_noncrossing(upper, lower, sizes, colored=colored))
+
+
+@lru_cache(maxsize=None)
+def _sizes(cat: CategorySpec, n: int) -> frozenset[int]:
+    """The block sizes allowed on n points, one set per category and n."""
+    return frozenset(s for s in range(1, n + 1) if cat.block_size(s))
+
+
+def _frame_candidates(cat: CategorySpec, upper: str, lower: str) -> tuple[Partition, ...]:
+    sizes = _sizes(cat, len(upper) + len(lower))
+    return _candidates(upper, lower, sizes, cat.colored, cat.crossing)
+
+
+@lru_cache(maxsize=None)
+def _ruled(cat: CategorySpec, upper: str, lower: str) -> tuple[Partition, ...]:
+    """The members of a category with a rule.  A category without one has
+    its candidates as members and no cache of its own."""
+    return tuple(p for p in _frame_candidates(cat, upper, lower) if cat.rule(p))
 
 
 def enumerate_members(cat: CategorySpec, upper: str, lower: str) -> list[Partition]:
     """All members of the category with the given frame, sorted by labels."""
     if len(upper) + len(lower) > MAX_FRAME_POINTS:
         raise TooLarge(f"frame has {len(upper) + len(lower)} > {MAX_FRAME_POINTS} points")
-    return list(_enumerate_cached(cat, upper, lower))
+    if cat.rule is None:
+        return list(_frame_candidates(cat, upper, lower))
+    return list(_ruled(cat, upper, lower))
 
 
 def all_members(cat: CategorySpec, point_bound: int) -> list[Partition]:

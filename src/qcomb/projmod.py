@@ -9,8 +9,14 @@ r(.)r* form is checked separately as a property.
 
 Everything here works relative to a PartitionUniverse, which materializes
 the category up to a point bound once and precomputes projectives,
-equivalence classes (a union-find sweep over all bounded witnesses
-r -> (r*r, rr*)) and domination edges.
+equivalence classes and domination edges.  r*r and rr* are read straight
+off the labels of one row of r and of the blocks that also meet the other
+row (Freslon-Weber, "On the representation theory of partition (easy)
+quantum groups"), so the classes join r*r with rr* for every bounded
+witness r without composing.  Domination composes only pairs that can
+pass: a projective strictly below p has fewer through-blocks than p.  Closures
+pair each new member only with members that fit under the bound, and
+`distinct_generated_modules` grows each join from the larger module.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ class PartitionUniverse:
         self.cat = cat
         self.point_bound = point_bound
         self.members: list[Partition] = all_members(cat, point_bound)
-        self.member_set = frozenset(self.members)
 
     def normalize(self, p: Partition) -> Partition:
         """Uncolored categories are materialized on all-white frames, so
@@ -46,28 +51,29 @@ class PartitionUniverse:
 
     @cached_property
     def projectives(self) -> list[Partition]:
-        return [p for p in self.members if p.upper == p.lower and p.is_projective()]
-
-    @cached_property
-    def _proj_index(self) -> dict[Partition, int]:
-        return {p: i for i, p in enumerate(self.projectives)}
+        # p is projective exactly when it is its own p*p
+        return [
+            p for p in self.members if p.upper == p.lower and _square_labels(p)[0] == p.labels
+        ]
 
     @cached_property
     def equivalence_classes(self) -> list[frozenset[Partition]]:
         """Classes of ~ restricted to witnesses r in the category whose
         r*r and rr* stay within the point bound."""
-        idx = self._proj_index
-        uf = UnionFind(len(self.projectives))
+        projectives = self.projectives
+        # keyed by frame and labels, so that r*r and rr* need no Partition
+        idx = {(p.upper, p.labels): i for i, p in enumerate(projectives)}
+        uf = UnionFind(len(projectives))
         half = self.point_bound // 2
         for r in self.members:
             if r.n_upper > half or r.n_lower > half:
                 continue
-            p = r.adjoint().compose(r)[0]
-            q = r.compose(r.adjoint())[0]
-            if p in idx and q in idx:
-                uf.union(idx[p], idx[q])
+            rr, ss = _square_labels(r)
+            i, j = idx.get((r.upper, rr)), idx.get((r.lower, ss))
+            if i is not None and j is not None:
+                uf.union(i, j)
         groups: dict[int, list[Partition]] = {}
-        for p, i in idx.items():
+        for i, p in enumerate(projectives):
             groups.setdefault(uf.find(i), []).append(p)
         return [frozenset(g) for g in groups.values()]
 
@@ -81,10 +87,50 @@ class PartitionUniverse:
         by_frame: dict[str, list[Partition]] = {}
         for p in self.projectives:
             by_frame.setdefault(p.upper, []).append(p)
+        # p < p.  q = qp has at most p's through-blocks, and as many only
+        # when q = p: distinct comparable idempotents of a finite semigroup
+        # lie in different J-classes, and the J-classes of the partition
+        # monoid are its through-block counts
         return {
-            p: frozenset(q for q in by_frame[p.upper] if dominated(q, p))
+            p: frozenset(
+                q
+                for q in by_frame[p.upper]
+                if q is p or (q.n_through < p.n_through and dominated(q, p))
+            )
             for p in self.projectives
         }
+
+
+def _row_square(row: tuple[int, ...], through: set[int]) -> tuple[int, ...]:
+    """Labels of r*r, given the labels of r's upper row and the labels of
+    r's through-blocks (of rr*, given r's lower row).  The row's blocks sit
+    on top and again below; a through-block joins its two copies, any
+    other block gets a fresh label below."""
+    top: dict[int, int] = {}
+    for b in row:
+        if b not in top:
+            top[b] = len(top)
+    below = top.copy()
+    fresh = len(top)
+    for b in top:
+        if b not in through:
+            below[b] = fresh
+            fresh += 1
+    return tuple([top[b] for b in row] + [below[b] for b in row])
+
+
+def _square_labels(r: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The labels of r*r and of rr*, read off r's labels without composing."""
+    k = r.n_upper
+    upper, lower = r.labels[:k], r.labels[k:]
+    through = set(upper).intersection(lower)
+    return _row_square(upper, through), _row_square(lower, through)
+
+
+def _squares(r: Partition) -> tuple[Partition, Partition]:
+    """(r*r, rr*)."""
+    rr, ss = _square_labels(r)
+    return Partition(r.upper, r.upper, rr), Partition(r.lower, r.lower, ss)
 
 
 def dominated(q: Partition, p: Partition) -> bool:
@@ -98,7 +144,7 @@ def equivalent(universe: PartitionUniverse, p: Partition, q: Partition):
     """Search for a witness r in the category with r*r = p and rr* = q.
     The witness frame is forced: upper = frame of p, lower = frame of q."""
     for r in enumerate_members(universe.cat, p.upper, q.upper):
-        if r.adjoint().compose(r)[0] == p and r.compose(r.adjoint())[0] == q:
+        if _squares(r) == (p, q):
             return r
     return None
 
@@ -117,32 +163,45 @@ class ProjectiveModule:
 def closure(universe: PartitionUniverse, gens, name: str = "") -> ProjectiveModule:
     """Least bounded fixpoint containing gens, closed under tensor,
     reverse, equivalence saturation and downward domination."""
-    members: set[Partition] = set()
+    members = _close(universe, frozenset(), map(universe.normalize, gens))
+    return ProjectiveModule(universe.cat.name, universe.point_bound, members, name)
+
+
+def _close(universe: PartitionUniverse, closed: frozenset, gens) -> frozenset[Partition]:
+    """The closure of closed | gens, where closed is already closed."""
+    bound = universe.point_bound
+    members = set(closed)
+    by_points: list[list[Partition]] = [[] for _ in range(bound + 1)]
+    for p in closed:
+        by_points[p.n_points].append(p)
     queue: list[Partition] = []
 
     def add(p: Partition):
-        p = universe.normalize(p)
-        if p.n_points > universe.point_bound or p in members:
+        # callers normalize: tensor, class and domination results already are
+        if p.n_points > bound or p in members:
             return
         if p not in universe.class_of:
             raise NotInCategory(f"{p} is not a bounded projective of {universe.cat}")
         for q in universe.class_of[p]:
             if q not in members:
                 members.add(q)
+                by_points[q.n_points].append(q)
                 queue.append(q)
 
     for g in gens:
         add(g)
     while queue:
         p = queue.pop()
-        add(p.reverse())
+        add(universe.normalize(p.reverse()))
         for q in universe.dominated_by[p]:
             add(q)
-        for q in list(members):
-            if p.n_points + q.n_points <= universe.point_bound:
+        # a bucket may grow while it is walked; its new members are
+        # paired with p either way
+        for bucket in by_points[: bound - p.n_points + 1]:
+            for q in bucket:
                 add(p.tensor(q))
                 add(q.tensor(p))
-    return ProjectiveModule(universe.cat.name, universe.point_bound, frozenset(members), name)
+    return frozenset(members)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +275,10 @@ def distinct_generated_modules(universe: PartitionUniverse) -> list[ProjectiveMo
         mods = list(modules.values())
         for i, a in enumerate(mods):
             for b in mods[i + 1 :]:
-                join = closure(universe, list(a.members | b.members))
-                if join.members not in modules:
-                    modules[join.members] = join
+                big, small = (a, b) if len(a.members) >= len(b.members) else (b, a)
+                join = _close(universe, big.members, small.members - big.members)
+                if join not in modules:
+                    modules[join] = ProjectiveModule(universe.cat.name, universe.point_bound, join)
                     changed = True
     return list(modules.values())
 

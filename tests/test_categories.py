@@ -27,7 +27,15 @@ from math import comb
 
 import pytest
 
-from qcomb.categories import CU, NAMED, NC_EVEN, all_members, contains, enumerate_members
+from qcomb.categories import (
+    CU,
+    NAMED,
+    NC_EVEN,
+    NC_PRIME,
+    all_members,
+    contains,
+    enumerate_members,
+)
 from qcomb.partitions import (
     Partition,
     circular_order,
@@ -175,6 +183,14 @@ def test_parity_restrictions_are_automatic_on_even_frames():
         c = {p for p in enumerate_members(NAMED["NCprime"], "", lower)}
         d = {p for p in enumerate_members(NAMED["NCall"], "", lower)}
         assert c == d
+
+
+def test_odd_block_parity_is_point_count_parity():
+    # NCprime's rule reads the point count; the block sizes add up to it
+    for n in range(9):
+        for p in enumerate_partitions("o" * n, ""):
+            assert odd_block_parity_ok(p) == (n % 2 == 0)
+            assert NC_PRIME.rule(p) == odd_block_parity_ok(p)
 
 
 def test_parity_restricted_categories_have_no_odd_frames():

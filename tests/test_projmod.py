@@ -1,21 +1,33 @@
 """Projective diagrams, equivalence, domination and module closures."""
 
+from itertools import groupby
+
 import pytest
 
 from qcomb import projmod, words
-from qcomb.categories import CU, NAMED
-from qcomb.partitions import Partition, duality, identity
+from qcomb.categories import CU, NAMED, NC_PRIME, all_members
+from qcomb.partitions import (
+    Partition,
+    UnionFind,
+    duality,
+    enumerate_noncrossing,
+    identity,
+    word_partition,
+)
 from qcomb.projmod import (
     PartitionUniverse,
     catalog,
+    catalog_generators,
     classify_module,
     closure,
+    distinct_generated_modules,
     dominated,
     equivalent,
     through_word,
     through_word_module,
     word_module,
 )
+from qcomb.words import WHITE, all_words
 
 EMPTY = Partition("", "", ())
 BAR = identity("o")
@@ -133,3 +145,174 @@ def test_word_modules_in_the_unitary_category_recover_generated_word_sets():
     for w in ("", "ox"):
         mod = word_module(u, w)
         assert through_word_module(mod) == words.generate([w], 3).members
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the module kernel that builds r*r and rr* by
+# composition, compares every pair of projectives on a frame, and closes
+# each join from scratch, walking every member for tensor partners
+
+
+def even_odd_block_count(p):
+    return sum(len(b) % 2 for b in p.blocks) % 2 == 0
+
+
+def oracle_members(cat, bound):
+    """Every member up to the bound, frame by frame in the order of
+    all_members, each frame enumerated for this category alone, with the
+    odd-block rule counting the odd blocks."""
+    if cat.colored:
+        rows = [list(ws) for _, ws in groupby(all_words(bound), len)]
+    else:
+        rows = [[WHITE * n] for n in range(bound + 1)]
+    rule = even_odd_block_count if cat is NC_PRIME else cat.rule
+    out = []
+    for k in range(bound + 1):
+        for l in range(bound + 1 - k):
+            for up in rows[k]:
+                for lo in rows[l]:
+                    n = k + l
+                    sizes = {s for s in range(1, n + 1) if cat.block_size(s)}
+                    out.extend(
+                        p
+                        for p in enumerate_noncrossing(up, lo, sizes, colored=cat.colored)
+                        if rule is None or rule(p)
+                    )
+    return out
+
+
+def oracle_dominated(q, p):
+    if q.upper != p.upper or q.lower != p.lower:
+        return False
+    return q.compose(p)[0] == q and p.compose(q)[0] == q
+
+
+class OracleUniverse:
+    def __init__(self, cat, point_bound):
+        self.cat = cat
+        self.point_bound = point_bound
+        self.members = oracle_members(cat, point_bound)
+        self.projectives = [
+            p for p in self.members if p.upper == p.lower and p.is_projective()
+        ]
+        idx = {p: i for i, p in enumerate(self.projectives)}
+        uf = UnionFind(len(self.projectives))
+        half = point_bound // 2
+        for r in self.members:
+            if r.n_upper > half or r.n_lower > half:
+                continue
+            p = r.adjoint().compose(r)[0]
+            q = r.compose(r.adjoint())[0]
+            if p in idx and q in idx:
+                uf.union(idx[p], idx[q])
+        groups = {}
+        for p, i in idx.items():
+            groups.setdefault(uf.find(i), []).append(p)
+        self.equivalence_classes = [frozenset(g) for g in groups.values()]
+        self.class_of = {p: cls for cls in self.equivalence_classes for p in cls}
+        by_frame = {}
+        for p in self.projectives:
+            by_frame.setdefault(p.upper, []).append(p)
+        self.dominated_by = {
+            p: frozenset(q for q in by_frame[p.upper] if oracle_dominated(q, p))
+            for p in self.projectives
+        }
+
+    def normalize(self, p):
+        if self.cat.colored:
+            return p
+        return Partition(WHITE * p.n_upper, WHITE * p.n_lower, p.labels)
+
+
+def oracle_closure(universe, gens):
+    members = set()
+    queue = []
+
+    def add(p):
+        p = universe.normalize(p)
+        if p.n_points > universe.point_bound or p in members:
+            return
+        for q in universe.class_of[p]:
+            if q not in members:
+                members.add(q)
+                queue.append(q)
+
+    for g in gens:
+        add(g)
+    while queue:
+        p = queue.pop()
+        add(p.reverse())
+        for q in universe.dominated_by[p]:
+            add(q)
+        for q in list(members):
+            if p.n_points + q.n_points <= universe.point_bound:
+                add(p.tensor(q))
+                add(q.tensor(p))
+    return frozenset(members)
+
+
+def oracle_distinct_modules(universe):
+    """Member sets in the order distinct_generated_modules lists them."""
+    modules = {}
+    for cls in universe.equivalence_classes:
+        modules[oracle_closure(universe, [next(iter(cls))])] = None
+    changed = True
+    while changed:
+        changed = False
+        mods = list(modules)
+        for i, a in enumerate(mods):
+            for b in mods[i + 1 :]:
+                join = oracle_closure(universe, list(a | b))
+                if join not in modules:
+                    modules[join] = None
+                    changed = True
+    return list(modules)
+
+
+def assert_universe_matches_oracle(u, old):
+    assert u.members == old.members
+    assert u.projectives == old.projectives
+    assert u.equivalence_classes == old.equivalence_classes
+    assert u.dominated_by == old.dominated_by
+
+
+UNCOLORED = ["NC2", "NC12", "NC12prime", "NC12sharp", "NCeven", "NCall", "NCprime"]
+
+
+@pytest.mark.parametrize("bound", range(9))
+@pytest.mark.parametrize("name", UNCOLORED)
+def test_module_kernel_matches_the_composing_oracle(name, bound):
+    u = PartitionUniverse(NAMED[name], bound)
+    old = OracleUniverse(NAMED[name], bound)
+    assert_universe_matches_oracle(u, old)
+    mods = catalog(u)
+    for key, gens in catalog_generators(u.cat).items():
+        assert mods[key].members == oracle_closure(old, gens)
+    assert [m.members for m in distinct_generated_modules(u)] == oracle_distinct_modules(old)
+
+
+@pytest.mark.parametrize("bound", [4, 6, 8])
+def test_unitary_word_modules_match_the_composing_oracle(bound):
+    u = PartitionUniverse(CU, bound)
+    old = OracleUniverse(CU, bound)
+    assert_universe_matches_oracle(u, old)
+    for w in ("", "ox", "ooxx", "o", "x", "oxxo"):
+        assert word_module(u, w).members == oracle_closure(old, [word_partition(w)])
+
+
+def test_squares_read_off_the_labels_equal_the_compositions():
+    for cat in NAMED.values():
+        for r in all_members(cat, 6):
+            assert projmod._squares(r) == (
+                r.adjoint().compose(r)[0],
+                r.compose(r.adjoint())[0],
+            )
+
+
+@pytest.mark.parametrize("name", ["NCall", "NCprime"])
+def test_a_dominated_projective_has_fewer_through_blocks(name):
+    old = OracleUniverse(NAMED[name], 8)
+    pairs = [(q, p) for p, qs in old.dominated_by.items() for q in qs if q != p]
+    assert pairs
+    for q, p in pairs:
+        assert q.n_through < p.n_through
