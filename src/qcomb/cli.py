@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from . import errors, linreal, qgraph, suites, words
+from . import errors, qgraph, suites, words
 
 # work budgets, checked before a command starts (README "Command line")
 MAX_WORD_BOUND = 16
@@ -80,6 +80,8 @@ def _laws(args) -> suites.Outcome:
 
 
 def _fusion_rank(args) -> suites.Outcome:
+    from . import linreal  # numpy, loaded only by the suites that realize
+
     length = _check("--length", args.length, 0, linreal.MAX_POINTS)
     return suites.fusion_rank(length, 4 if args.N is None else args.N)
 

@@ -24,6 +24,10 @@ every block, and min-label propagation along the two maps of a pair
 reaches the least point of each block of the join.  The exponent matrix
 of the most recent family is memoized, so the ranks at several N share
 one matrix.
+
+This is the package's numpy module, and nothing on the import path of
+the command line imports it: only the `verify laws` and `verify
+fusion-rank` suites, which realize and rank, load it when they run.
 """
 
 from __future__ import annotations
@@ -99,20 +103,21 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def check_laws(pairs, N: int) -> dict:
     """Verify the adjoint, tensor and loop laws on composable pairs.
 
-    Each distinct partition is realized once; the adjoint law depends on
-    p alone, so it is checked once per distinct p.  The loop law is
-    oriented empirically: for each composable pair the matrix product
-    T_q . T_p is compared with both N^rl * T_{qp} and T_{qp} scaled the
-    other way; a single orientation must fit all pairs.  Returns a report
-    dict with the orientation and the number of pairs checked.  Raises
-    LawViolation on any failure.
+    Each distinct partition is realized once and kept as uint8, since its
+    entries are 0/1; the adjoint law depends on p alone, so it is checked
+    once per distinct p.  The loop law is oriented empirically: for each
+    composable pair the matrix product T_q . T_p, formed in int64, is
+    compared with both N^rl * T_{qp} and T_{qp} scaled the other way; a
+    single orientation must fit all pairs.  Returns a report dict with the
+    orientation and the number of pairs checked.  Raises LawViolation on
+    any failure.
     """
     memo: dict[Partition, np.ndarray] = {}
 
     def T(p: Partition) -> np.ndarray:
         m = memo.get(p)
         if m is None:
-            m = memo[p] = realize(p, N)
+            m = memo[p] = realize(p, N).astype(np.uint8)
         return m
 
     adjoint_checked: set[Partition] = set()
@@ -129,8 +134,8 @@ def check_laws(pairs, N: int) -> dict:
         if p.lower != q.upper:
             continue
         comp, rl = q.compose(p)
-        lhs = tq @ tp
-        rhs = T(comp)
+        lhs = np.matmul(tq, tp, dtype=np.int64)
+        rhs = T(comp).astype(np.int64)
         scale = N**rl
         if np.array_equal(lhs, scale * rhs):
             fit = "maps_scale_composite"  # T_q . T_p = N^rl T_{qp}

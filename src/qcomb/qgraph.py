@@ -7,7 +7,9 @@ psi_k = (1/delta_k) sum delta^i psi^i and adjacency Id + sum (x -> x o 1).
 
 All scalar arithmetic is exact in the field Q(sqrt(N)) (rational when
 sqrt(N) or delta is rational), so the reported Schur constants are exact
-values, not approximations.
+values, not approximations.  Only the numerical conjugation check
+(haar_unitary, action_commutes) uses numpy, imported when it runs, so
+the tree suite and the command line start without it.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NonBinaryEntry, NotUnitary, TooLarge, Violation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # the largest dimension of a tree level, B^i for i <= depth
 MAX_LEVEL_DIM = 5000
@@ -368,6 +372,10 @@ def tree_counts(N: int, k: int) -> tuple[int, int]:
 
 
 def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random N x N unitary: the QR factor of a complex Gaussian
+    matrix, its phases fixed by the diagonal of R."""
+    import numpy as np
+
     z = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -378,6 +386,8 @@ def action_commutes(N: int, k: int, V: np.ndarray, tol: float) -> bool:
     units that conjugation at level i+1 of T o 1 equals the embedding of
     the conjugation at level i, and that each level's normalized trace is
     preserved."""
+    import numpy as np
+
     if np.linalg.norm(V @ V.conj().T - np.eye(N)) > max(tol, 1e-12):
         raise NotUnitary("V is not unitary within tolerance")
 

@@ -1,14 +1,16 @@
 """The module table and the `verify` suites, run by the command line and
 by the acceptance tests with their own parameters.  Each returns the
 verdict, the lines the command line prints and the data tests check.
-The command line checks its arguments before it calls a suite."""
+The command line checks its arguments before it calls a suite.  laws
+and fusion_rank import linreal, and with it numpy, when they are called,
+so the other suites run without numpy."""
 
 from __future__ import annotations
 
 import random
 from typing import Any, NamedTuple
 
-from . import categories, errors, fusion, linreal, projmod, qgraph, words
+from . import categories, errors, fusion, projmod, qgraph, words
 
 REFERENCE_MODULE_COUNTS = {
     "NC2": 3,
@@ -79,6 +81,8 @@ def table(names, bound: int) -> Outcome:
 def laws(points: int, Ns) -> Outcome:
     """The realization laws on all pairs up to `points` points together, at
     each N; a failing law raises.  data is the check_laws report per N."""
+    from . import linreal
+
     reports = [linreal.check_laws(linreal.law_pairs(points), N) for N in Ns]
     lines = [
         f"laws N={r['N']}: {r['pairs_checked']} pairs, loop orientation {r['orientation']}"
@@ -90,6 +94,8 @@ def laws(points: int, Ns) -> Outcome:
 def fusion_rank(length: int, N: int) -> Outcome:
     """Fold multiplicity of the unit = invariant dimension at N = pairing
     count, for every word up to `length`."""
+    from . import linreal
+
     ok = True
     lines = []
     for w in words.all_words(length):

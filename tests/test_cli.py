@@ -1,9 +1,14 @@
 """Command line interface: output contract and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcomb
 from qcomb import cli, errors, suites
 
 
@@ -160,3 +165,44 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch, cls):
     assert code == cls.exit_code == (1 if violation else 2)
     assert captured.out == ""
     assert captured.err.splitlines() == [f"{'violation' if violation else 'error'}: boom"]
+
+
+# Runs in a fresh interpreter, because this one has numpy loaded already.
+# Prints, as JSON, whether numpy is loaded after `import qcomb.cli` and
+# after each argv, with each exit code.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import qcomb.cli
+seen = [["import", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qcomb.cli.main(argv)
+    seen.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+# argv, exit code, numpy loaded after it
+NUMPY_RUNS = [
+    (["classify-words", "--gens", "ooxx"], 0, False),
+    (["table", "--bound", "2"], 1, False),
+    (["verify", "psi"], 0, False),
+    (["verify", "reduce"], 0, False),
+    (["verify", "trees"], 0, False),
+    # a suite that realizes loads numpy, so the probe is seen to work
+    (["verify", "fusion-rank", "--length", "2"], 0, True),
+]
+
+
+def test_only_the_realizing_suites_load_numpy():
+    src = str(Path(qcomb.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps([argv for argv, _, _ in NUMPY_RUNS])],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        check=True,
+    )
+    expected = [["import", None, False]]
+    expected += [[" ".join(argv), code, loaded] for argv, code, loaded in NUMPY_RUNS]
+    assert json.loads(done.stdout) == expected

@@ -36,6 +36,7 @@ from qcomb.linreal import (
 from qcomb.partitions import (
     Partition,
     UnionFind,
+    circular_order,
     duality,
     enumerate_partitions,
     identity,
@@ -376,6 +377,20 @@ def test_gram_exponents_match_union_find_on_unitary_frames():
                 assert np.array_equal(gram_exponents(parts), join_matrix(parts))
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in frames(7) if k < n])
+def test_gram_exponents_are_covariant_under_rotation(n, k):
+    # Read in circular order, frame (k, n-k) becomes frame (n, 0).  The
+    # rotation relabels both partitions of a pair alike, so each join
+    # keeps its block count, and noncrossing partitions stay noncrossing.
+    order = circular_order(k, n - k)
+    flat = enumerate_members(NAMED["NCall"], "o" * n, "")
+    position = {p: i for i, p in enumerate(flat)}
+    parts = enumerate_members(NAMED["NCall"], "o" * k, "o" * (n - k))
+    perm = [position[Partition("o" * n, "", [p.labels[j] for j in order])] for p in parts]
+    assert sorted(perm) == list(range(len(flat)))
+    assert np.array_equal(gram_exponents(parts), gram_exponents(flat)[np.ix_(perm, perm)])
 
 
 def test_gram_exponents_memo_follows_the_family():

@@ -163,6 +163,36 @@ def test_composition_with_identity_is_neutral(p):
     assert identity(p.lower).compose(p) == (p, 0)
 
 
+@st.composite
+def composable(draw, count):
+    """count partitions, each composable after the one before it."""
+    rows = [draw(color_words) for _ in range(count + 1)]
+    return [draw(st.sampled_from(frame(upper, lower))) for upper, lower in zip(rows, rows[1:])]
+
+
+@given(composable(3))
+@settings(max_examples=60)
+def test_composition_is_associative_and_loops_add(chain):
+    p, q, r = chain
+    rq, rq_loops = r.compose(q)
+    left, left_loops = rq.compose(p)
+    qp, qp_loops = q.compose(p)
+    right, right_loops = r.compose(qp)
+    assert left == right
+    assert rq_loops + left_loops == qp_loops + right_loops
+
+
+@given(composable(2), composable(2))
+@settings(max_examples=60)
+def test_interchange_law(left, right):
+    # (a (x) b)(c (x) d) = ac (x) bd, with the loops of both columns
+    c, a = left
+    d, b = right
+    ac, ac_loops = a.compose(c)
+    bd, bd_loops = b.compose(d)
+    assert a.tensor(b).compose(c.tensor(d)) == (ac.tensor(bd), ac_loops + bd_loops)
+
+
 def test_composition_closes_a_loop():
     d = duality("o", "x")
     assert d.compose(d.adjoint()) == (Partition("", "", ()), 1)
