@@ -69,7 +69,9 @@ def cmd_table(args) -> int:
 
 def _laws(args) -> suites.Outcome:
     points = _check("--points", args.points, 0, MAX_LAW_POINTS)
-    Ns = [2, 3] if args.N is None else [args.N]
+    # N itself is capped too: at --points 0 the entry budget does not bound
+    # it, and realize computes powers of N in int64
+    Ns = [2, 3] if args.N is None else [_check("--N", args.N, 1, MAX_LAW_ENTRIES)]
     entries = max(Ns) ** points
     if entries > MAX_LAW_ENTRIES:
         raise errors.TooLarge(
@@ -106,7 +108,7 @@ def _trees(args) -> suites.Outcome:
 
 
 def _reduce(args) -> suites.Outcome:
-    bound = _check("--bound", args.bound, 0, MAX_REDUCE_BOUND)
+    bound = _check("--bound", args.bound, 2, MAX_REDUCE_BOUND)
     count = _check("--count", args.count, 0, MAX_REDUCE_COUNT)
     return suites.reduce(bound, count, args.seed)
 

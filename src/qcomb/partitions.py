@@ -209,47 +209,43 @@ class Partition:
             loops,
         )
 
+    def _recut(self, start: int, k: int) -> "Partition":
+        """Turn the circle of points to begin at circular position start
+        and cut it after k points: those form the upper row, the rest the
+        lower row.  The circular color word upper + conjugate(lower) turns
+        with the points, so a point that changes rows flips its color."""
+        order = circular_order(self.n_upper, self.n_lower)
+        n = len(order)
+        word = self.upper + conjugate(self.lower)
+        word = word[start:] + word[:start]
+        lab = [self.labels[order[(start + i) % n]] for i in circular_order(k, n - k)]
+        return Partition(word[:k], conjugate(word[k:]), lab)
+
     def rotate_left_down(self) -> "Partition":
         """Move the leftmost upper point to the front of the lower row,
         flipping its color."""
         if self.n_upper == 0:
             raise ValueError("no upper point to rotate")
-        k = self.n_upper
-        lab = list(self.labels[1:k]) + [self.labels[0]] + list(self.labels[k:])
-        upper = self.upper[1:]
-        lower = conjugate(self.upper[0]) + self.lower
-        return Partition(upper, lower, lab)
+        return self._recut(1, self.n_upper - 1)
 
     def rotate_down_left(self) -> "Partition":
         """Inverse of rotate_left_down."""
         if self.n_lower == 0:
             raise ValueError("no lower point to rotate")
-        k = self.n_upper
-        lab = [self.labels[k]] + list(self.labels[:k]) + list(self.labels[k + 1 :])
-        upper = conjugate(self.lower[0]) + self.upper
-        lower = self.lower[1:]
-        return Partition(upper, lower, lab)
+        return self._recut(self.n_points - 1, self.n_upper + 1)
 
     def rotate_right_down(self) -> "Partition":
         """Move the rightmost upper point to the end of the lower row,
         flipping its color."""
         if self.n_upper == 0:
             raise ValueError("no upper point to rotate")
-        k = self.n_upper
-        lab = list(self.labels[: k - 1]) + list(self.labels[k:]) + [self.labels[k - 1]]
-        upper = self.upper[:-1]
-        lower = self.lower + conjugate(self.upper[-1])
-        return Partition(upper, lower, lab)
+        return self._recut(0, self.n_upper - 1)
 
     def rotate_down_right(self) -> "Partition":
         """Inverse of rotate_right_down."""
         if self.n_lower == 0:
             raise ValueError("no lower point to rotate")
-        k = self.n_upper
-        lab = list(self.labels[:k]) + [self.labels[-1]] + list(self.labels[k:-1])
-        upper = self.upper + conjugate(self.lower[-1])
-        lower = self.lower[:-1]
-        return Partition(upper, lower, lab)
+        return self._recut(0, self.n_upper + 1)
 
     def reverse(self) -> "Partition":
         """Mirror left-right and invert every color."""
@@ -261,14 +257,37 @@ class Partition:
     # -- projective structure --------------------------------------------
 
     def is_projective(self) -> bool:
-        """p is projective when p = p* and p . p = p with no loop penalty
-        changing it, i.e. pp = p and p* = p."""
-        if self.upper != self.lower:
-            return False
-        if self.adjoint() != self:
-            return False
-        comp, _ = self.compose(self)
-        return comp == self
+        """p is projective when p = p* = pp.  Every r*r is projective, so p
+        is projective exactly when its rows agree and it is its own p*p."""
+        return self.upper == self.lower and _square_labels(self)[0] == self.labels
+
+
+def _row_square(row: tuple[int, ...], through: set[int]) -> tuple[int, ...]:
+    """Labels of r*r, given the labels of r's upper row and the labels of
+    r's through-blocks (of rr*, given r's lower row).  The row's blocks sit
+    on top and again below; a through-block joins its two copies, any
+    other block gets a fresh label below."""
+    top: dict[int, int] = {}
+    for b in row:
+        if b not in top:
+            top[b] = len(top)
+    below = top.copy()
+    fresh = len(top)
+    for b in top:
+        if b not in through:
+            below[b] = fresh
+            fresh += 1
+    return tuple([top[b] for b in row] + [below[b] for b in row])
+
+
+def _square_labels(r: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The labels of r*r and of rr*, read off r's labels without composing
+    (Freslon-Weber, "On the representation theory of partition (easy)
+    quantum groups")."""
+    k = r.n_upper
+    upper, lower = r.labels[:k], r.labels[k:]
+    through = set(upper).intersection(lower)
+    return _row_square(upper, through), _row_square(lower, through)
 
 
 def through_factorize(p: Partition) -> list[Partition]:
@@ -280,7 +299,7 @@ def through_factorize(p: Partition) -> list[Partition]:
     through-block to its right (trailing clutter goes to the last factor).
     Raises NotFactorizable when there is no through-block.
     """
-    if not (p.upper == p.lower and p.is_projective() and p.is_noncrossing()):
+    if not (p.is_projective() and p.is_noncrossing()):
         raise ValueError("through_factorize needs a noncrossing projective partition")
     tb = p.through_blocks
     if not tb:

@@ -27,7 +27,8 @@ from functools import cached_property
 from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, CategorySpec
 from .categories import all_members, contains, enumerate_members
 from .errors import NoCatalogMatch, NotInCategory
-from .partitions import Partition, UnionFind, identity, one_block, singleton, word_partition
+from .partitions import Partition, UnionFind, _square_labels, identity, one_block, singleton
+from .partitions import word_partition
 from .words import WHITE
 
 EMPTY = Partition("", "", ())
@@ -51,10 +52,7 @@ class PartitionUniverse:
 
     @cached_property
     def projectives(self) -> list[Partition]:
-        # p is projective exactly when it is its own p*p
-        return [
-            p for p in self.members if p.upper == p.lower and _square_labels(p)[0] == p.labels
-        ]
+        return [p for p in self.members if p.is_projective()]
 
     @cached_property
     def equivalence_classes(self) -> list[frozenset[Partition]]:
@@ -101,32 +99,6 @@ class PartitionUniverse:
         }
 
 
-def _row_square(row: tuple[int, ...], through: set[int]) -> tuple[int, ...]:
-    """Labels of r*r, given the labels of r's upper row and the labels of
-    r's through-blocks (of rr*, given r's lower row).  The row's blocks sit
-    on top and again below; a through-block joins its two copies, any
-    other block gets a fresh label below."""
-    top: dict[int, int] = {}
-    for b in row:
-        if b not in top:
-            top[b] = len(top)
-    below = top.copy()
-    fresh = len(top)
-    for b in top:
-        if b not in through:
-            below[b] = fresh
-            fresh += 1
-    return tuple([top[b] for b in row] + [below[b] for b in row])
-
-
-def _square_labels(r: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The labels of r*r and of rr*, read off r's labels without composing."""
-    k = r.n_upper
-    upper, lower = r.labels[:k], r.labels[k:]
-    through = set(upper).intersection(lower)
-    return _row_square(upper, through), _row_square(lower, through)
-
-
 def _squares(r: Partition) -> tuple[Partition, Partition]:
     """(r*r, rr*)."""
     rr, ss = _square_labels(r)
@@ -151,20 +123,14 @@ def equivalent(universe: PartitionUniverse, p: Partition, q: Partition):
 
 @dataclass(frozen=True)
 class ProjectiveModule:
-    cat_name: str
-    point_bound: int
     members: frozenset[Partition]
-    name: str = ""
-
-    def __contains__(self, p: Partition) -> bool:
-        return p in self.members
 
 
-def closure(universe: PartitionUniverse, gens, name: str = "") -> ProjectiveModule:
+def closure(universe: PartitionUniverse, gens) -> ProjectiveModule:
     """Least bounded fixpoint containing gens, closed under tensor,
     reverse, equivalence saturation and downward domination."""
     members = _close(universe, frozenset(), map(universe.normalize, gens))
-    return ProjectiveModule(universe.cat.name, universe.point_bound, members, name)
+    return ProjectiveModule(members)
 
 
 def _close(universe: PartitionUniverse, closed: frozenset, gens) -> frozenset[Partition]:
@@ -242,7 +208,7 @@ def catalog_generators(cat: CategorySpec) -> dict[str, list[Partition]]:
 
 def catalog(universe: PartitionUniverse) -> dict[str, ProjectiveModule]:
     return {
-        name: closure(universe, gens, name)
+        name: closure(universe, gens)
         for name, gens in catalog_generators(universe.cat).items()
     }
 
@@ -278,7 +244,7 @@ def distinct_generated_modules(universe: PartitionUniverse) -> list[ProjectiveMo
                 big, small = (a, b) if len(a.members) >= len(b.members) else (b, a)
                 join = _close(universe, big.members, small.members - big.members)
                 if join not in modules:
-                    modules[join] = ProjectiveModule(universe.cat.name, universe.point_bound, join)
+                    modules[join] = ProjectiveModule(join)
                     changed = True
     return list(modules.values())
 
@@ -300,4 +266,4 @@ def through_word(p: Partition) -> str:
 
 def word_module(universe: PartitionUniverse, w: str) -> ProjectiveModule:
     """Module generated by the strand partition p_w over CU."""
-    return closure(universe, [word_partition(w)], name=f"<p_{w or 'e'}>")
+    return closure(universe, [word_partition(w)])

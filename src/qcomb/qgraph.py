@@ -136,7 +136,7 @@ class QuantumSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return self.N if self.kind == "classical" else self.N * self.N
 
     def mult(self, x, y):
         """Product of two basis elements: a basis element or None."""
@@ -211,9 +211,6 @@ class QuantumTree:
     def level_basis(self, i: int) -> list:
         return list(product(self.base.labels, repeat=i))
 
-    def basis(self) -> list:
-        return [(i, t) for i in range(self.depth + 1) for t in self.level_basis(i)]
-
     def delta_pow(self, i: int) -> Quad:
         out = ONE
         for _ in range(i):
@@ -256,8 +253,7 @@ class SchurReport:
     N: int
     depth: int
     mode: str  # "weighted" (psi_k GNS) | "per-level"
-    id_constants: list[Quad]
-    embed_constants: list[Quad]
+    id_constants: list[Quad]  # below the top level, also the embedding constants
     delta_k_squared: Quad
     matches_global_constant: bool
 
@@ -272,10 +268,9 @@ class SchurReport:
             f"delta_k^2={self.delta_k_squared}"
         ]
         for i, c in enumerate(self.id_constants):
-            e = self.embed_constants[i] if i < len(self.embed_constants) else None
             out.append(
                 f"  level {i}: id coefficient {c}"
-                + (f", embedding coefficient {e}" if e is not None else "")
+                + (f", embedding coefficient {c}" if i < self.depth else "")
             )
         out.append(f"  verdict: {self.verdict()}")
         return out
@@ -297,7 +292,6 @@ def schur_constants(tree: QuantumTree, weighted: bool = True) -> SchurReport:
     """
     base = tree.base
     id_consts: list[Quad] = []
-    embed_consts: list[Quad] = []
     for i in range(tree.depth + 1):
         h = tree.basis_norm(i, weighted)
         consts = set()
@@ -311,18 +305,14 @@ def schur_constants(tree: QuantumTree, weighted: bool = True) -> SchurReport:
             raise Violation(f"the level-{i} constant is not the same across the basis")
         (c,) = consts
         id_consts.append(c)
-        if i < tree.depth:
-            # below the top level the embedding has the same constant
-            embed_consts.append(c)
     dk2 = tree.delta_k * tree.delta_k
-    matches = all(c == dk2 for c in id_consts) and all(c == dk2 for c in embed_consts)
+    matches = all(c == dk2 for c in id_consts)
     return SchurReport(
         base.kind,
         base.N,
         tree.depth,
         "weighted" if weighted else "per-level",
         id_consts,
-        embed_consts,
         dk2,
         matches,
     )

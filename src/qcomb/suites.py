@@ -175,13 +175,13 @@ def trees(base: qgraph.QuantumSpace, depth: int) -> Outcome:
 
 
 def reduce(bound: int, count: int, seed: int) -> Outcome:
-    """Each of `count` sampled peak words up to `bound` (peak k in 1..4)
-    reduces to o^k x^k by single cancellations."""
+    """Each of `count` sampled peak words up to `bound` (peak k in 1..4,
+    and at most bound/2) reduces to o^k x^k by single cancellations."""
     rng = random.Random(seed)
     ok = True
     lines = []
     for _ in range(count):
-        k = rng.randint(1, 4)
+        k = rng.randint(1, min(4, bound // 2))
         w = words.sample_peak_word(k, bound, rng)
         trace = words.reduce(w, k)
         good = (

@@ -208,12 +208,7 @@ def canonical_generators(spec: AdmissibleSetSpec) -> set[str]:
 
 @dataclass(frozen=True)
 class GeneratedWordSet:
-    generators: frozenset[str]
-    length_bound: int
     members: frozenset[str]
-
-    def __contains__(self, w: str) -> bool:
-        return w in self.members
 
 
 def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> GeneratedWordSet:
@@ -252,7 +247,7 @@ def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> Gener
             n += 1
             continue
         if bound and by_length[1]:
-            return GeneratedWordSet(gens, length_bound, frozenset(all_words(length_bound)))
+            return GeneratedWordSet(frozenset(all_words(length_bound)))
         w = pending[n].pop()
         new = set()
         if len(by_length[n]) < 1 << n:
@@ -270,9 +265,7 @@ def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> Gener
             by_length[len(v)].append(v)
             pending[len(v)].append(v)
             n = min(n, len(v))
-    return GeneratedWordSet(
-        gens, length_bound, frozenset(w for w in members if len(w) <= length_bound)
-    )
+    return GeneratedWordSet(frozenset(w for w in members if len(w) <= length_bound))
 
 
 def truncation(spec: AdmissibleSetSpec, length_bound: int) -> frozenset[str]:
@@ -312,7 +305,6 @@ def truncation(spec: AdmissibleSetSpec, length_bound: int) -> frozenset[str]:
 class ClassificationResult:
     spec: AdmissibleSetSpec
     flags: tuple[str, ...] = ()
-    length_bound: int = 0
 
 
 def _candidate_specs(length_bound: int) -> list[AdmissibleSetSpec]:
@@ -392,27 +384,11 @@ def classify(gens: Iterable[str], length_bound: int) -> ClassificationResult:
         flags.append("parameter may be larger: " + ", ".join(str(m) for m in matches[1:]))
     if INF in (spec.k, spec.k2):
         flags.append("infinite parameter certified only up to the length bound")
-    return ClassificationResult(spec, tuple(flags), length_bound)
+    return ClassificationResult(spec, tuple(flags))
 
 
 # ---------------------------------------------------------------------------
 # Canonical reduction
-
-
-def _runs(w: str) -> list[tuple[int, int]]:
-    """Split a balanced word starting with 'o' into (white, black) run pairs."""
-    runs: list[tuple[int, int]] = []
-    i = 0
-    n = len(w)
-    while i < n:
-        a = i
-        while i < n and w[i] == WHITE:
-            i += 1
-        b = i
-        while i < n and w[i] == BLACK:
-            i += 1
-        runs.append((b - a, i - b))
-    return runs
 
 
 def reduce(w: str, k: int) -> list[str]:
@@ -421,47 +397,22 @@ def reduce(w: str, k: int) -> list[str]:
     Requires w balanced with prefix balances in [0, k] and maximum prefix
     balance exactly k.  Each consecutive pair of trace entries differs by
     one elementary cancellation; the trace starts at w and ends at o^k x^k.
+
+    Each step deletes the first 'xo'.  That pair is a valley of the
+    balance walk, so deleting it keeps the walk in [0, k] and keeps its
+    peak k.  The only balanced word without an 'xo' is o^a x^a, and its
+    peak k forces a = k.
     """
     validate_word(w)
-    bals = prefix_balances(w)
-    if not member(white(k), w) or (max(bals, default=0) != k):
+    if not member(white(k), w) or (max(prefix_balances(w), default=0) != k):
         raise PreconditionViolated(
             f"{word_to_str(w)} is not a White({k}) word with peak balance {k}"
         )
     trace = [w]
     cur = w
-    while True:
-        runs = _runs(cur)
-        n = len(runs)
-        if n <= 1:
-            break
-        # index (0-based) of the first run pair whose white peak reaches k
-        peak = 0
-        t = None
-        for idx, (i_r, j_r) in enumerate(runs):
-            peak += i_r
-            if peak == k and t is None:
-                t = idx
-            peak -= j_r
-        if t is None:
-            raise Violation(f"{word_to_str(cur)} does not reach peak balance {k}")
-        if t <= n - 2:
-            # trailing pair absorbs into its left neighbour: cancel 'ox'
-            # at the last white/black junction i_n times
-            i_n = runs[-1][0]
-            pos = len(cur) - runs[-1][1] - 1  # last white letter
-            for _ in range(i_n):
-                cur = cur[:pos] + cur[pos + 2 :]
-                pos -= 1
-                trace.append(cur)
-        else:
-            # peak in the last pair: cancel 'ox' at the first junction j_1 times
-            j_1 = runs[0][1]
-            pos = runs[0][0] - 1  # last white letter of the first run
-            for _ in range(j_1):
-                cur = cur[:pos] + cur[pos + 2 :]
-                pos -= 1
-                trace.append(cur)
+    while "xo" in cur:
+        cur = cur.replace("xo", "", 1)
+        trace.append(cur)
     if cur != WHITE * k + BLACK * k:
         raise Violation(f"{word_to_str(w)} reduced to {word_to_str(cur)}, not o^{k} x^{k}")
     return trace

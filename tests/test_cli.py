@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qcomb
-from qcomb import cli, errors, suites
+from qcomb import cli, errors, qgraph, suites
 
 
 def run(capsys, argv):
@@ -126,6 +127,7 @@ def test_text_format_is_the_default(capsys):
         # work budgets
         ["verify", "laws", "--points", "8"],
         ["verify", "laws", "--points", "6", "--N", "5"],
+        ["verify", "laws", "--points", "0", "--N", "99999999999999999999"],
         ["verify", "psi", "--length", "23"],
         ["verify", "psi", "--k", "2", "--length", "20"],
         ["verify", "reduce", "--bound", "101"],
@@ -145,6 +147,105 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_the_tree_budget_is_checked_without_listing_the_basis(capsys, monkeypatch):
+    def listed(self):
+        raise AssertionError("the basis labels were listed")
+
+    monkeypatch.setattr(qgraph.QuantumSpace, "labels", property(listed))
+    code = cli.main(["verify", "trees", "--base", "m100000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --base m100000")
+
+
+@pytest.mark.parametrize("bound", range(2, 13))
+def test_reduce_runs_at_every_bound_from_2(capsys, bound):
+    for seed in range(5):
+        argv = ["verify", "reduce", "--bound", str(bound), "--seed", str(seed)]
+        assert cli.main(argv) == 0, seed
+    assert capsys.readouterr().err == ""
+
+
+def test_reduce_rejects_a_bound_below_2_naming_the_option(capsys):
+    assert cli.main(["verify", "reduce", "--bound", "1", "--count", "0"]) == 2
+    assert capsys.readouterr().err == "error: --bound must be at least 2, got 1\n"
+
+
+# -- the output contract on drawn argument lists
+
+INTEGERS = ["-7", "-1", "0", "1", "2", "3", "5", "101", "10001", "99999999999999999999"]
+MALFORMED = ["", "x", "2.5", "0x10"]
+VALUES = {
+    "--gens": ["ooxx", "e", "ox,xo", "oooo", "o,e", "", ",", "zz"],
+    "--base": ["c1", "c2", "m2", "c3", "c0", "m100000", "q3", "m", "c-2"],
+    "--category": ["NC2", "NCall", "NCprime"],
+    "--format": ["text", "json"],
+}
+OPTIONS = {
+    "classify-words": ["--gens", "--bound", "--format"],
+    "table": ["--bound", "--category", "--format"],
+    # verify accepts every option with every suite; each draws from its own
+    "laws": ["--points", "--N", "--format"],
+    "fusion-rank": ["--length", "--len", "--N", "--format"],
+    "psi": ["--k", "--length", "--format"],
+    "trees": ["--base", "--depth", "--format"],
+    "reduce": ["--bound", "--count", "--seed", "--format"],
+}
+
+
+def values(option):
+    """Mostly well-formed values of the option; sometimes a malformed one,
+    or None, which leaves the option without its value."""
+    return st.sampled_from(VALUES.get(option, INTEGERS) * 3 + MALFORMED + [None])
+
+
+@st.composite
+def argument_lists(draw):
+    argv = [draw(st.sampled_from(["classify-words", "table", "verify", "verify"]))]
+    if argv[0] == "verify":
+        argv.append(draw(st.sampled_from([*sorted(cli.SUITES), "nope"])))
+    options = draw(st.lists(st.sampled_from(OPTIONS.get(argv[-1], []) + ["--bogus"]), max_size=3))
+    if argv[0] == "classify-words":  # --gens is required
+        options.insert(0, "--gens")
+    for option in options:
+        argv.append(option)
+        value = draw(values(option))
+        if value is not None:
+            argv.append(value)
+    return argv
+
+
+# the suites a drawn run calls, capped so that it stays cheap while the
+# command line still checks the values it was given
+TABLE, LAWS = suites.table, suites.laws
+
+
+def cheap_table(names, bound):
+    return TABLE(names, min(bound, 4))
+
+
+def cheap_laws(points, Ns):
+    return LAWS(min(points, 3), Ns)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argument_lists())
+def test_drawn_argument_lists_keep_the_output_contract(capsys, monkeypatch, argv):
+    monkeypatch.setattr(suites, "table", cheap_table)
+    monkeypatch.setattr(suites, "laws", cheap_laws)
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:  # argparse rejects the argument list
+        code = e.code
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in captured.err, argv
+    if code == 2:
+        assert captured.out == "", argv
 
 
 ERROR_CLASSES = [

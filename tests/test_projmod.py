@@ -192,8 +192,11 @@ class OracleUniverse:
         self.cat = cat
         self.point_bound = point_bound
         self.members = oracle_members(cat, point_bound)
+        # p is projective when p* = p and pp = p, checked by composing
         self.projectives = [
-            p for p in self.members if p.upper == p.lower and p.is_projective()
+            p
+            for p in self.members
+            if p.upper == p.lower and p.adjoint() == p and p.compose(p)[0] == p
         ]
         idx = {p: i for i, p in enumerate(self.projectives)}
         uf = UnionFind(len(self.projectives))

@@ -238,10 +238,28 @@ def test_reduce_rejects_words_with_the_wrong_peak():
         words.reduce("ooxx", 1)
 
 
-def test_reduce_raises_a_violation_when_no_run_reaches_the_peak(monkeypatch):
-    monkeypatch.setattr(words, "_runs", lambda w: [(1, 1), (1, 1)])
+def test_reduce_raises_a_violation_when_the_word_does_not_end_at_the_staircase(monkeypatch):
+    # a precondition that admits an unbalanced word leaves oox, which has no
+    # xo to delete and is not ooxx
+    monkeypatch.setattr(words, "member", lambda spec, w: True)
     with pytest.raises(errors.Violation):
-        words.reduce("oxooxx", 2)
+        words.reduce("oox", 2)
+
+
+def test_reduce_traces_every_peak_word_up_to_14_letters():
+    traced = 0
+    for k in range(1, 8):
+        for w in words.truncation(words.white(k), 14):
+            if max(words.prefix_balances(w), default=0) != k:
+                continue
+            trace = words.reduce(w, k)
+            assert len(trace) == (len(w) - 2 * k) // 2 + 1, w
+            assert trace[0] == w and trace[-1] == "o" * k + "x" * k, w
+            assert all(b in words.cancellations(a) for a, b in zip(trace, trace[1:])), w
+            traced += 1
+    # every nonempty balanced word whose prefix balances stay >= 0: the
+    # Catalan numbers C_1 + ... + C_7
+    assert traced == 1 + 2 + 5 + 14 + 42 + 132 + 429
 
 
 def test_sampled_peak_words_reduce_to_the_staircase():
