@@ -104,7 +104,13 @@ def _trees(args) -> suites.Outcome:
         raise errors.TooLarge(
             f"--base {args.base} has dimension {base.dim}, more than {qgraph.MAX_LEVEL_DIM}"
         )
-    return suites.trees(base, _check("--depth", args.depth, 0, MAX_TREE_DEPTH))
+    depth = _check("--depth", args.depth, 0, MAX_TREE_DEPTH)
+    if base.dim**depth > qgraph.MAX_LEVEL_DIM:
+        raise errors.TooLarge(
+            f"--depth {depth} at --base {args.base} gives level dimension "
+            f"{base.dim**depth}, more than {qgraph.MAX_LEVEL_DIM}"
+        )
+    return suites.trees(base, depth)
 
 
 def _reduce(args) -> suites.Outcome:

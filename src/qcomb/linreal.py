@@ -21,9 +21,18 @@ a fraction-free elimination over the integers settles the rank exactly.
 The join block counts of a family are computed for all pairs at once in
 numpy batches: each partition becomes a successor map that cycles through
 every block, and min-label propagation along the two maps of a pair
-reaches the least point of each block of the join.  The exponent matrix
-of the most recent family is memoized, so the ranks at several N share
-one matrix.
+reaches the least point of each block of the join.
+
+One memo holds the circle families met so far, at most _MAX_FAMILIES of
+them, the oldest evicted first.  A family's key is the set of its
+members' labels read around the circle of their frame (circular_order),
+so all frames with the same points around one circle share an entry:
+the NCall frames (a, n-a) of one n, or the CU frames of one circular
+color word, whatever the split.  An entry holds the exponent matrix of
+the first family that reached the key, stored as the smallest unsigned
+integer type that holds the point count (uint8 on every frame a suite
+ranks), and the ranks certified so far at each N.  A rank found out of
+budget raises and is not stored.
 
 This is the package's numpy module, and nothing on the import path of
 the command line imports it: only the `verify laws` and `verify
@@ -33,13 +42,13 @@ fusion-rank` suites, which realize and rank, load it when they run.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .categories import CU, enumerate_members
 from .errors import LawViolation, ShapeMismatch, TooLarge
-from .partitions import WHITE, Partition, enumerate_partitions
+from .partitions import WHITE, Partition, _canonical_labels, circular_order, enumerate_partitions
 
 
 MAX_POINTS = 10
@@ -161,23 +170,50 @@ def check_laws(pairs, N: int) -> dict:
 
 # pairs per batch in gram_exponents; keeps each temporary near 1 MB
 _PAIR_CHUNK = 4096
+# circle families kept by the Gram memo, the oldest evicted first;
+# `verify fusion-rank --length 10` meets 176 of them
+_MAX_FAMILIES = 256
 
 
-def _successors(parts: tuple[Partition, ...]) -> np.ndarray:
-    """Row i maps each point to the next point of its block under parts[i],
-    cyclically, so that the block is one cycle of the map."""
-    succ = np.empty((len(parts), parts[0].n_points), dtype=np.intp)
-    for i, p in enumerate(parts):
-        for blk in p.blocks:
-            succ[i, list(blk)] = blk[1:] + blk[:1]
+@dataclass
+class _Family:
+    """A memo entry: the row of each circle reading, the exponent matrix
+    in the order of the first family that reached the key, and the ranks
+    certified so far, keyed by N."""
+
+    row: dict[tuple[int, ...], int]
+    exponents: np.ndarray
+    ranks: dict[int, int] = field(default_factory=dict)
+
+
+_families: dict[frozenset, _Family] = {}
+
+
+def _circles(parts: list[Partition]) -> list[tuple[int, ...]]:
+    """Each member's labels read around the circle of its frame."""
+    return [
+        _canonical_labels([p.labels[i] for i in circular_order(p.n_upper, p.n_lower)])
+        for p in parts
+    ]
+
+
+def _successors(circles: list[tuple[int, ...]]) -> np.ndarray:
+    """Row i maps each point to the next point of its block under
+    circles[i], cyclically, so that the block is one cycle of the map."""
+    succ = np.empty((len(circles), len(circles[0])), dtype=np.intp)
+    for i, labels in enumerate(circles):
+        blocks: dict[int, list[int]] = {}
+        for point, b in enumerate(labels):
+            blocks.setdefault(b, []).append(point)
+        for blk in blocks.values():
+            succ[i, blk] = blk[1:] + blk[:1]
     return succ
 
 
-@lru_cache(maxsize=1)
-def _exponents(parts: tuple[Partition, ...]) -> np.ndarray:
-    m, n = len(parts), parts[0].n_points
-    succ = _successors(parts)
-    B = np.empty((m, m), dtype=np.int64)
+def _exponents(circles: list[tuple[int, ...]]) -> np.ndarray:
+    m, n = len(circles), len(circles[0])
+    succ = _successors(circles)
+    B = np.empty((m, m), dtype=np.min_scalar_type(n))
     points = np.arange(n)
     r0 = 0
     while r0 < m:
@@ -208,11 +244,29 @@ def _exponents(parts: tuple[Partition, ...]) -> np.ndarray:
 
 def gram_exponents(parts: list[Partition]) -> np.ndarray:
     """Matrix of b(p v q); the Gram matrix of the T_p at dimension N is
-    N raised to this, entrywise.  The result is read-only: the matrix of
-    the most recent family is memoized and shared between callers."""
+    N raised to this, entrywise.  The result is read-only.
+
+    Reading the points around the circle of a frame is a bijection of
+    the points, and a bijection of the points maps the join of p and q
+    to the join of their images, block for block.  So two families whose
+    members read the same around the circle have the same matrix up to
+    one permutation of its rows and columns, which leaves the rank of the
+    Gram matrix unchanged: the memo keeps one matrix per circle family
+    and permutes it to the order of parts."""
     if not parts:
         return np.zeros((0, 0), dtype=np.int64)
-    return _exponents(tuple(parts))
+    circles = _circles(parts)
+    key = frozenset(circles)
+    family = _families.get(key)
+    if family is None:
+        if len(_families) >= _MAX_FAMILIES:
+            del _families[next(iter(_families))]
+        row = {c: i for i, c in enumerate(dict.fromkeys(circles))}
+        family = _families[key] = _Family(row, _exponents(list(row)))
+    perm = [family.row[c] for c in circles]
+    B = family.exponents[np.ix_(perm, perm)]
+    B.flags.writeable = False
+    return B
 
 
 def _rank_mod_p(M: np.ndarray, p: int) -> int:
@@ -220,7 +274,7 @@ def _rank_mod_p(M: np.ndarray, p: int) -> int:
 
     Only the rows below the pivot are cleared, and only from the pivot
     column on: the rank needs an echelon form, not a reduced one."""
-    A = np.mod(M, p).astype(np.int64)
+    A = np.mod(M, p).astype(np.int64, copy=False)
     rows, cols = A.shape
     rank = 0
     for c in range(cols):
@@ -271,8 +325,18 @@ def gram_rank(parts: list[Partition], N: int) -> int:
     frames = {(p.upper, p.lower) for p in parts}
     if len(frames) > 1:
         raise ShapeMismatch("mixed frames")
-    B = gram_exponents(parts)
-    n = len(parts)
+    key = frozenset(_circles(parts))
+    family = _families.get(key)
+    if family is not None and N in family.ranks:
+        return family.ranks[N]
+    r = _certified_rank(gram_exponents(parts), N)
+    _families[key].ranks[N] = r
+    return r
+
+
+def _certified_rank(B: np.ndarray, N: int) -> int:
+    """Exact rational rank of the Gram matrix N^B."""
+    n = len(B)
     # a full-rank residue modulo a prime certifies full rational rank;
     # the table holds N^e reduced modulo the prime, so table[B] is the
     # exact residue of the Gram matrix however large N^e grows

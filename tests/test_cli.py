@@ -135,6 +135,7 @@ def test_text_format_is_the_default(capsys):
         ["verify", "trees", "--base", "c5001", "--depth", "0"],
         ["verify", "trees", "--base", "m71", "--depth", "0"],
         ["verify", "trees", "--base", "c1", "--depth", "101"],
+        ["verify", "trees", "--base", "m8", "--depth", "4"],
         ["table", "--bound", "11"],
         ["classify-words", "--gens", "ox", "--bound", "17"],
         ["classify-words", "--gens", "o" * 16, "--bound", "16"],
@@ -160,6 +161,15 @@ def test_the_tree_budget_is_checked_without_listing_the_basis(capsys, monkeypatc
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --base m100000")
+
+
+def test_the_tree_level_budget_names_the_depth_and_the_numbers(capsys):
+    assert cli.main(["verify", "trees", "--base", "m8", "--depth", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --depth 4 at --base m8 gives level dimension 16777216, more than 5000\n"
+    )
 
 
 @pytest.mark.parametrize("bound", range(2, 13))

@@ -8,10 +8,18 @@ orbits, i.e. the sum of Stirling numbers S(n, j) for j <= N.
 Differential oracles: the sparse PartitionMap realization, the per-pair
 law check built on it, the all-pairs law pairing and the union-find
 join_block_count are the code the dense kernels replaced.
+
+Closed-form oracles for the Gram matrices of NC(k), the noncrossing
+partitions of k points: Di Francesco's meander determinant (Commun. Math.
+Phys. 191, 1998) gives det N^B exactly, zeros included, and since
+S_N^+ = S_N for N <= 3 (Wang, Commun. Math. Phys. 195, 1998) the rank of
+NC(k) at those N is the Stirling sum above.
 """
 
 import itertools
+from functools import lru_cache
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -42,6 +50,7 @@ from qcomb.partitions import (
     identity,
     one_block,
 )
+from qcomb.qgraph import ONE, Quad
 
 
 # -- differential oracles ---------------------------------------------------
@@ -362,10 +371,16 @@ def test_gram_exponents_match_union_find_on_all_partitions(n, k):
     assert np.array_equal(gram_exponents(parts), join_matrix(parts))
 
 
+@lru_cache(maxsize=None)
+def frame_join_matrix(cat, upper, lower):
+    """join_matrix of one frame of a category, computed once per session."""
+    return join_matrix(enumerate_members(cat, upper, lower))
+
+
 @pytest.mark.parametrize("n,k", list(frames(7)))
 def test_gram_exponents_match_union_find_on_noncrossing_frames(n, k):
-    parts = enumerate_members(NAMED["NCall"], "o" * k, "o" * (n - k))
-    assert np.array_equal(gram_exponents(parts), join_matrix(parts))
+    frame = (NAMED["NCall"], "o" * k, "o" * (n - k))
+    assert np.array_equal(gram_exponents(enumerate_members(*frame)), frame_join_matrix(*frame))
 
 
 def test_gram_exponents_match_union_find_on_unitary_frames():
@@ -393,7 +408,8 @@ def test_gram_exponents_are_covariant_under_rotation(n, k):
     assert np.array_equal(gram_exponents(parts), gram_exponents(flat)[np.ix_(perm, perm)])
 
 
-def test_gram_exponents_memo_follows_the_family():
+def test_gram_exponents_memo_follows_the_family(monkeypatch):
+    monkeypatch.setattr(linreal, "_families", {})
     a = all_parts(4)
     b = list(reversed(a))
     c = all_parts(5)[: len(a)]
@@ -403,6 +419,162 @@ def test_gram_exponents_memo_follows_the_family():
         assert not B.flags.writeable
         with pytest.raises(ValueError):
             B[0, 0] = 0
+    # a and its reversal are one family, stored once in the order of a
+    stored = [f.exponents for f in linreal._families.values()]
+    assert len(stored) == 2
+    assert np.array_equal(stored[0], join_matrix(a))
+    assert all(E.dtype == np.uint8 and not E.flags.writeable for E in stored)
+
+
+# -- the circle-family memo of gram_exponents and gram_rank ------------------
+
+
+def memo_frames():
+    """Every NCall frame up to 7 points and every non-empty CU frame up to
+    6, with the N to rank each at: 2..5, but only 4 and 5 at 7 points,
+    where NC(7) is rank-deficient below 4 and its 429 rows exceed the
+    exact elimination's budget."""
+    for n, k in frames(7):
+        yield NAMED["NCall"], "o" * k, "o" * (n - k), (4, 5) if n == 7 else (2, 3, 4, 5)
+    for n, k in frames(6):
+        for colors in itertools.product("ox", repeat=n):
+            upper, lower = "".join(colors[:k]), "".join(colors[k:])
+            if enumerate_members(CU, upper, lower):
+                yield CU, upper, lower, (2, 3, 4, 5)
+
+
+def memo_pass(monkeypatch, cleared: bool) -> list[int]:
+    """Rank every memo frame with a fresh memo, cleared before every rank
+    when asked, and check the exponents after each frame."""
+    monkeypatch.setattr(linreal, "_families", {})
+    ranks = []
+    for cat, upper, lower, Ns in memo_frames():
+        parts = enumerate_members(cat, upper, lower)
+        for N in Ns:
+            if cleared:
+                linreal._families.clear()
+            ranks.append(gram_rank(parts, N))
+        assert np.array_equal(gram_exponents(parts), frame_join_matrix(cat, upper, lower))
+    return ranks
+
+
+def test_shared_memo_ranks_match_a_cleared_memo(monkeypatch):
+    shared = memo_pass(monkeypatch, cleared=False)
+    # the NCall frames of one point count are one family, and so are the
+    # CU frames of one circular color word whatever the split: the 36
+    # NCall and 177 CU frames make 22 families
+    assert len(linreal._families) == 22
+    assert shared == memo_pass(monkeypatch, cleared=True)
+
+
+def test_each_circle_family_is_eliminated_once_per_N(monkeypatch):
+    monkeypatch.setattr(linreal, "_families", {})
+    eliminated = []
+    real = linreal._rank_mod_p
+
+    def counted(M, prime):
+        eliminated.append(len(M))
+        return real(M, prime)
+
+    monkeypatch.setattr(linreal, "_rank_mod_p", counted)
+    for a in range(9):
+        parts = enumerate_members(NAMED["NCall"], "o" * a, "o" * (8 - a))
+        for N in (4, 5):
+            assert gram_rank(parts, N) == 1430
+    assert eliminated == [1430, 1430]
+
+
+def test_a_capped_memo_evicts_the_oldest_family_and_stays_exact(monkeypatch):
+    monkeypatch.setattr(linreal, "_families", {})
+    monkeypatch.setattr(linreal, "_MAX_FAMILIES", 2)
+    families = [all_parts(n) for n in (2, 3, 4)]
+    for _ in range(2):
+        for parts in families:
+            n = parts[0].n_points
+            for N in (2, 3):
+                assert gram_rank(parts, N) == sum(stirling2(n, j) for j in range(N + 1))
+            assert np.array_equal(gram_exponents(parts), join_matrix(parts))
+            assert len(linreal._families) <= 2
+    # the last two families stay, the oldest went
+    kept = {len(f.row) for f in linreal._families.values()}
+    assert kept == {len(families[1]), len(families[2])}
+
+
+def test_an_out_of_budget_rank_is_not_stored(monkeypatch):
+    monkeypatch.setattr(linreal, "_families", {})
+    monkeypatch.setattr(linreal, "_PRIMES", linreal._PRIMES[:1])
+    parts = enumerate_members(NAMED["NCall"], "o" * 7, "")
+    for _ in range(2):
+        with pytest.raises(TooLarge, match="rank defect"):
+            gram_rank(parts, 2)
+    (family,) = linreal._families.values()
+    assert family.ranks == {}
+
+
+# -- closed-form oracles: the meander determinant and S_N^+ = S_N -------------
+
+
+def binomial(n, r):
+    return comb(n, r) if r >= 0 else 0
+
+
+def meander_determinant(k, N):
+    """det N^B on NC(k) by Di Francesco's formula, as an exact a + b sqrt(N):
+    N^(C_k/2) times U_j(sqrt N)^a(k, j) for j = 1..k, where U_j are the
+    Chebyshev polynomials of the second kind."""
+    x = Quad.sqrt(N)
+    U = [ONE, x]
+    for _ in range(k):
+        U.append(x * U[-1] - U[-2])
+    catalan = comb(2 * k, k) // (k + 1)
+    det = Quad.of(N ** (catalan // 2)) * (x if catalan % 2 else ONE)
+    for j in range(1, k + 1):
+        a = binomial(2 * k, k - j) - 2 * binomial(2 * k, k - j - 1) + binomial(2 * k, k - j - 2)
+        for _ in range(a):
+            det = det * U[j]
+    return det
+
+
+def bareiss_determinant(M):
+    """Fraction-free elimination over the integers, as an object array."""
+    A = np.array(M, dtype=object)
+    sign, prev = 1, 1
+    for c in range(len(A)):
+        nz = np.flatnonzero(A[c:, c] != 0)
+        if nz.size == 0:
+            return 0
+        piv = c + int(nz[0])
+        if piv != c:
+            A[[c, piv]] = A[[piv, c]]
+            sign = -sign
+        A[c + 1 :, c + 1 :] = (
+            A[c, c] * A[c + 1 :, c + 1 :] - np.outer(A[c + 1 :, c], A[c, c + 1 :])
+        ) // prev
+        prev = A[c, c]
+    return sign * prev
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_noncrossing_gram_determinants_match_the_meander_formula(k, monkeypatch):
+    monkeypatch.setattr(linreal, "_families", {})
+    parts = enumerate_members(NAMED["NCall"], "o" * k, "")
+    B = gram_exponents(parts)
+    zeros = 0
+    for N in range(1, 7):
+        det = bareiss_determinant([[N ** int(e) for e in row] for row in B])
+        assert meander_determinant(k, N) == Quad.of(det), N
+        assert (gram_rank(parts, N) == len(parts)) == (det != 0), N
+        zeros += det == 0
+    # U_2(1) = U_3(sqrt 2) = U_5(sqrt 3) = 0
+    assert zeros == (k >= 2) + (k >= 3) + (k >= 5)
+
+
+@pytest.mark.parametrize("N", (1, 2, 3))
+def test_noncrossing_ranks_below_4_count_the_set_partitions(N, monkeypatch):
+    monkeypatch.setattr(linreal, "_families", {})
+    for k in range(7):
+        parts = enumerate_members(NAMED["NCall"], "o" * k, "")
+        assert gram_rank(parts, N) == sum(stirling2(k, j) for j in range(N + 1))
 
 
 # Entries and products stay small enough that every nonzero minor is below
