@@ -1,8 +1,8 @@
 """Named categories of partitions: one definition each, read by both
 membership and enumeration.
 
-Each category is a `CategorySpec`, a piece of data with four fields (the
-classification of Banica-Speicher, "Liberation of orthogonal Lie
+Each category is a `CategorySpec`, a piece of data with three fields (the
+noncrossing categories of Banica-Speicher, "Liberation of orthogonal Lie
 groups", and Weber, "On the classification of easy quantum groups"):
 
 * `block_size`: which block sizes are allowed, as a function of the
@@ -13,16 +13,17 @@ groups", and Weber, "On the classification of easy quantum groups"):
   number of odd blocks (NCprime);
 * `colored`: whether the unitary color rule applies, so that connected
   points have the same color in different rows and different colors in
-  the same row (only CU; the other categories ignore the coloring);
-* `crossing`: whether crossings are allowed (only P2).  The pair-and-color
-  rule alone admits the crossing swap, which the corresponding quantum
-  group excludes, so CU is noncrossing.
+  the same row (only CU; the other categories ignore the coloring).
 
-`contains` checks the four fields.  `enumerate_members` builds the members
-of a frame from the same fields rather than filtering every partition:
-noncrossing partitions in the circular order (every set partition when
-crossings are allowed), pruned by the block sizes and, for CU, by the
-color rule, then filtered by the rule and sorted by labels.
+Every category is noncrossing.  The pair-and-color rule alone admits the
+crossing swap, which the corresponding quantum group excludes, so CU is
+noncrossing too.
+
+`contains` checks the three fields and noncrossing.  `enumerate_members`
+builds the members of a frame from the same fields rather than filtering
+every partition: noncrossing partitions in the circular order, pruned by
+the block sizes and, for CU, by the color rule, then filtered by the rule
+and sorted by labels.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import groupby
 from typing import Callable
 
 from .errors import TooLarge
-from .partitions import Partition, circular_order, enumerate_noncrossing, enumerate_partitions
+from .partitions import Partition, circular_order, enumerate_noncrossing
 from .words import WHITE, all_words
 
 MAX_FRAME_POINTS = 12
@@ -83,14 +84,13 @@ def _unitary_colors_ok(p: Partition) -> bool:
 
 @dataclass(frozen=True)
 class CategorySpec:
-    """A named category: allowed block sizes, one optional rule on the
-    whole partition, and whether colors and crossings matter."""
+    """A named noncrossing category: allowed block sizes, one optional rule
+    on the whole partition, and whether colors matter."""
 
     name: str
     block_size: Callable[[int], bool]
     rule: Callable[[Partition], bool] | None = None
     colored: bool = False
-    crossing: bool = False
 
     def __str__(self) -> str:
         return self.name
@@ -106,32 +106,24 @@ NC12_SHARP = CategorySpec(
 NC_EVEN = CategorySpec("NCeven", lambda s: s % 2 == 0)
 NC_PRIME = CategorySpec("NCprime", lambda s: True, _odd_block_parity_ok)
 NC = CategorySpec("NCall", lambda s: True)
-P2 = CategorySpec("P2", lambda s: s == 2, crossing=True)
 
-NAMED = {
-    c.name: c
-    for c in (CU, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, NC, P2)
-}
+NAMED = {c.name: c for c in (CU, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, NC)}
 
 
 def contains(cat: CategorySpec, p: Partition) -> bool:
     return (
         all(cat.block_size(len(b)) for b in p.blocks)
-        and (cat.crossing or p.is_noncrossing())
+        and p.is_noncrossing()
         and (not cat.colored or _unitary_colors_ok(p))
         and (cat.rule is None or cat.rule(p))
     )
 
 
 @lru_cache(maxsize=None)
-def _candidates(
-    upper: str, lower: str, sizes: frozenset, colored: bool, crossing: bool
-) -> tuple[Partition, ...]:
+def _candidates(upper: str, lower: str, sizes: frozenset, colored: bool) -> tuple[Partition, ...]:
     """The partitions of a frame allowed by everything but the rule, shared
     by the categories with the same block sizes (NCall and NCprime; NC12,
     NC12prime and NC12sharp)."""
-    if crossing:
-        return tuple(enumerate_partitions(upper, lower, sizes))
     return tuple(enumerate_noncrossing(upper, lower, sizes, colored=colored))
 
 
@@ -143,7 +135,7 @@ def _sizes(cat: CategorySpec, n: int) -> frozenset[int]:
 
 def _frame_candidates(cat: CategorySpec, upper: str, lower: str) -> tuple[Partition, ...]:
     sizes = _sizes(cat, len(upper) + len(lower))
-    return _candidates(upper, lower, sizes, cat.colored, cat.crossing)
+    return _candidates(upper, lower, sizes, cat.colored)
 
 
 @lru_cache(maxsize=None)

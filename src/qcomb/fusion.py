@@ -82,25 +82,22 @@ class WreathWord:
         return WreathWord(tuple(conjugate(l) for l in reversed(self.letters)))
 
 
-def wreath_product(x: WreathWord, y: WreathWord, base=product_u) -> Counter:
+def wreath_product(x: WreathWord, y: WreathWord) -> Counter:
     """Three-term recursive product on the wreath semi-ring.
 
     x (x) y = [x.y]
-            + sum over irreducibles g in base(last(x), first(y)),
+            + sum over irreducibles g in product_u(last(x), first(y)),
               including the trivial one, of [init(x), g, tail(y)]
             + if last(x) = conj(first(y)): init(x) (x) tail(y).
-
-    The base product is injected so restricted and iterated versions reuse
-    the same recursion.
     """
     if not x.letters or not y.letters:
         return Counter({WreathWord(x.letters + y.letters): 1})
     a, b = x.letters, y.letters
     out: Counter = Counter({WreathWord(a + b): 1})
-    for g, m in base(a[-1], b[0]).items():
+    for g, m in product_u(a[-1], b[0]).items():
         out[WreathWord(a[:-1] + (g,) + b[1:])] += m
     if a[-1] == conjugate(b[0]):
-        for z, m in wreath_product(WreathWord(a[:-1]), WreathWord(b[1:]), base).items():
+        for z, m in wreath_product(WreathWord(a[:-1]), WreathWord(b[1:])).items():
             out[z] += m
     return out
 
@@ -166,26 +163,21 @@ class FreeWord:
         return "".join(f"[{f}:{l}]" for f, l in self.letters) if self.letters else "1"
 
 
-def free_product_fusion(x: FreeWord, y: FreeWord, bases=None) -> Counter:
-    """Fusion in a free product: cross-factor junctions concatenate, a
-    same-factor junction fuses there, with full cancellation recursing
-    inward."""
-    if bases is None:
-        bases = {}
+def free_product_fusion(x: FreeWord, y: FreeWord) -> Counter:
+    """Fusion in a free product of U^+ factors: cross-factor junctions
+    concatenate, a same-factor junction fuses there by product_u, with full
+    cancellation recursing inward."""
     if not x.letters or not y.letters:
         return Counter({FreeWord(x.letters + y.letters): 1})
     a, b = x.letters, y.letters
     (fa, la), (fb, lb) = a[-1], b[0]
     if fa != fb:
         return Counter({FreeWord(a + b): 1})
-    base = bases.get(fa, product_u)
     out: Counter = Counter()
-    for g, m in base(la, lb).items():
+    for g, m in product_u(la, lb).items():
         if g:
             out[FreeWord(a[:-1] + ((fa, g),) + b[1:])] += m
         else:
-            for z, m2 in free_product_fusion(
-                FreeWord(a[:-1]), FreeWord(b[1:]), bases
-            ).items():
+            for z, m2 in free_product_fusion(FreeWord(a[:-1]), FreeWord(b[1:])).items():
                 out[z] += m * m2
     return out

@@ -190,7 +190,9 @@ _families: dict[frozenset, _Family] = {}
 
 
 def _circles(parts: list[Partition]) -> list[tuple[int, ...]]:
-    """Each member's labels read around the circle of its frame."""
+    """Each member's labels read around the circle of their common frame."""
+    if len({(p.upper, p.lower) for p in parts}) > 1:
+        raise ShapeMismatch("mixed frames")
     return [
         _canonical_labels([p.labels[i] for i in circular_order(p.n_upper, p.n_lower)])
         for p in parts
@@ -252,7 +254,8 @@ def gram_exponents(parts: list[Partition]) -> np.ndarray:
     members read the same around the circle have the same matrix up to
     one permutation of its rows and columns, which leaves the rank of the
     Gram matrix unchanged: the memo keeps one matrix per circle family
-    and permutes it to the order of parts."""
+    and permutes it to the order of parts.  Members of different frames
+    raise ShapeMismatch."""
     if not parts:
         return np.zeros((0, 0), dtype=np.int64)
     circles = _circles(parts)
@@ -322,9 +325,6 @@ def gram_rank(parts: list[Partition], N: int) -> int:
     """Exact rank over the rationals of {T_p : p in parts} at dimension N."""
     if not parts:
         return 0
-    frames = {(p.upper, p.lower) for p in parts}
-    if len(frames) > 1:
-        raise ShapeMismatch("mixed frames")
     key = frozenset(_circles(parts))
     family = _families.get(key)
     if family is not None and N in family.ranks:

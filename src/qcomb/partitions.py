@@ -319,13 +319,9 @@ def through_factorize(p: Partition) -> list[Partition]:
 
 
 def identity(colors: str) -> Partition:
+    """p_w for w = colors: each upper point joined to the lower point below it."""
     n = len(colors)
     return Partition(colors, colors, tuple(list(range(n)) * 2))
-
-
-def word_partition(w: str) -> Partition:
-    """p_w: each upper point joined to the lower point below it, colors w."""
-    return identity(w)
 
 
 def duality(c1: str, c2: str) -> Partition:
@@ -335,9 +331,9 @@ def duality(c1: str, c2: str) -> Partition:
     return Partition(c1 + c2, "", (0, 0))
 
 
-def singleton(color: str = WHITE) -> Partition:
-    """s: one lower point in its own block."""
-    return Partition("", color, (0,))
+def singleton() -> Partition:
+    """s: one white lower point in its own block."""
+    return Partition("", WHITE, (0,))
 
 
 def one_block(upper: str, lower: str) -> Partition:
@@ -355,50 +351,24 @@ def crossing(c1: str, c2: str) -> Partition:
 # Enumeration
 
 
-def _set_partitions(n: int, sizes: frozenset | None):
-    """All set partitions of range(n) whose block sizes lie in sizes (every
-    size when None), as canonical label tuples in increasing order.
-
-    Each point joins an open block or opens a new one.  A block takes no
-    point past the largest size in sizes, and a branch ends once fewer
-    points are left than blocks whose size is not in sizes.
-    """
-    top = n if sizes is None else max(sizes, default=0)
-    labels: list[int] = []
-    counts: list[int] = []
-
-    def rec(i):
-        if sizes is not None and sum(c not in sizes for c in counts) > n - i:
-            return
-        if i == n:
-            yield tuple(labels)
-            return
-        for b, c in enumerate(counts):
-            if c < top:
-                counts[b] += 1
-                labels.append(b)
-                yield from rec(i + 1)
-                labels.pop()
-                counts[b] -= 1
-        counts.append(1)
-        labels.append(len(counts) - 1)
-        yield from rec(i + 1)
-        labels.pop()
-        counts.pop()
-
-    yield from rec(0)
+def _set_partitions(n: int) -> list[tuple[int, ...]]:
+    """All set partitions of range(n) as canonical label tuples, in
+    increasing order.  Point by point, each partition of the points so far
+    is extended by every open block, then by a new one."""
+    level = [((), 0)]  # (labels, number of blocks)
+    for _ in range(n):
+        level = [(t + (b,), m + (b == m)) for t, m in level for b in range(m + 1)]
+    return [t for t, _ in level]
 
 
-def enumerate_partitions(upper: str, lower: str, block_sizes=None):
-    """All partitions with the given colored rows whose block sizes lie in
-    block_sizes (every size when None), sorted by labels."""
-    sizes = None if block_sizes is None else frozenset(block_sizes)
-    for labels in _set_partitions(len(upper) + len(lower), sizes):
+def enumerate_partitions(upper: str, lower: str):
+    """All partitions with the given colored rows, sorted by labels."""
+    for labels in _set_partitions(len(upper) + len(lower)):
         yield Partition(upper, lower, labels)
 
 
 @lru_cache(maxsize=None)
-def _noncrossing_shapes(n: int, sizes: frozenset | None, colors: str | None):
+def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None):
     """Noncrossing partitions of n positions on a circle as label tuples
     indexed by position, blocks numbered by first appearance.
 
@@ -406,20 +376,20 @@ def _noncrossing_shapes(n: int, sizes: frozenset | None, colors: str | None):
     position opens a block or joins one on the stack; joining closes
     every block above it, since a later point of those would cross.  A
     block is pruned once it outgrows max(sizes) or closes with a size not
-    in sizes (None allows every size).  With colors (the circular color
-    word), blocks are pairs whose two colors differ.
+    in sizes.  With colors (the circular color word), blocks are pairs
+    whose two colors differ.
     """
     if colors is not None:
         sizes = frozenset({2})
         if 2 * colors.count(WHITE) != n:
             return ()
-    top = n if sizes is None else max(sizes, default=0)
+    top = max(sizes, default=0)
     labels = [0] * n
     out = []
 
     def rec(i: int, opened: int, stack: tuple):
         if i == n:
-            if sizes is None or all(s in sizes for _, s, _ in stack):
+            if all(s in sizes for _, s, _ in stack):
                 out.append(tuple(labels))
             return
         color = colors[i] if colors else None
@@ -430,7 +400,7 @@ def _noncrossing_shapes(n: int, sizes: frozenset | None, colors: str | None):
             if colors is None or c != color:
                 labels[i] = b
                 rec(i + 1, opened, stack[:j] if s + 1 == top else stack[:j] + ((b, s + 1, c),))
-            if sizes is not None and s not in sizes:
+            if s not in sizes:
                 break  # joining further down would close this block
 
     rec(0, 0, ())
@@ -438,23 +408,22 @@ def _noncrossing_shapes(n: int, sizes: frozenset | None, colors: str | None):
 
 
 def enumerate_noncrossing(
-    upper: str, lower: str, block_sizes=None, colored: bool = False
+    upper: str, lower: str, block_sizes, colored: bool = False
 ) -> list[Partition]:
     """The noncrossing partitions of the frame whose block sizes lie in
-    block_sizes (every size when None), sorted by labels.  With colored,
-    the pair partitions obeying the unitary color rule: same color across
-    the rows, different colors within a row.
+    block_sizes, sorted by labels.  With colored, the pair partitions
+    obeying the unitary color rule: same color across the rows, different
+    colors within a row.
 
     Built directly in the circular order rather than filtered from all
     set partitions.  Shapes are shared between frames with the same
     number of points (or, when colored, the same circular color word).
     """
     order = circular_order(len(upper), len(lower))
-    sizes = None if block_sizes is None else frozenset(block_sizes)
     # read in circular order with lower colors flipped, a pair obeys the
     # color rule exactly when its two colors differ
     colors = upper + conjugate(lower) if colored else None
-    shapes = _noncrossing_shapes(len(order), sizes, colors)
+    shapes = _noncrossing_shapes(len(order), frozenset(block_sizes), colors)
     # Partition canonicalizes the relabelled shape
     out = [Partition(upper, lower, tuple([shape[i] for i in order])) for shape in shapes]
     out.sort(key=lambda p: p.labels)

@@ -28,7 +28,6 @@ from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_P
 from .categories import all_members, contains, enumerate_members
 from .errors import NoCatalogMatch, NotInCategory
 from .partitions import Partition, UnionFind, _square_labels, identity, one_block, singleton
-from .partitions import word_partition
 from .words import WHITE
 
 EMPTY = Partition("", "", ())
@@ -266,4 +265,4 @@ def through_word(p: Partition) -> str:
 
 def word_module(universe: PartitionUniverse, w: str) -> ProjectiveModule:
     """Module generated by the strand partition p_w over CU."""
-    return closure(universe, [word_partition(w)])
+    return closure(universe, [identity(w)])

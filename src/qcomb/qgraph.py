@@ -121,12 +121,8 @@ class QuantumSpace:
     N: int
 
     @property
-    def delta_squared(self) -> int:
-        return self.N if self.kind == "classical" else self.N * self.N
-
-    @property
     def delta(self) -> Quad:
-        return Quad.sqrt(self.delta_squared)
+        return Quad.sqrt(self.dim)
 
     @property
     def labels(self) -> list:
@@ -183,7 +179,7 @@ def check_delta_form(base: QuantumSpace) -> bool:
     """
     npairs = len(base.mult_pairs(base.labels[0]))
     return all(
-        Fraction(len(base.mult_pairs(z)), 1) / base.basis_norm() == base.delta_squared
+        Fraction(len(base.mult_pairs(z)), 1) / base.basis_norm() == base.dim
         and len(base.mult_pairs(z)) == npairs
         for z in base.labels
     )
@@ -352,9 +348,10 @@ def classical_graph(N: int, k: int) -> dict[tuple, list[tuple]]:
 
 
 def tree_counts(N: int, k: int) -> tuple[int, int]:
-    expected_vertices = (N ** (k + 1) - 1) // (N - 1)
-    expected_edges = (N ** (k + 1) - N) // (N - 1)
-    return expected_vertices, expected_edges
+    """Vertices and edges of the N-ary tree of depth k: N^i vertices at
+    level i, and one edge into each vertex below the root."""
+    vertices = sum(N**i for i in range(k + 1))
+    return vertices, vertices - 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 Oracles on one-row all-white frames:
   * noncrossing pairings of 2n points: Catalan(n);
   * noncrossing blocks of size at most two: Motzkin numbers;
-  * all noncrossing partitions: Catalan numbers;
-  * all pairings of 2n points: double factorial (2n-1)!!.
+  * all noncrossing partitions: Catalan numbers.
 On a frame with an even number of points the parity-restricted variants
 coincide with their parents when the restriction is automatic: blocks of
 size at most two on an even frame always leave an even number of
@@ -15,7 +14,7 @@ The categories are data; the differential oracle is one membership
 predicate per category, written out by hand rather than read from it.
 `contains` must agree with it on every partition of the frames checked,
 and the enumeration must equal its filter over every set partition (every
-pair partition, for the pair categories on the largest colored frames).
+pair partition, for CU on the largest colored frames).
 The counts at 10 and 11 points are checked against closed forms: Catalan,
 Motzkin and the Fuss-Catalan numbers C(3m, m)/(2m+1), which count
 noncrossing partitions of 2m points into blocks of even size.
@@ -106,10 +105,6 @@ def in_nc(p):
     return p.is_noncrossing()
 
 
-def in_p2(p):
-    return all(s == 2 for s in sizes(p))
-
-
 def in_cu(p):
     """Noncrossing pairs; same color across rows, different color within."""
     if not p.is_noncrossing():
@@ -136,7 +131,6 @@ ORACLE = {
     "NCeven": in_nc_even,
     "NCprime": in_nc_prime,
     "NCall": in_nc,
-    "P2": in_p2,
 }
 
 
@@ -146,7 +140,6 @@ def test_the_oracle_covers_every_named_category():
 
 CATALAN = [1, 1, 2, 5, 14, 42]
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51]
-DOUBLE_FACTORIAL = [1, 1, 3, 15]
 
 
 def count(name, lower):
@@ -167,11 +160,6 @@ def test_small_block_counts_are_motzkin():
 def test_noncrossing_counts_are_catalan():
     for n in range(6):
         assert count("NCall", "o" * n) == CATALAN[n]
-
-
-def test_all_pairing_counts_are_double_factorials():
-    for n in range(4):
-        assert count("P2", "o" * (2 * n)) == DOUBLE_FACTORIAL[n]
 
 
 def test_parity_restrictions_are_automatic_on_even_frames():
@@ -220,7 +208,6 @@ def test_membership_predicates_on_distinguished_diagrams():
     assert not contains(NAMED["NC12prime"], fork)
     assert not contains(NAMED["NC2"], singleton())
     assert contains(NAMED["NC12"], singleton())
-    assert contains(NAMED["P2"], crossing("o", "x"))
     assert not contains(NAMED["NC2"], crossing("o", "x"))
     assert contains(CU, duality("o", "x"))
     assert contains(CU, identity("ox"))

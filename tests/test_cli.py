@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
+from math import isqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qcomb
-from qcomb import cli, errors, qgraph, suites
+from qcomb import cli, errors, linreal, qgraph, suites, words
 
 
 def run(capsys, argv):
@@ -187,11 +189,44 @@ def test_reduce_rejects_a_bound_below_2_naming_the_option(capsys):
 
 # -- the output contract on drawn argument lists
 
-INTEGERS = ["-7", "-1", "0", "1", "2", "3", "5", "101", "10001", "99999999999999999999"]
+BIG = 2**63  # one past the largest int64
+
+
+def boundary(cap=None):
+    """The boundary pool of a numeric option: 0, 1, its cap and one past
+    it, and 2^63."""
+    return [0, 1, BIG] if cap is None else [0, 1, cap, cap + 1, BIG]
+
+
+# the numeric options of each subcommand with their pools; --base carries
+# its number after the kind, capped by the dimension budget
+NUMERIC = {
+    "classify-words": {"--bound": boundary(cli.MAX_WORD_BOUND)},
+    "table": {"--bound": boundary(cli.MAX_TABLE_BOUND)},
+    "laws": {"--points": boundary(cli.MAX_LAW_POINTS), "--N": boundary(cli.MAX_LAW_ENTRIES)},
+    "fusion-rank": {"--length": boundary(linreal.MAX_POINTS), "--N": boundary()},
+    "psi": {"--k": boundary(), "--length": boundary(cli.MAX_PSI_LENGTH), "--N": boundary()},
+    "trees": {
+        "--base": [
+            f"{kind}{n}"
+            for kind, cap in (("c", qgraph.MAX_LEVEL_DIM), ("m", isqrt(qgraph.MAX_LEVEL_DIM)))
+            for n in boundary(cap)
+        ],
+        "--depth": boundary(cli.MAX_TREE_DEPTH),
+        "--N": boundary(),
+    },
+    "reduce": {
+        "--bound": boundary(cli.MAX_REDUCE_BOUND),
+        "--count": boundary(cli.MAX_REDUCE_COUNT),
+        "--seed": boundary(),
+        "--N": boundary(),
+    },
+}
+HEAD = {"classify-words": ["classify-words", "--gens", "ooxx"], "table": ["table"]}
 MALFORMED = ["", "x", "2.5", "0x10"]
 VALUES = {
     "--gens": ["ooxx", "e", "ox,xo", "oooo", "o,e", "", ",", "zz"],
-    "--base": ["c1", "c2", "m2", "c3", "c0", "m100000", "q3", "m", "c-2"],
+    "--base": ["c2", "m2", "c3", "q3", "m", "c-2"],
     "--category": ["NC2", "NCall", "NCprime"],
     "--format": ["text", "json"],
 }
@@ -207,10 +242,13 @@ OPTIONS = {
 }
 
 
-def values(option):
-    """Mostly well-formed values of the option; sometimes a malformed one,
-    or None, which leaves the option without its value."""
-    return st.sampled_from(VALUES.get(option, INTEGERS) * 3 + MALFORMED + [None])
+def values(command, option):
+    """Mostly well-formed values of the option: its boundary pool and its
+    fixed values (-1 for a number); sometimes a malformed one, or None,
+    which leaves the option without its value."""
+    pool = NUMERIC.get(command, {}).get("--length" if option == "--len" else option, [])
+    good = [str(v) for v in pool] + VALUES.get(option, ["-1"])
+    return st.sampled_from(good * 3 + MALFORMED + [None])
 
 
 @st.composite
@@ -221,17 +259,19 @@ def argument_lists(draw):
     options = draw(st.lists(st.sampled_from(OPTIONS.get(argv[-1], []) + ["--bogus"]), max_size=3))
     if argv[0] == "classify-words":  # --gens is required
         options.insert(0, "--gens")
+    command = argv[-1]
     for option in options:
         argv.append(option)
-        value = draw(values(option))
+        value = draw(values(command, option))
         if value is not None:
             argv.append(value)
     return argv
 
 
-# the suites a drawn run calls, capped so that it stays cheap while the
+# the work a drawn run calls, capped so that it stays cheap while the
 # command line still checks the values it was given
-TABLE, LAWS = suites.table, suites.laws
+TABLE, LAWS, REDUCE, TREES = suites.table, suites.laws, suites.reduce, suites.trees
+CLASSIFY = words.classify
 
 
 def cheap_table(names, bound):
@@ -242,11 +282,28 @@ def cheap_laws(points, Ns):
     return LAWS(min(points, 3), Ns)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=argument_lists())
-def test_drawn_argument_lists_keep_the_output_contract(capsys, monkeypatch, argv):
+def cheap_reduce(bound, count, seed):
+    return REDUCE(bound, min(count, 3), seed)
+
+
+def cheap_trees(base, depth):
+    return TREES(base, min(depth, 2 if base.dim < 10 else 0))
+
+
+def cheap_classify(gens, bound):
+    return CLASSIFY(gens, min(bound, 8))
+
+
+@pytest.fixture
+def cheap(monkeypatch):
     monkeypatch.setattr(suites, "table", cheap_table)
     monkeypatch.setattr(suites, "laws", cheap_laws)
+    monkeypatch.setattr(suites, "reduce", cheap_reduce)
+    monkeypatch.setattr(suites, "trees", cheap_trees)
+    monkeypatch.setattr(words, "classify", cheap_classify)
+
+
+def assert_contract(capsys, argv):
     try:
         code = cli.main(argv)
     except SystemExit as e:  # argparse rejects the argument list
@@ -256,6 +313,23 @@ def test_drawn_argument_lists_keep_the_output_contract(capsys, monkeypatch, argv
     assert "Traceback" not in captured.err, argv
     if code == 2:
         assert captured.out == "", argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argument_lists())
+def test_drawn_argument_lists_keep_the_output_contract(capsys, cheap, argv):
+    assert_contract(capsys, argv)
+
+
+@pytest.mark.parametrize("command", NUMERIC)
+def test_boundary_values_drawn_together_keep_the_output_contract(capsys, cheap, command):
+    # every joint choice from the pools, so that a fault needing two rare
+    # values at once (--points 0 with --N past int64) cannot be missed
+    head = HEAD.get(command, ["verify", command])
+    pools = NUMERIC[command]
+    for choice in product(*pools.values()):
+        argv = head + [token for option, v in zip(pools, choice) for token in (option, str(v))]
+        assert_contract(capsys, argv)
 
 
 ERROR_CLASSES = [

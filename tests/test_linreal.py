@@ -511,6 +511,25 @@ def test_an_out_of_budget_rank_is_not_stored(monkeypatch):
     assert family.ranks == {}
 
 
+MIXED_FRAMES = {
+    # a 4-point member first, a 2-point one first, and two splits of 2 points
+    "4 then 2": [Partition("", "oooo", (0, 0, 1, 1)), Partition("", "oo", (0, 1))],
+    "2 then 4": [Partition("", "oo", (0, 1)), Partition("", "oooo", (0, 0, 1, 1))],
+    "same size": [Partition("o", "o", (0, 0)), Partition("", "oo", (0, 0))],
+}
+
+
+@pytest.mark.parametrize("parts", MIXED_FRAMES.values(), ids=MIXED_FRAMES.keys())
+@pytest.mark.parametrize(
+    "compute", [gram_exponents, lambda parts: gram_rank(parts, 3)], ids=["exponents", "rank"]
+)
+def test_members_of_different_frames_raise_before_the_memo(monkeypatch, parts, compute):
+    monkeypatch.setattr(linreal, "_families", {})
+    with pytest.raises(ShapeMismatch, match="mixed frames"):
+        compute(parts)
+    assert linreal._families == {}
+
+
 # -- closed-form oracles: the meander determinant and S_N^+ = S_N -------------
 
 

@@ -22,7 +22,6 @@ from qcomb.partitions import (
     one_block,
     singleton,
     through_factorize,
-    word_partition,
 )
 from qcomb.words import conjugate
 
@@ -52,7 +51,7 @@ def test_counts_all_partitions_are_bell_numbers():
 
 def test_counts_noncrossing_are_catalan():
     for n in range(7):
-        got = enumerate_noncrossing("", "o" * n)
+        got = enumerate_noncrossing("", "o" * n, range(1, n + 1))
         assert len(got) == CATALAN[n]
 
 
@@ -62,12 +61,24 @@ def test_counts_noncrossing_pairings_are_catalan():
         assert len(got) == CATALAN[n]
 
 
-def test_block_sizes_keep_exactly_the_partitions_with_those_sizes():
-    for n in range(8):
-        every = frame("", "o" * n)
-        for sizes in ({2}, {1, 2}, {2, 4}, {1, 3}, {3}, set()):
-            got = tuple(enumerate_partitions("", "o" * n, sizes))
-            assert got == tuple(p for p in every if all(len(b) in sizes for b in p.blocks))
+def first_appearance_canonical(labels):
+    """Each label is at most one more than the largest label before it."""
+    top = -1
+    for b in labels:
+        if b > top + 1:
+            return False
+        top = max(top, b)
+    return True
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enumeration_lists_the_canonical_label_tuples_in_order(n):
+    # every labelling of n points, filtered: each set partition once, in
+    # increasing order, whatever the split of the points into rows
+    want = [t for t in product(range(n), repeat=n) if first_appearance_canonical(t)]
+    for k in {0, n // 2, n}:
+        got = [p.labels for p in enumerate_partitions("o" * k, "x" * (n - k))]
+        assert got == want
 
 
 def test_counts_do_not_depend_on_colors_or_split():
@@ -86,7 +97,6 @@ def test_basic_constructors():
     p = identity("ox")
     assert p.upper == p.lower == "ox"
     assert p.blocks == ((0, 2), (1, 3))
-    assert word_partition("ox") == p
     assert singleton().upper == "" and len(singleton().lower) == 1
     d = duality("o", "x")
     assert d.upper == "ox" and d.lower == ""

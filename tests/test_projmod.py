@@ -12,7 +12,6 @@ from qcomb.partitions import (
     duality,
     enumerate_noncrossing,
     identity,
-    word_partition,
 )
 from qcomb.projmod import (
     PartitionUniverse,
@@ -300,7 +299,7 @@ def test_unitary_word_modules_match_the_composing_oracle(bound):
     old = OracleUniverse(CU, bound)
     assert_universe_matches_oracle(u, old)
     for w in ("", "ox", "ooxx", "o", "x", "oxxo"):
-        assert word_module(u, w).members == oracle_closure(old, [word_partition(w)])
+        assert word_module(u, w).members == oracle_closure(old, [identity(w)])
 
 
 def test_squares_read_off_the_labels_equal_the_compositions():

@@ -121,11 +121,14 @@ def test_embedding_scalars_are_the_square_root_of_the_dimension():
 
 
 def test_tree_counts_match_the_geometric_series():
-    for N in (2, 3):
+    for N in (1, 2, 3):
         for k in (0, 1, 2, 3):
             total, non_root = tree_counts(N, k)
-            assert total == (N ** (k + 1) - 1) // (N - 1)
+            # at N = 1 the series is k + 1 ones, and its closed form divides by 0
+            assert total == (k + 1 if N == 1 else (N ** (k + 1) - 1) // (N - 1))
             assert non_root == total - 1
+            g = classical_graph(N, k)
+            assert (len(g), sum(len(children) for children in g.values())) == (total, non_root)
 
 
 def test_classical_graph_is_a_rooted_regular_tree():
