@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     except errors.Violation as e:
         print(f"violation: {e}", file=sys.stderr)
         return errors.Violation.exit_code
-    except (errors.InputError, ValueError, KeyError) as e:
+    except errors.InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return errors.InputError.exit_code
 

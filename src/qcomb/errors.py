@@ -1,6 +1,10 @@
 """Every exception qcomb raises on purpose.  Each class derives from one
 of two bases, which carries the command line's exit code: Violation (1)
-or InputError (2)."""
+or InputError (2).  InputError is a ValueError, so a caller that catches
+ValueError for a bad argument still catches it.  The one other exception
+raised on purpose is the ZeroDivisionError of qgraph.Quad.inverse, which
+follows the arithmetic protocol of Fraction.  Any other exception is a
+bug, and the command line lets it through with its traceback."""
 
 
 class Violation(Exception):
@@ -9,7 +13,7 @@ class Violation(Exception):
     exit_code = 1
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """An input is malformed, outside its domain or over a size budget."""
 
     exit_code = 2
@@ -33,7 +37,7 @@ class TooLarge(InputError):
 
 class NoCatalogMatch(InputError):
     """A generated word set or module matches no catalog entry (a bug, or
-    a bound too small)."""
+    a bound too small), or a category has no module catalog."""
 
 
 class PreconditionViolated(InputError):
@@ -45,11 +49,11 @@ class NotInSet(InputError):
 
 
 class MalformedWord(InputError):
-    """A wreath or free-product word is not well formed."""
+    """A word, or a wreath or free-product word, is not well formed."""
 
 
 class ShapeMismatch(InputError):
-    """Realizations or partitions of different shapes were combined."""
+    """Realizations or partitions whose shapes do not fit the operation."""
 
 
 class NotInCategory(InputError):
@@ -57,7 +61,7 @@ class NotInCategory(InputError):
 
 
 class NotFactorizable(InputError):
-    """A projective partition has no through-block to factor at."""
+    """A partition is not a noncrossing projective with a through-block."""
 
 
 class NotUnitary(InputError):

@@ -244,6 +244,20 @@ def _exponents(circles: list[tuple[int, ...]]) -> np.ndarray:
     return B
 
 
+def _family(parts: list[Partition]) -> tuple[_Family, list[tuple[int, ...]]]:
+    """The memo entry of the circle family of parts, made when first
+    reached, and each member's circle reading."""
+    circles = _circles(parts)
+    key = frozenset(circles)
+    family = _families.get(key)
+    if family is None:
+        if len(_families) >= _MAX_FAMILIES:
+            del _families[next(iter(_families))]
+        row = {c: i for i, c in enumerate(dict.fromkeys(circles))}
+        family = _families[key] = _Family(row, _exponents(list(row)))
+    return family, circles
+
+
 def gram_exponents(parts: list[Partition]) -> np.ndarray:
     """Matrix of b(p v q); the Gram matrix of the T_p at dimension N is
     N raised to this, entrywise.  The result is read-only.
@@ -258,14 +272,7 @@ def gram_exponents(parts: list[Partition]) -> np.ndarray:
     raise ShapeMismatch."""
     if not parts:
         return np.zeros((0, 0), dtype=np.int64)
-    circles = _circles(parts)
-    key = frozenset(circles)
-    family = _families.get(key)
-    if family is None:
-        if len(_families) >= _MAX_FAMILIES:
-            del _families[next(iter(_families))]
-        row = {c: i for i, c in enumerate(dict.fromkeys(circles))}
-        family = _families[key] = _Family(row, _exponents(list(row)))
+    family, circles = _family(parts)
     perm = [family.row[c] for c in circles]
     B = family.exponents[np.ix_(perm, perm)]
     B.flags.writeable = False
@@ -322,16 +329,18 @@ def _rank_bareiss(M: list[list[int]]) -> int:
 
 
 def gram_rank(parts: list[Partition], N: int) -> int:
-    """Exact rank over the rationals of {T_p : p in parts} at dimension N."""
+    """Exact rank over the rationals of {T_p : p in parts} at dimension N.
+
+    The rank is certified once per circle family and N, on the family's
+    stored exponents: the matrix of parts is that one with its rows and
+    columns permuted together, and a member listed twice only repeats a
+    row and a column, so the rank is the same."""
     if not parts:
         return 0
-    key = frozenset(_circles(parts))
-    family = _families.get(key)
-    if family is not None and N in family.ranks:
-        return family.ranks[N]
-    r = _certified_rank(gram_exponents(parts), N)
-    _families[key].ranks[N] = r
-    return r
+    family, _ = _family(parts)
+    if N not in family.ranks:
+        family.ranks[N] = _certified_rank(family.exponents, N)
+    return family.ranks[N]
 
 
 def _certified_rank(B: np.ndarray, N: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import NotFactorizable
+from .errors import InputError, NotFactorizable, ShapeMismatch
 from .words import WHITE, conjugate, word_from_str, word_to_str
 
 
@@ -69,7 +69,7 @@ class Partition:
         # ids is stored as a tuple numbered by first appearance
         n = len(self.upper) + len(self.lower)
         if len(self.labels) != n:
-            raise ValueError("label count does not match point count")
+            raise ShapeMismatch("label count does not match point count")
         canonical = _canonical_labels(self.labels)
         if canonical != self.labels:
             object.__setattr__(self, "labels", canonical)
@@ -184,7 +184,7 @@ class Partition:
         closed middle loops.  Colors on the glued row must agree.
         """
         if other.lower != self.upper:
-            raise ValueError("middle colors do not match")
+            raise ShapeMismatch("middle colors do not match")
         k, l = other.n_upper, other.n_lower
         m = self.n_lower
         # points: 0..k-1 upper, k..k+l-1 middle, k+l..k+l+m-1 lower
@@ -225,26 +225,26 @@ class Partition:
         """Move the leftmost upper point to the front of the lower row,
         flipping its color."""
         if self.n_upper == 0:
-            raise ValueError("no upper point to rotate")
+            raise ShapeMismatch("no upper point to rotate")
         return self._recut(1, self.n_upper - 1)
 
     def rotate_down_left(self) -> "Partition":
         """Inverse of rotate_left_down."""
         if self.n_lower == 0:
-            raise ValueError("no lower point to rotate")
+            raise ShapeMismatch("no lower point to rotate")
         return self._recut(self.n_points - 1, self.n_upper + 1)
 
     def rotate_right_down(self) -> "Partition":
         """Move the rightmost upper point to the end of the lower row,
         flipping its color."""
         if self.n_upper == 0:
-            raise ValueError("no upper point to rotate")
+            raise ShapeMismatch("no upper point to rotate")
         return self._recut(0, self.n_upper - 1)
 
     def rotate_down_right(self) -> "Partition":
         """Inverse of rotate_right_down."""
         if self.n_lower == 0:
-            raise ValueError("no lower point to rotate")
+            raise ShapeMismatch("no lower point to rotate")
         return self._recut(0, self.n_upper + 1)
 
     def reverse(self) -> "Partition":
@@ -300,7 +300,7 @@ def through_factorize(p: Partition) -> list[Partition]:
     Raises NotFactorizable when there is no through-block.
     """
     if not (p.is_projective() and p.is_noncrossing()):
-        raise ValueError("through_factorize needs a noncrossing projective partition")
+        raise NotFactorizable("through_factorize needs a noncrossing projective partition")
     tb = p.through_blocks
     if not tb:
         raise NotFactorizable("no through-block")
@@ -327,7 +327,7 @@ def identity(colors: str) -> Partition:
 def duality(c1: str, c2: str) -> Partition:
     """D_{c1 c2}: two upper points in one block, no lower points."""
     if c1 == c2:
-        raise ValueError("duality partition needs two different colors")
+        raise InputError("duality partition needs two different colors")
     return Partition(c1 + c2, "", (0, 0))
 
 

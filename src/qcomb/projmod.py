@@ -201,8 +201,8 @@ def catalog_generators(cat: CategorySpec) -> dict[str, list[Partition]]:
         # never reach the single strand.
         return {"cap": [EMPTY], "proj0": [ss], "proj2": [two], "proj": [bar]}
     if cat is CU:
-        raise ValueError("the CU catalog is indexed by admissible word sets; use word_module")
-    raise ValueError(f"no catalog for {cat}")
+        raise NoCatalogMatch("the CU catalog is indexed by admissible word sets; use word_module")
+    raise NoCatalogMatch(f"no catalog for {cat}")
 
 
 def catalog(universe: PartitionUniverse) -> dict[str, ProjectiveModule]:

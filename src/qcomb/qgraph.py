@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .errors import NonBinaryEntry, NotUnitary, TooLarge, Violation
+from .errors import InputError, NonBinaryEntry, NotUnitary, TooLarge, Violation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,8 +41,8 @@ class Quad:
     d: int  # radicand; ignored when b == 0
 
     @staticmethod
-    def of(x, d: int = 1) -> "Quad":
-        return Quad(Fraction(x), Fraction(0), d)
+    def of(x) -> "Quad":
+        return Quad(Fraction(x), Fraction(0), 1)
 
     @staticmethod
     def sqrt(n: int) -> "Quad":
@@ -52,7 +53,7 @@ class Quad:
 
     def _join(self, other: "Quad") -> int:
         if self.b and other.b and self.d != other.d:
-            raise ValueError("mixed radicands")
+            raise InputError("mixed radicands")
         return self.d if self.b else other.d
 
     def __add__(self, other: "Quad") -> "Quad":
@@ -177,12 +178,8 @@ def check_delta_form(base: QuantumSpace) -> bool:
     For a basis element z, m*(z) = (1/<b,b>) sum of the pairs multiplying
     to z, so m m*(z) = (#pairs / <b,b>) z and the check is arithmetic.
     """
-    npairs = len(base.mult_pairs(base.labels[0]))
-    return all(
-        Fraction(len(base.mult_pairs(z)), 1) / base.basis_norm() == base.dim
-        and len(base.mult_pairs(z)) == npairs
-        for z in base.labels
-    )
+    counts = {len(base.mult_pairs(z)) for z in base.labels}
+    return len(counts) == 1 and Fraction(counts.pop()) / base.basis_norm() == base.dim
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +195,20 @@ class QuantumTree:
         self.base = base
         self.depth = depth
         self.delta = base.delta
-        self.delta_k = ONE
-        power = ONE
+        self.delta_powers = [ONE]  # delta^0 .. delta^depth
         for _ in range(depth):
-            power = power * self.delta
-            self.delta_k = self.delta_k + power
+            self.delta_powers.append(self.delta_powers[-1] * self.delta)
+        self.delta_k = sum(self.delta_powers[1:], ONE)
 
     def level_basis(self, i: int) -> list:
         return list(product(self.base.labels, repeat=i))
-
-    def delta_pow(self, i: int) -> Quad:
-        out = ONE
-        for _ in range(i):
-            out = out * self.delta
-        return out
 
     def basis_norm(self, i: int, weighted: bool = True) -> Quad:
         """<x, x> for a level-i basis element: (1/N)^i per tensorand,
         weighted by delta^i / delta_k under psi_k."""
         h = Quad.of(self.base.basis_norm() ** i)
         if weighted:
-            h = h * self.delta_pow(i) / self.delta_k
+            h = h * self.delta_powers[i] / self.delta_k
         return h
 
     def mult_pairs(self, t: tuple) -> list:
@@ -228,6 +218,25 @@ class QuantumTree:
             (tuple(u for u, _ in combo), tuple(v for _, v in combo))
             for combo in product(*per)
         ]
+
+    @cached_property
+    def pair_counts(self) -> list[int]:
+        """The number of pairs multiplying to a level-i basis element, per
+        level.  Every pair is checked to multiply back to the element, and
+        the count to be the same across the basis of its level."""
+        counts = []
+        for i in range(self.depth + 1):
+            seen = set()
+            for t in self.level_basis(i):
+                pairs = self.mult_pairs(t)
+                # every pair multiplies back to t with coefficient 1
+                if any(tuple(map(self.base.mult, us, vs)) != t for us, vs in pairs):
+                    raise Violation(f"a multiplication pair at level {i} does not give {t}")
+                seen.add(len(pairs))
+            if len(seen) != 1:
+                raise Violation(f"the level-{i} constant is not the same across the basis")
+            counts.append(seen.pop())
+        return counts
 
     def state_is_unital(self) -> bool:
         """psi_k applied to the unit of B_k equals 1."""
@@ -239,7 +248,7 @@ class QuantumTree:
                 for c in t:
                     s *= self.base.state(c)
                 level = level + Quad.of(s)
-            total = total + self.delta_pow(i) * level
+            total = total + self.delta_powers[i] * level
         return total / self.delta_k == ONE
 
 
@@ -287,20 +296,7 @@ def schur_constants(tree: QuantumTree, weighted: bool = True) -> SchurReport:
     rather than assumed.
     """
     base = tree.base
-    id_consts: list[Quad] = []
-    for i in range(tree.depth + 1):
-        h = tree.basis_norm(i, weighted)
-        consts = set()
-        for t in tree.level_basis(i):
-            pairs = tree.mult_pairs(t)
-            # sanity: every pair multiplies back to t with coefficient 1
-            if any(tuple(base.mult(u, v) for u, v in zip(us, vs)) != t for us, vs in pairs):
-                raise Violation(f"a multiplication pair at level {i} does not give {t}")
-            consts.add(Quad.of(len(pairs)) / h)
-        if len(consts) != 1:
-            raise Violation(f"the level-{i} constant is not the same across the basis")
-        (c,) = consts
-        id_consts.append(c)
+    id_consts = [Quad.of(n) / tree.basis_norm(i, weighted) for i, n in enumerate(tree.pair_counts)]
     dk2 = tree.delta_k * tree.delta_k
     matches = all(c == dk2 for c in id_consts)
     return SchurReport(

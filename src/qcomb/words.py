@@ -4,7 +4,9 @@ Words are plain Python strings over ``o`` (white) and ``x`` (black); the
 empty word is ``""`` and serializes as ``e``.  This module provides color
 balance, conjugation, elementary cancellations, the catalog of admissible
 word sets (sets closed under concatenation, conjugation and cancellation
-of an adjacent ``ox``/``xo`` pair), bounded generated closures,
+of an adjacent ``ox``/``xo`` pair: the empty set, the balanced-mod-k
+words, and the bands of balanced words whose prefix balances stay in an
+interval [-k2, k]), bounded generated closures,
 classification of a generated closure against the catalog, and the
 canonical reduction of a balanced word to ``o^k x^k``.
 """
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import NoCatalogMatch, PreconditionViolated, TooLarge, Violation
+from .errors import InputError, MalformedWord, NoCatalogMatch, PreconditionViolated
+from .errors import TooLarge, Violation
 
 WHITE = "o"
 BLACK = "x"
@@ -33,7 +36,7 @@ MAX_WORKING_LENGTH = 18
 
 def validate_word(w: str) -> str:
     if any(c not in ALPHABET for c in w):
-        raise ValueError(f"invalid letters in word {w!r}")
+        raise MalformedWord(f"invalid letters in word {w!r}")
     return w
 
 
@@ -95,13 +98,13 @@ class AdmissibleSetSpec:
     """One entry of the admissible-set catalog.
 
     kinds:
-      - "empty"                  the empty set
-      - "mod",   k >= 1          balanced-mod-k words
-      - "white", 0 <= k <= inf   balanced, prefix balances in [0, k]
-      - "black", 0 <= k <= inf   balanced, prefix balances in [-k, 0]
-      - "pair",  k, k' >= 1      balanced, prefix balances in [-k', k]
-    Use the module-level constructors; they canonicalize degenerate
-    parameters so each set of words has a unique spec.
+      - "empty"                     the empty set
+      - "mod",  k >= 1              balanced-mod-k words
+      - "band", 0 <= k, k2 <= inf   balanced, prefix balances in [-k2, k]
+    Every balanced entry is a band: White(k) is the band with k2 = 0,
+    Black(k2) the one with k = 0, and Pair(k, k2) the rest, so __str__
+    names a band by its parameters.  Use the module-level constructors;
+    they check the parameters, so each set of words has a unique spec.
     """
 
     kind: str
@@ -116,10 +119,10 @@ class AdmissibleSetSpec:
             return "Empty"
         if self.kind == "mod":
             return f"ModK({fmt(self.k)})"
-        if self.kind == "white":
+        if self.k2 == 0:
             return f"White({fmt(self.k)})"
-        if self.kind == "black":
-            return f"Black({fmt(self.k)})"
+        if self.k == 0:
+            return f"Black({fmt(self.k2)})"
         return f"Pair({fmt(self.k)},{fmt(self.k2)})"
 
 
@@ -129,7 +132,7 @@ def empty_set() -> AdmissibleSetSpec:
 
 def mod_k(k: int) -> AdmissibleSetSpec:
     if k < 1:
-        raise ValueError("mod_k requires k >= 1")
+        raise InputError("mod_k requires k >= 1")
     return AdmissibleSetSpec("mod", int(k))
 
 
@@ -138,38 +141,21 @@ def _check_bound(k) -> float | int:
         return INF
     k = int(k)
     if k < 0:
-        raise ValueError("bound must be >= 0")
+        raise InputError("bound must be >= 0")
     return k
 
 
+def pair(k, k2) -> AdmissibleSetSpec:
+    """The balanced words whose prefix balances stay in [-k2, k]."""
+    return AdmissibleSetSpec("band", _check_bound(k), _check_bound(k2))
+
+
 def white(k) -> AdmissibleSetSpec:
-    return AdmissibleSetSpec("white", _check_bound(k))
+    return pair(k, 0)
 
 
 def black(k) -> AdmissibleSetSpec:
-    k = _check_bound(k)
-    if k == 0:
-        return white(0)  # Black(0) = White(0) = {empty word}
-    return AdmissibleSetSpec("black", k)
-
-
-def pair(k, k2) -> AdmissibleSetSpec:
-    k, k2 = _check_bound(k), _check_bound(k2)
-    if k2 == 0:
-        return white(k)
-    if k == 0:
-        return black(k2)
-    return AdmissibleSetSpec("pair", k, k2)
-
-
-def _band(spec: AdmissibleSetSpec) -> tuple[float, float]:
-    """The interval [lo, hi] every prefix balance of a member of a
-    balanced kind stays in."""
-    if spec.kind == "white":
-        return 0, spec.k
-    if spec.kind == "black":
-        return -spec.k, 0
-    return -spec.k2, spec.k
+    return pair(0, k)
 
 
 def member(spec: AdmissibleSetSpec, w: str) -> bool:
@@ -178,8 +164,7 @@ def member(spec: AdmissibleSetSpec, w: str) -> bool:
         return False
     if spec.kind == "mod":
         return color_balance(w) % spec.k == 0
-    lo, hi = _band(spec)
-    c = 0
+    c, lo, hi = 0, -spec.k2, spec.k
     for ch in w:
         c += 1 if ch == WHITE else -1
         if not (lo <= c <= hi):
@@ -194,12 +179,13 @@ def canonical_generators(spec: AdmissibleSetSpec) -> set[str]:
     if spec.kind == "mod":
         return {WHITE * spec.k}
     if INF in (spec.k, spec.k2):
-        raise ValueError(f"{spec} is not finitely generated")
-    if spec.kind == "white":
-        return {WHITE * spec.k + BLACK * spec.k} if spec.k else {""}
-    if spec.kind == "black":
-        return {BLACK * spec.k + WHITE * spec.k}
-    return {WHITE * spec.k + BLACK * spec.k, BLACK * spec.k2 + WHITE * spec.k2}
+        raise InputError(f"{spec} is not finitely generated")
+    gens = set()
+    if spec.k:
+        gens.add(WHITE * spec.k + BLACK * spec.k)
+    if spec.k2:
+        gens.add(BLACK * spec.k2 + WHITE * spec.k2)
+    return gens or {""}
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +217,9 @@ def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> Gener
     with its conjugate it generates every word up to the working length."""
     gens = frozenset(validate_word(g) for g in gens)
     if any(len(g) > length_bound for g in gens):
-        raise ValueError("generator longer than the length bound")
+        raise InputError("generator longer than the length bound")
     if headroom < 0:
-        raise ValueError("headroom must be >= 0")
+        raise InputError("headroom must be >= 0")
     bound = length_bound + headroom
     members: set[str] = set(gens)
     by_length: list[list[str]] = [[] for _ in range(bound + 1)]
@@ -272,15 +258,15 @@ def truncation(spec: AdmissibleSetSpec, length_bound: int) -> frozenset[str]:
     """Members of the set with length <= length_bound.
 
     The members are grown letter by letter from the empty word, with the
-    prefixes of each length grouped by their balance.  For the balanced
-    kinds a prefix is extended only while its balance stays in the
-    spec's band and can still return to 0 in the letters left; for the
-    mod kind, while it can still reach a multiple of k in the letters
-    left.  So every prefix grown is the start of a member."""
+    prefixes of each length grouped by their balance.  For a band a
+    prefix is extended only while its balance stays in [-k2, k] and can
+    still return to 0 in the letters left; for the mod kind, while it can
+    still reach a multiple of k in the letters left.  So every prefix
+    grown is the start of a member."""
     if spec.kind == "empty":
         return frozenset()
     mod = spec.k if spec.kind == "mod" else None
-    lo, hi = (-INF, INF) if mod else _band(spec)
+    lo, hi = (-INF, INF) if mod else (-spec.k2, spec.k)
     out: list[str] = []
     level = {0: [""]}
     for n in range(length_bound + 1):
@@ -310,22 +296,10 @@ class ClassificationResult:
 def _candidate_specs(length_bound: int) -> list[AdmissibleSetSpec]:
     """Catalog entries whose length-bounded truncations can differ,
     in reporting priority (smallest parameters first)."""
-    half = length_bound // 2
-    cands: list[AdmissibleSetSpec] = [empty_set(), white(0)]
-    for k in range(1, half + 1):
-        cands.append(white(k))
-        cands.append(black(k))
-    cands.append(white(INF))
-    cands.append(black(INF))
-    finite = list(range(1, half + 1))
-    for k in finite + [INF]:
-        for k2 in finite + [INF]:
-            sp = pair(k, k2)
-            if sp.kind == "pair":
-                cands.append(sp)
-    for k in range(1, length_bound + 1):
-        cands.append(mod_k(k))
-    return cands
+    ks = list(range(1, length_bound // 2 + 1))
+    cands = [empty_set(), white(0)] + [band(k) for k in ks for band in (white, black)]
+    cands += [white(INF), black(INF)] + [pair(k, k2) for k in ks + [INF] for k2 in ks + [INF]]
+    return cands + [mod_k(k) for k in range(1, length_bound + 1)]
 
 
 def _slice_key(ws: frozenset[str]) -> str:
@@ -356,7 +330,7 @@ def classify(gens: Iterable[str], length_bound: int) -> ClassificationResult:
     gens = frozenset(gens)
     max_gen = max((len(g) for g in gens), default=0)
     if gens and length_bound < max_gen:
-        raise ValueError("length bound must cover the longest generator")
+        raise InputError("length bound must cover the longest generator")
     # The closure slice can only grow toward the true set as the headroom
     # increases, and every derived word lies in the true set.  So as soon
     # as the slice coincides with a catalog truncation, that catalog set
@@ -422,7 +396,7 @@ def sample_peak_word(k: int, max_len: int, rng) -> str:
     """Random balanced word with prefix balances in [0, k] and maximum
     prefix balance exactly k, of length between 2k and max_len."""
     if k < 1 or max_len < 2 * k:
-        raise ValueError("need k >= 1 and max_len >= 2k")
+        raise InputError("need k >= 1 and max_len >= 2k")
     while True:
         half = rng.randint(k, max_len // 2)
         c, w = 0, []

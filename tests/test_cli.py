@@ -352,6 +352,19 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch, cls):
     assert captured.err.splitlines() == [f"{'violation' if violation else 'error'}: boom"]
 
 
+@pytest.mark.parametrize("cls", [ValueError, KeyError])
+def test_a_builtin_error_is_a_bug_not_an_input_error(capsys, monkeypatch, cls):
+    # every deliberate error is an errors class; a builtin one escapes
+    # with its traceback instead of passing for a usage error (exit 2)
+    def fail(*args):
+        raise cls("boom")
+
+    monkeypatch.setattr(suites, "trees", fail)
+    with pytest.raises(cls, match="boom"):
+        cli.main(["verify", "trees"])
+    assert capsys.readouterr().err == ""
+
+
 # Runs in a fresh interpreter, because this one has numpy loaded already.
 # Prints, as JSON, whether numpy is loaded after `import qcomb.cli` and
 # after each argv, with each exit code.

@@ -511,6 +511,21 @@ def test_an_out_of_budget_rank_is_not_stored(monkeypatch):
     assert family.ranks == {}
 
 
+@pytest.mark.parametrize("first", ["repeated", "distinct"])
+def test_a_family_with_repeated_members_ranks_its_distinct_members(monkeypatch, first):
+    # the memo keeps one row per circle reading, so a member listed twice
+    # must neither count twice in the rank nor lose its own row and column
+    parts = all_parts(4)
+    repeated = parts + parts[::3] + parts[:1]
+    for N in (1, 2, 3, 4):
+        monkeypatch.setattr(linreal, "_families", {})
+        want = linreal.rank([realize(p, N) for p in parts])
+        lists = [repeated, parts] if first == "repeated" else [parts, repeated]
+        assert [gram_rank(ps, N) for ps in lists] == [want, want]
+        assert np.array_equal(gram_exponents(repeated), join_matrix(repeated))
+        assert len(linreal._families) == 1
+
+
 MIXED_FRAMES = {
     # a 4-point member first, a 2-point one first, and two splits of 2 points
     "4 then 2": [Partition("", "oooo", (0, 0, 1, 1)), Partition("", "oo", (0, 1))],

@@ -6,6 +6,7 @@ height at most k.  For k = 1 that is 1, for k = 2 it is 2^(n-1), and for
 k = 3 it is the odd-indexed Fibonacci numbers 1, 2, 5, 13.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -129,6 +130,81 @@ def test_white_membership_is_balance_zero_with_bounded_heights(w, k):
         and all(0 <= b <= k for b in bals)
     )
     assert words.member(words.white(k), w) == expected
+
+
+# -- the balanced entries as one band kind -----------------------------------
+
+BAND_PARAMS = [0, 1, 2, 3, 4, words.INF]
+
+
+def band_name(k, k2):
+    """The catalog name of the band [-k2, k]."""
+    def fmt(v):
+        return "inf" if v == words.INF else str(v)
+
+    if k2 == 0:
+        return f"White({fmt(k)})"
+    if k == 0:
+        return f"Black({fmt(k2)})"
+    return f"Pair({fmt(k)},{fmt(k2)})"
+
+
+def in_band(w, k, k2):
+    """Balanced, with every prefix balance in [-k2, k]."""
+    balances = itertools.accumulate(1 if c == "o" else -1 for c in w)
+    return w.count("o") == w.count("x") and all(-k2 <= b <= k for b in balances)
+
+
+def test_white_black_and_pair_name_one_band():
+    assert words.white(0) == words.black(0) == words.pair(0, 0)
+    for k in BAND_PARAMS:
+        assert str(words.white(k)) == band_name(k, 0)
+        assert str(words.black(k)) == band_name(0, k)
+        assert words.pair(k, 0) == words.white(k)
+        assert words.pair(0, k) == words.black(k)
+        for k2 in BAND_PARAMS:
+            assert str(words.pair(k, k2)) == band_name(k, k2)
+    assert str(words.black(0)) == "White(0)"
+    assert str(words.pair(2, words.INF)) == "Pair(2,inf)"
+
+
+def test_band_membership_matches_the_prefix_balance_test_on_every_short_word():
+    specs = {(k, 0): words.white(k) for k in BAND_PARAMS}
+    specs.update({(0, k): words.black(k) for k in BAND_PARAMS})
+    specs.update({(k, k2): words.pair(k, k2) for k in BAND_PARAMS for k2 in BAND_PARAMS})
+    for w in words.all_words(8):
+        for (k, k2), spec in specs.items():
+            assert words.member(spec, w) == in_band(w, k, k2), (w, k, k2)
+
+
+def candidate_names(length_bound):
+    """The catalog in reporting priority: Empty, White(0), White(k) and
+    Black(k) for k up to half the bound, White(inf), Black(inf), every
+    Pair with both parameters in 1..half or inf, and ModK(k) for k up to
+    the bound."""
+    ks = [str(k) for k in range(1, length_bound // 2 + 1)]
+    names = ["Empty", "White(0)"] + [f"{c}({k})" for k in ks for c in ("White", "Black")]
+    names += ["White(inf)", "Black(inf)"]
+    names += [f"Pair({k},{k2})" for k in ks + ["inf"] for k2 in ks + ["inf"]]
+    return names + [f"ModK({k})" for k in range(1, length_bound + 1)]
+
+
+def test_candidate_specs_keep_their_reporting_order():
+    # classify reports the first spec of a slice and flags the rest, so
+    # the order decides both the answer and its ambiguity flags
+    got = [[str(sp) for sp in words._candidate_specs(L)] for L in range(17)]
+    assert got == [candidate_names(L) for L in range(17)]
+    assert " ".join(got[4]) == (
+        "Empty White(0) White(1) Black(1) White(2) Black(2) White(inf) Black(inf)"
+        " Pair(1,1) Pair(1,2) Pair(1,inf) Pair(2,1) Pair(2,2) Pair(2,inf)"
+        " Pair(inf,1) Pair(inf,2) Pair(inf,inf) ModK(1) ModK(2) ModK(3) ModK(4)"
+    )
+    # the names as the catalog with separate white, black and pair kinds
+    # printed them, for every bound up to 16
+    text = "\n".join(" ".join(names) for names in got)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "005083eed49847bb1dfed112b719aa8450450c28b51ed66e3c3a3595608872ea"
+    )
 
 
 def test_empty_set_has_an_empty_truncation():
