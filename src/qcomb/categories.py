@@ -120,38 +120,25 @@ def contains(cat: CategorySpec, p: Partition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _candidates(upper: str, lower: str, sizes: frozenset, colored: bool) -> tuple[Partition, ...]:
+def _candidates(upper: str, lower: str, sizes: tuple, colored: bool) -> tuple[Partition, ...]:
     """The partitions of a frame allowed by everything but the rule, shared
     by the categories with the same block sizes (NCall and NCprime; NC12,
     NC12prime and NC12sharp)."""
     return tuple(enumerate_noncrossing(upper, lower, sizes, colored=colored))
 
 
-@lru_cache(maxsize=None)
-def _sizes(cat: CategorySpec, n: int) -> frozenset[int]:
-    """The block sizes allowed on n points, one set per category and n."""
-    return frozenset(s for s in range(1, n + 1) if cat.block_size(s))
-
-
-def _frame_candidates(cat: CategorySpec, upper: str, lower: str) -> tuple[Partition, ...]:
-    sizes = _sizes(cat, len(upper) + len(lower))
-    return _candidates(upper, lower, sizes, cat.colored)
-
-
-@lru_cache(maxsize=None)
-def _ruled(cat: CategorySpec, upper: str, lower: str) -> tuple[Partition, ...]:
-    """The members of a category with a rule.  A category without one has
-    its candidates as members and no cache of its own."""
-    return tuple(p for p in _frame_candidates(cat, upper, lower) if cat.rule(p))
-
-
 def enumerate_members(cat: CategorySpec, upper: str, lower: str) -> list[Partition]:
     """All members of the category with the given frame, sorted by labels."""
-    if len(upper) + len(lower) > MAX_FRAME_POINTS:
-        raise TooLarge(f"frame has {len(upper) + len(lower)} > {MAX_FRAME_POINTS} points")
+    n = len(upper) + len(lower)
+    if n > MAX_FRAME_POINTS:
+        raise TooLarge(f"frame has {n} > {MAX_FRAME_POINTS} points")
+    # the cache keeps the sizes of every frame in its key, and a tuple of
+    # them takes a quarter of the memory of a frozenset or less
+    sizes = tuple(s for s in range(1, n + 1) if cat.block_size(s))
+    candidates = _candidates(upper, lower, sizes, cat.colored)
     if cat.rule is None:
-        return list(_frame_candidates(cat, upper, lower))
-    return list(_ruled(cat, upper, lower))
+        return list(candidates)
+    return [p for p in candidates if cat.rule(p)]
 
 
 def all_members(cat: CategorySpec, point_bound: int) -> list[Partition]:

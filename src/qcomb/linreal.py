@@ -53,7 +53,7 @@ from .partitions import WHITE, Partition, _canonical_labels, circular_order, enu
 
 MAX_POINTS = 10
 MAX_ENTRIES = 2**20  # N^points, the largest dense realization
-_PRIMES = (2147483647, 2147483629, 2147483587)
+_PRIME = 2147483647
 
 
 def realize(p: Partition, N: int) -> np.ndarray:
@@ -349,10 +349,9 @@ def _certified_rank(B: np.ndarray, N: int) -> int:
     # a full-rank residue modulo a prime certifies full rational rank;
     # the table holds N^e reduced modulo the prime, so table[B] is the
     # exact residue of the Gram matrix however large N^e grows
-    for prime in _PRIMES:
-        table = np.array([pow(N, e, prime) for e in range(int(B.max()) + 1)], dtype=np.int64)
-        if _rank_mod_p(table[B], prime) == n:
-            return n
+    table = np.array([pow(N, e, _PRIME) for e in range(int(B.max()) + 1)], dtype=np.int64)
+    if _rank_mod_p(table[B], _PRIME) == n:
+        return n
     # modular rank only bounds the rational rank from below, so a
     # deficient family needs the integer elimination to settle the value
     if n > 400:

@@ -125,8 +125,7 @@ class Partition:
     def through_blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks meeting both rows, ordered by smallest upper point."""
         k = self.n_upper
-        tb = [b for b in self.blocks if b[0] < k <= b[-1]]
-        return tuple(sorted(tb, key=lambda b: b[0]))
+        return tuple(b for b in self.blocks if b[0] < k <= b[-1])
 
     @property
     def n_through(self) -> int:

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, CategorySpec
 from .categories import all_members, contains, enumerate_members
-from .errors import NoCatalogMatch, NotInCategory
+from .errors import NoCatalogMatch, NotInCategory, TooLarge
 from .partitions import Partition, UnionFind, _square_labels, identity, one_block, singleton
 from .words import WHITE
 
@@ -264,5 +264,9 @@ def through_word(p: Partition) -> str:
 
 
 def word_module(universe: PartitionUniverse, w: str) -> ProjectiveModule:
-    """Module generated by the strand partition p_w over CU."""
+    """Module generated by the strand partition p_w over CU.  A p_w over
+    the bound raises: closure would drop it and return a module that
+    misses its bounded members."""
+    if 2 * len(w) > universe.point_bound:
+        raise TooLarge(f"p_{w} has {2 * len(w)} > {universe.point_bound} points")
     return closure(universe, [identity(w)])

@@ -62,9 +62,6 @@ class Quad:
     def __sub__(self, other: "Quad") -> "Quad":
         return Quad(self.a - other.a, self.b - other.b, self._join(other))
 
-    def __neg__(self) -> "Quad":
-        return Quad(-self.a, -self.b, self.d)
-
     def __mul__(self, other: "Quad") -> "Quad":
         d = self._join(other)
         return Quad(
@@ -94,9 +91,6 @@ class Quad:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __str__(self) -> str:
         if self.b == 0:

@@ -20,6 +20,7 @@ Motzkin and the Fuss-Catalan numbers C(3m, m)/(2m+1), which count
 noncrossing partitions of 2m points into blocks of even size.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -223,6 +224,19 @@ def test_enumeration_is_deterministic():
     a = enumerate_members(NAMED["NCall"], "ox", "xo")
     b = enumerate_members(NAMED["NCall"], "ox", "xo")
     assert a == b
+
+
+@pytest.mark.parametrize("cat", [c for c in NAMED.values() if c.rule is not None], ids=str)
+def test_ruled_members_are_the_candidates_the_rule_keeps(cat):
+    candidates_of = replace(cat, rule=None)
+    for n in range(9):
+        for upper, lower in frames(n, ["o" * n]):
+            kept = [p for p in enumerate_members(candidates_of, upper, lower) if cat.rule(p)]
+            got = enumerate_members(cat, upper, lower)
+            assert got == kept, (upper, lower)
+            # each call returns a fresh list
+            got.clear()
+            assert enumerate_members(cat, upper, lower) == kept, (upper, lower)
 
 
 def test_even_blocks_have_no_size_cap():

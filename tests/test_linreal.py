@@ -30,7 +30,6 @@ from qcomb import linreal
 from qcomb.categories import CU, NAMED, enumerate_members
 from qcomb.errors import LawViolation, ShapeMismatch, TooLarge
 from qcomb.linreal import (
-    _PRIMES,
     _rank_bareiss,
     _rank_mod_p,
     check_laws,
@@ -484,6 +483,51 @@ def test_each_circle_family_is_eliminated_once_per_N(monkeypatch):
     assert eliminated == [1430, 1430]
 
 
+def counted_certification(monkeypatch, residue_rank=None):
+    """A fresh memo, with the row count of every modular and every Bareiss
+    elimination recorded; residue_rank, if given, replaces the modular
+    rank the certification sees."""
+    monkeypatch.setattr(linreal, "_families", {})
+    calls = {"mod_p": [], "bareiss": []}
+    mod_p, bareiss = linreal._rank_mod_p, linreal._rank_bareiss
+
+    def counted_mod_p(M, prime):
+        calls["mod_p"].append(len(M))
+        r = mod_p(M, prime)
+        return r if residue_rank is None else residue_rank(r)
+
+    def counted_bareiss(M):
+        calls["bareiss"].append(len(M))
+        return bareiss(M)
+
+    monkeypatch.setattr(linreal, "_rank_mod_p", counted_mod_p)
+    monkeypatch.setattr(linreal, "_rank_bareiss", counted_bareiss)
+    return calls
+
+
+def test_a_full_rank_family_is_certified_by_one_residue(monkeypatch):
+    calls = counted_certification(monkeypatch)
+    parts = enumerate_members(NAMED["NCall"], "oo", "oo")
+    assert gram_rank(parts, 4) == 14
+    assert calls == {"mod_p": [14], "bareiss": []}
+
+
+def test_a_deficient_family_runs_one_residue_then_bareiss(monkeypatch):
+    calls = counted_certification(monkeypatch)
+    parts = all_parts(4)
+    assert gram_rank(parts, 2) == sum(stirling2(4, j) for j in range(1, 3)) == 8
+    assert calls == {"mod_p": [15], "bareiss": [15]}
+
+
+def test_a_deficient_residue_of_a_full_rank_family_is_settled_by_bareiss(monkeypatch):
+    # the residue rank only bounds the rational rank from below, so a
+    # residue that reads one short must not become the rank
+    calls = counted_certification(monkeypatch, residue_rank=lambda r: r - 1)
+    parts = enumerate_members(NAMED["NCall"], "oo", "oo")
+    assert gram_rank(parts, 4) == 14
+    assert calls == {"mod_p": [14], "bareiss": [14]}
+
+
 def test_a_capped_memo_evicts_the_oldest_family_and_stays_exact(monkeypatch):
     monkeypatch.setattr(linreal, "_families", {})
     monkeypatch.setattr(linreal, "_MAX_FAMILIES", 2)
@@ -502,7 +546,6 @@ def test_a_capped_memo_evicts_the_oldest_family_and_stays_exact(monkeypatch):
 
 def test_an_out_of_budget_rank_is_not_stored(monkeypatch):
     monkeypatch.setattr(linreal, "_families", {})
-    monkeypatch.setattr(linreal, "_PRIMES", linreal._PRIMES[:1])
     parts = enumerate_members(NAMED["NCall"], "o" * 7, "")
     for _ in range(2):
         with pytest.raises(TooLarge, match="rank defect"):
@@ -633,7 +676,7 @@ def small_matrices(draw):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
 
 
-@given(small_matrices(), st.sampled_from(_PRIMES))
+@given(small_matrices(), st.sampled_from([2147483647, 2147483629, 2147483587]))
 def test_modular_rank_matches_bareiss(M, prime):
     assert _rank_mod_p(np.array(M, dtype=np.int64), prime) == _rank_bareiss(M)
 
