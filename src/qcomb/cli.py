@@ -20,19 +20,45 @@ MAX_WORD_BOUND = 16
 MAX_TABLE_BOUND = 10
 MAX_LAW_POINTS = 7
 MAX_LAW_ENTRIES = 10**4  # N**points, the largest realization checked
+MAX_RANK_LENGTH = 10
 MAX_PSI_LENGTH = 22
 MAX_REDUCE_BOUND = 100
 MAX_REDUCE_COUNT = 10**4
 MAX_TREE_DEPTH = 100  # binds only one-dimensional bases; the level budget binds the rest
 
+# The numeric options of each command and verify suite: option -> (default,
+# least, most), where None bounds nothing.  Each parser takes exactly these
+# plus its string options (--gens, --category, trees --base), and main checks
+# every range before any work starts.
+NUMERIC = {
+    "classify-words": {"--bound": (8, 0, MAX_WORD_BOUND)},
+    "table": {"--bound": (8, 0, MAX_TABLE_BOUND)},
+    # N is capped too: at --points 0 the entry budget does not bound it,
+    # and realize computes powers of N in int64
+    "laws": {"--points": (6, 0, MAX_LAW_POINTS), "--N": (None, 1, MAX_LAW_ENTRIES)},
+    # the rank equals the fold multiplicity only from N = 2; at N = 1 every
+    # realization is the same 1x1 matrix
+    "fusion-rank": {"--length": (4, 0, MAX_RANK_LENGTH), "--N": (None, 2, None)},
+    "psi": {"--k": (1, 0, None), "--length": (4, 0, MAX_PSI_LENGTH)},
+    "trees": {"--depth": (2, 0, MAX_TREE_DEPTH)},
+    "reduce": {
+        "--bound": (12, 2, MAX_REDUCE_BOUND),
+        "--count": (100, 0, MAX_REDUCE_COUNT),
+        "--seed": (0, None, None),
+    },
+}
 
-def _check(option: str, value: int, least: int, most: int | None = None) -> int:
-    """Reject an argument outside [least, most] before any work starts."""
-    if value < least:
-        raise errors.InputError(f"{option} must be at least {least}, got {value}")
-    if most is not None and value > most:
-        raise errors.TooLarge(f"{option} must be at most {most}, got {value}")
-    return value
+
+def _check_ranges(args) -> None:
+    """Reject a numeric argument outside [least, most] before any work starts."""
+    for option, (_, least, most) in args.numeric.items():
+        value = getattr(args, option[2:])
+        if value is None:
+            continue
+        if least is not None and value < least:
+            raise errors.InputError(f"{option} must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise errors.TooLarge(f"{option} must be at most {most}, got {value}")
 
 
 def _emit(config: dict, outcome: suites.Outcome, fmt: str) -> int:
@@ -52,46 +78,28 @@ def _emit(config: dict, outcome: suites.Outcome, fmt: str) -> int:
 
 def cmd_classify_words(args) -> int:
     gens = [words.word_from_str(g) for g in args.gens.split(",")]
-    bound = _check("--bound", args.bound, 0, MAX_WORD_BOUND)
-    config = {"command": "classify-words", "gens": args.gens, "bound": bound}
-    res = words.classify(gens, bound)
+    config = {"command": "classify-words", "gens": args.gens, "bound": args.bound}
+    res = words.classify(gens, args.bound)
     lines = [f"catalog: {res.spec}", "diff: (empty)"]
     lines += [f"flag: {f}" for f in res.flags]
     return _emit(config, suites.Outcome(True, lines), args.format)
 
 
 def cmd_table(args) -> int:
-    bound = _check("--bound", args.bound, 0, MAX_TABLE_BOUND)
     names = [args.category] if args.category else list(suites.REFERENCE_MODULE_COUNTS)
-    config = {"command": "table", "bound": bound, "categories": names}
-    return _emit(config, suites.table(names, bound), args.format)
+    config = {"command": "table", "bound": args.bound, "categories": names}
+    return _emit(config, suites.table(names, args.bound), args.format)
 
 
 def _laws(args) -> suites.Outcome:
-    points = _check("--points", args.points, 0, MAX_LAW_POINTS)
-    # N itself is capped too: at --points 0 the entry budget does not bound
-    # it, and realize computes powers of N in int64
-    Ns = [2, 3] if args.N is None else [_check("--N", args.N, 1, MAX_LAW_ENTRIES)]
-    entries = max(Ns) ** points
+    Ns = [2, 3] if args.N is None else [args.N]
+    entries = max(Ns) ** args.points
     if entries > MAX_LAW_ENTRIES:
         raise errors.TooLarge(
-            f"--N {max(Ns)} at --points {points} realizes {entries} entries, "
+            f"--N {max(Ns)} at --points {args.points} realizes {entries} entries, "
             f"more than {MAX_LAW_ENTRIES}"
         )
-    return suites.laws(points, Ns)
-
-
-def _fusion_rank(args) -> suites.Outcome:
-    from . import linreal  # numpy, loaded only by the suites that realize
-
-    length = _check("--length", args.length, 0, linreal.MAX_POINTS)
-    return suites.fusion_rank(length, 4 if args.N is None else args.N)
-
-
-def _psi(args) -> suites.Outcome:
-    k = _check("--k", args.k, 0)
-    length = _check("--length", args.length, 0, MAX_PSI_LENGTH)
-    return suites.psi(k, length, max(0, length - 2))
+    return suites.laws(args.points, Ns)
 
 
 def _trees(args) -> suites.Outcome:
@@ -104,27 +112,20 @@ def _trees(args) -> suites.Outcome:
         raise errors.TooLarge(
             f"--base {args.base} has dimension {base.dim}, more than {qgraph.MAX_LEVEL_DIM}"
         )
-    depth = _check("--depth", args.depth, 0, MAX_TREE_DEPTH)
-    if base.dim**depth > qgraph.MAX_LEVEL_DIM:
+    if base.dim**args.depth > qgraph.MAX_LEVEL_DIM:
         raise errors.TooLarge(
-            f"--depth {depth} at --base {args.base} gives level dimension "
-            f"{base.dim**depth}, more than {qgraph.MAX_LEVEL_DIM}"
+            f"--depth {args.depth} at --base {args.base} gives level dimension "
+            f"{base.dim**args.depth}, more than {qgraph.MAX_LEVEL_DIM}"
         )
-    return suites.trees(base, depth)
-
-
-def _reduce(args) -> suites.Outcome:
-    bound = _check("--bound", args.bound, 2, MAX_REDUCE_BOUND)
-    count = _check("--count", args.count, 0, MAX_REDUCE_COUNT)
-    return suites.reduce(bound, count, args.seed)
+    return suites.trees(base, args.depth)
 
 
 SUITES = {
     "laws": _laws,
-    "fusion-rank": _fusion_rank,
-    "psi": _psi,
+    "fusion-rank": lambda args: suites.fusion_rank(args.length, 4 if args.N is None else args.N),
+    "psi": lambda args: suites.psi(args.k, args.length, max(0, args.length - 2)),
     "trees": _trees,
-    "reduce": _reduce,
+    "reduce": lambda args: suites.reduce(args.bound, args.count, args.seed),
 }
 
 
@@ -132,53 +133,50 @@ def cmd_verify(args) -> int:
     config = {
         "command": "verify",
         "suite": args.suite,
-        "N": args.N,
-        "seed": args.seed,
+        # a suite without --N reports null, and one without --seed reports 0
+        "N": getattr(args, "N", None),
+        "seed": getattr(args, "seed", 0),
     }
-    if args.N is not None:
-        _check("--N", args.N, 1)
     return _emit(config, SUITES[args.suite](args), args.format)
 
 
 # ---------------------------------------------------------------------------
 
 
+def _add_parser(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, **kwargs)
+    for option, (default, _, _) in NUMERIC[name].items():
+        p.add_argument(option, type=int, default=default)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=func, numeric=NUMERIC[name])
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcomb")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify-words", help="match generated word sets to the catalog")
+    p = _add_parser(
+        sub, "classify-words", cmd_classify_words, help="match generated word sets to the catalog"
+    )
     p.add_argument("--gens", required=True, help="comma-separated words over o/x; e = empty")
-    p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_classify_words)
 
-    p = sub.add_parser("table", help="recompute the orthogonal module table")
-    p.add_argument("--bound", type=int, default=8)
+    p = _add_parser(sub, "table", cmd_table, help="recompute the orthogonal module table")
     p.add_argument("--category", choices=sorted(suites.REFERENCE_MODULE_COUNTS))
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--N", type=int)
-    p.add_argument("--points", type=int, default=6)
-    p.add_argument("--length", "--len", type=int, default=4, dest="length")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--bound", type=int, default=12)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--base", default="c2", help="cN (classical) or mN (matrix trace)")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
-
+    verify = p.add_subparsers(dest="suite", required=True)
+    for name in SUITES:
+        p = _add_parser(verify, name, cmd_verify)
+        if name == "trees":
+            p.add_argument("--base", default="c2", help="cN (classical) or mN (matrix trace)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except errors.Violation as e:
         print(f"violation: {e}", file=sys.stderr)

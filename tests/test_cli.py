@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qcomb
-from qcomb import cli, errors, linreal, qgraph, suites, words
+from qcomb import cli, errors, qgraph, suites, words
 
 
 def run(capsys, argv):
@@ -141,6 +141,8 @@ def test_text_format_is_the_default(capsys):
         ["table", "--bound", "11"],
         ["classify-words", "--gens", "ox", "--bound", "17"],
         ["classify-words", "--gens", "o" * 16, "--bound", "16"],
+        # the rank equals the fold multiplicity only from N = 2
+        ["verify", "fusion-rank", "--N", "1"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -187,6 +189,52 @@ def test_reduce_rejects_a_bound_below_2_naming_the_option(capsys):
     assert capsys.readouterr().err == "error: --bound must be at least 2, got 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "psi", "--N", "3"],
+        ["verify", "trees", "--count", "5"],
+        ["verify", "reduce", "--points", "2"],
+        ["verify", "laws", "--k", "1"],
+        ["verify", "fusion-rank", "--depth", "1"],
+    ],
+)
+def test_an_option_the_suite_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[2:])}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,N,seed",
+    [
+        (["laws"], None, 0),
+        (["fusion-rank"], None, 0),
+        (["psi"], None, 0),
+        (["trees"], None, 0),
+        (["reduce"], None, 0),
+        (["laws", "--N", "2"], 2, 0),
+        (["fusion-rank", "--N", "3"], 3, 0),
+        (["reduce", "--seed", "5"], None, 5),
+    ],
+)
+def test_the_json_config_names_the_suite_its_N_and_its_seed(capsys, cheap, argv, N, seed):
+    # a suite without --N reports null and one without --seed reports 0
+    code, payload = run_json(capsys, ["verify", *argv])
+    assert code == 0
+    assert payload["config"] == {"command": "verify", "suite": argv[0], "N": N, "seed": seed}
+
+
+@pytest.mark.parametrize("suite", ["fusion-rank", "psi"])
+def test_len_is_read_as_length(capsys, suite):
+    short = run(capsys, ["verify", suite, "--len", "3"])
+    assert short == run(capsys, ["verify", suite, "--length", "3"])
+    assert short != run(capsys, ["verify", suite])
+
+
 # -- the output contract on drawn argument lists
 
 BIG = 2**63  # one past the largest int64
@@ -204,8 +252,8 @@ NUMERIC = {
     "classify-words": {"--bound": boundary(cli.MAX_WORD_BOUND)},
     "table": {"--bound": boundary(cli.MAX_TABLE_BOUND)},
     "laws": {"--points": boundary(cli.MAX_LAW_POINTS), "--N": boundary(cli.MAX_LAW_ENTRIES)},
-    "fusion-rank": {"--length": boundary(linreal.MAX_POINTS), "--N": boundary()},
-    "psi": {"--k": boundary(), "--length": boundary(cli.MAX_PSI_LENGTH), "--N": boundary()},
+    "fusion-rank": {"--length": boundary(cli.MAX_RANK_LENGTH), "--N": boundary()},
+    "psi": {"--k": boundary(), "--length": boundary(cli.MAX_PSI_LENGTH)},
     "trees": {
         "--base": [
             f"{kind}{n}"
@@ -213,13 +261,11 @@ NUMERIC = {
             for n in boundary(cap)
         ],
         "--depth": boundary(cli.MAX_TREE_DEPTH),
-        "--N": boundary(),
     },
     "reduce": {
         "--bound": boundary(cli.MAX_REDUCE_BOUND),
         "--count": boundary(cli.MAX_REDUCE_COUNT),
         "--seed": boundary(),
-        "--N": boundary(),
     },
 }
 HEAD = {"classify-words": ["classify-words", "--gens", "ooxx"], "table": ["table"]}
@@ -233,7 +279,6 @@ VALUES = {
 OPTIONS = {
     "classify-words": ["--gens", "--bound", "--format"],
     "table": ["--bound", "--category", "--format"],
-    # verify accepts every option with every suite; each draws from its own
     "laws": ["--points", "--N", "--format"],
     "fusion-rank": ["--length", "--len", "--N", "--format"],
     "psi": ["--k", "--length", "--format"],
@@ -386,6 +431,8 @@ NUMPY_RUNS = [
     (["verify", "psi"], 0, False),
     (["verify", "reduce"], 0, False),
     (["verify", "trees"], 0, False),
+    # a rejected length is rejected before the suite loads numpy
+    (["verify", "fusion-rank", "--length", "11"], 2, False),
     # a suite that realizes loads numpy, so the probe is seen to work
     (["verify", "fusion-rank", "--length", "2"], 0, True),
 ]

@@ -13,7 +13,9 @@ Closed-form oracles for the Gram matrices of NC(k), the noncrossing
 partitions of k points: Di Francesco's meander determinant (Commun. Math.
 Phys. 191, 1998) gives det N^B exactly, zeros included, and since
 S_N^+ = S_N for N <= 3 (Wang, Commun. Math. Phys. 195, 1998) the rank of
-NC(k) at those N is the Stirling sum above.
+NC(k) at those N is the Stirling sum above.  At N = 1 every realization
+is the 1x1 matrix [1], so CU(empty, w) spans one dimension when w has a
+pairing and none when it has not.
 """
 
 import itertools
@@ -50,6 +52,7 @@ from qcomb.partitions import (
     one_block,
 )
 from qcomb.qgraph import ONE, Quad
+from qcomb.words import all_words
 
 
 # -- differential oracles ---------------------------------------------------
@@ -526,6 +529,20 @@ def test_a_deficient_residue_of_a_full_rank_family_is_settled_by_bareiss(monkeyp
     parts = enumerate_members(NAMED["NCall"], "oo", "oo")
     assert gram_rank(parts, 4) == 14
     assert calls == {"mod_p": [14], "bareiss": [14]}
+
+
+def test_at_N_1_every_unitary_word_spans_at_most_one_dimension(monkeypatch):
+    # at N = 1 every realization is the same 1x1 matrix [1], so the span of
+    # CU(empty, w) is one-dimensional when w has a pairing and zero when
+    # not; each family of two or more members is deficient, and Bareiss
+    # settles it once
+    calls = counted_certification(monkeypatch)
+    for w in all_words(10):
+        assert fixed_points_dim(w, 1) == (1 if enumerate_members(CU, "", w) else 0), w
+    sizes = [len(family.row) for family in linreal._families.values()]
+    assert sorted(calls["mod_p"]) == sorted(sizes) and len(sizes) == 176
+    assert sorted(calls["bareiss"]) == sorted(n for n in sizes if n >= 2)
+    assert len(calls["bareiss"]) == 160
 
 
 def test_a_capped_memo_evicts_the_oldest_family_and_stays_exact(monkeypatch):
