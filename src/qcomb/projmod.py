@@ -4,19 +4,19 @@ closure and classification against the named catalogs.
 A module over a category C is a set of projective partitions closed under
 tensor, conjugation (reverse) and r(.)r* for r in C.  Within a point bound
 we compute closures using the equivalent characterization: closed under
-tensor, reverse, equivalence saturation and downward domination.  The
-r(.)r* form is checked separately as a property.
+tensor, reverse, equivalence saturation and downward domination.
+`test_closure_matches_the_literal_module_definition` checks it against
+the literal definition, with r ranging over every bounded witness.
 
-Everything here works relative to a PartitionUniverse, which materializes
-the category up to a point bound once and precomputes projectives,
-equivalence classes and domination edges.  r*r and rr* are read straight
-off the labels of one row of r and of the blocks that also meet the other
-row (Freslon-Weber, "On the representation theory of partition (easy)
-quantum groups"), so the classes join r*r with rr* for every bounded
-witness r without composing.  Domination composes only pairs that can
-pass: a projective strictly below p has fewer through-blocks than p.  Closures
-pair each new member only with members that fit under the bound, and
-`distinct_generated_modules` grows each join from the larger module.
+A PartitionUniverse builds only the frames whose rows both have at most
+point_bound // 2 points: they hold every bounded projective and every
+witness r whose r*r and rr* fit the bound.  `members`, the full list, is
+built only when read.  A projective is read as its upper-row labels plus
+its through-blocks (Freslon-Weber, "On the representation theory of
+partition (easy) quantum groups"), so r*r, rr* and domination come off
+the labels without composing.  The universe numbers its projectives and
+closures run on those numbers, forming each tensor pair once per
+universe; Partitions come back only in the returned modules.
 """
 
 from __future__ import annotations
@@ -34,13 +34,19 @@ EMPTY = Partition("", "", ())
 
 
 class PartitionUniverse:
-    """All members of a category with at most point_bound points, plus the
-    derived projective structure."""
+    """The members of a category with at most point_bound // 2 points in
+    each row, plus the projective structure, numbered as in `projectives`."""
 
     def __init__(self, cat: CategorySpec, point_bound: int):
         self.cat = cat
         self.point_bound = point_bound
-        self.members: list[Partition] = all_members(cat, point_bound)
+        self.half_members: list[Partition] = all_members(cat, point_bound, point_bound // 2)
+        self._tensors: dict[tuple[int, int], int] = {}
+
+    @cached_property
+    def members(self) -> list[Partition]:
+        """Every member with at most point_bound points."""
+        return all_members(self.cat, self.point_bound)
 
     def normalize(self, p: Partition) -> Partition:
         """Uncolored categories are materialized on all-white frames, so
@@ -51,64 +57,102 @@ class PartitionUniverse:
 
     @cached_property
     def projectives(self) -> list[Partition]:
-        return [p for p in self.members if p.is_projective()]
+        return [p for p in self.half_members if p.is_projective()]
 
     @cached_property
-    def equivalence_classes(self) -> list[frozenset[Partition]]:
-        """Classes of ~ restricted to witnesses r in the category whose
-        r*r and rr* stay within the point bound."""
-        projectives = self.projectives
-        # keyed by frame and labels, so that r*r and rr* need no Partition
-        idx = {(p.upper, p.labels): i for i, p in enumerate(projectives)}
-        uf = UnionFind(len(projectives))
-        half = self.point_bound // 2
-        for r in self.members:
-            if r.n_upper > half or r.n_lower > half:
-                continue
+    def _index(self) -> dict[tuple[str, tuple[int, ...]], int]:
+        """Projective numbers by frame and labels: r*r and rr* need no Partition."""
+        return {(p.upper, p.labels): i for i, p in enumerate(self.projectives)}
+
+    @cached_property
+    def equivalence_classes(self) -> list[frozenset[int]]:
+        """Classes of ~ as sets of projective numbers, by the witnesses r in
+        the category whose r*r and rr* stay within the point bound."""
+        index = self._index
+        uf = UnionFind(len(index))
+        for r in self.half_members:
             rr, ss = _square_labels(r)
-            i, j = idx.get((r.upper, rr)), idx.get((r.lower, ss))
+            i, j = index.get((r.upper, rr)), index.get((r.lower, ss))
             if i is not None and j is not None:
                 uf.union(i, j)
-        groups: dict[int, list[Partition]] = {}
-        for i, p in enumerate(projectives):
-            groups.setdefault(uf.find(i), []).append(p)
+        groups: dict[int, list[int]] = {}
+        for i in range(len(index)):
+            groups.setdefault(uf.find(i), []).append(i)
         return [frozenset(g) for g in groups.values()]
 
     @cached_property
-    def class_of(self) -> dict[Partition, frozenset[Partition]]:
-        return {p: cls for cls in self.equivalence_classes for p in cls}
-
-    @cached_property
-    def dominated_by(self) -> dict[Partition, frozenset[Partition]]:
-        """For each projective p, all projectives q with q < p."""
-        by_frame: dict[str, list[Partition]] = {}
-        for p in self.projectives:
-            by_frame.setdefault(p.upper, []).append(p)
+    def dominated_by(self) -> list[tuple[int, ...]]:
+        """For each projective p, the numbers of all projectives q < p."""
+        rows = [_upper_and_through(p) for p in self.projectives]
+        by_frame: dict[str, list[int]] = {}
+        for i, p in enumerate(self.projectives):
+            by_frame.setdefault(p.upper, []).append(i)
         # p < p.  q = qp has at most p's through-blocks, and as many only
         # when q = p: distinct comparable idempotents of a finite semigroup
         # lie in different J-classes, and the J-classes of the partition
         # monoid are its through-block counts
-        return {
-            p: frozenset(
-                q
-                for q in by_frame[p.upper]
-                if q is p or (q.n_through < p.n_through and dominated(q, p))
+        return [
+            tuple(
+                j
+                for j in by_frame[p.upper]
+                if j == i or (len(rows[j][1]) < len(rows[i][1]) and _below(rows[j], rows[i]))
             )
-            for p in self.projectives
-        }
+            for i, p in enumerate(self.projectives)
+        ]
+
+    @cached_property
+    def _class_of(self) -> list[frozenset[int]]:
+        of = {i: cls for cls in self.equivalence_classes for i in cls}
+        return [of[i] for i in range(len(of))]
+
+    @cached_property
+    def _reverse(self) -> list[int]:
+        reverses = (self.normalize(p.reverse()) for p in self.projectives)
+        return [self._index[(q.upper, q.labels)] for q in reverses]
+
+    @cached_property
+    def _points(self) -> list[int]:
+        return [p.n_points for p in self.projectives]
+
+    def _tensor(self, i: int, j: int) -> int:
+        """The number of projective i tensor projective j, within the bound."""
+        if (i, j) not in self._tensors:
+            p = self.projectives[i].tensor(self.projectives[j])
+            self._tensors[i, j] = self._index[(p.upper, p.labels)]
+        return self._tensors[i, j]
+
+    def _module(self, ids) -> ProjectiveModule:
+        return ProjectiveModule(frozenset(self.projectives[i] for i in ids))
+
+
+def _upper_and_through(p: Partition) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The labels of p's upper row and those of its through-blocks."""
+    upper = p.labels[: p.n_upper]
+    return upper, frozenset(upper).intersection(p.labels[p.n_upper :])
+
+
+def _below(q, p) -> bool:
+    """q < p for projectives of one frame given by `_upper_and_through`:
+    each block of p's upper row lies in one of q's, a block of q's upper
+    row holding two or more of p's holds only through-blocks of p, and
+    each through-block of q contains one of p (qp = q; its adjoint is pq = q)."""
+    (q_upper, q_through), (p_upper, p_through) = q, p
+    block_of: dict[int, int] = {}  # p's upper-row blocks to q's
+    parts: dict[int, set[int]] = {}  # q's upper-row blocks to p's
+    for a, b in zip(q_upper, p_upper):
+        if block_of.setdefault(b, a) != a:
+            return False
+        parts.setdefault(a, set()).add(b)
+    return all(
+        (len(bs) == 1 or bs <= p_through) and (a not in q_through or not p_through.isdisjoint(bs))
+        for a, bs in parts.items()
+    )
 
 
 def _squares(r: Partition) -> tuple[Partition, Partition]:
     """(r*r, rr*)."""
     rr, ss = _square_labels(r)
     return Partition(r.upper, r.upper, rr), Partition(r.lower, r.lower, ss)
-
-
-def dominated(q: Partition, p: Partition) -> bool:
-    """q < p: both compositions of the projectives return q."""
-    if q.upper != p.upper or q.lower != p.lower:
-        return False
-    return q.compose(p)[0] == q and p.compose(q)[0] == q
 
 
 def equivalent(universe: PartitionUniverse, p: Partition, q: Partition):
@@ -127,45 +171,50 @@ class ProjectiveModule:
 
 def closure(universe: PartitionUniverse, gens) -> ProjectiveModule:
     """Least bounded fixpoint containing gens, closed under tensor,
-    reverse, equivalence saturation and downward domination."""
-    members = _close(universe, frozenset(), map(universe.normalize, gens))
-    return ProjectiveModule(members)
+    reverse, equivalence saturation and downward domination.  Generators
+    over the bound are dropped."""
+    gens = [g for g in map(universe.normalize, gens) if g.n_points <= universe.point_bound]
+    ids = [universe._index.get((g.upper, g.labels)) if g.lower == g.upper else None for g in gens]
+    if None in ids:
+        bad = gens[ids.index(None)]
+        raise NotInCategory(f"{bad} is not a bounded projective of {universe.cat}")
+    return universe._module(_close(universe, frozenset(), ids))
 
 
-def _close(universe: PartitionUniverse, closed: frozenset, gens) -> frozenset[Partition]:
-    """The closure of closed | gens, where closed is already closed."""
+def _close(universe: PartitionUniverse, closed: frozenset[int], gens) -> frozenset[int]:
+    """The closure of closed | gens, as projective numbers, where closed
+    is already closed."""
     bound = universe.point_bound
+    points, class_of = universe._points, universe._class_of
+    reverse, dominated_by, tensor = universe._reverse, universe.dominated_by, universe._tensor
     members = set(closed)
-    by_points: list[list[Partition]] = [[] for _ in range(bound + 1)]
-    for p in closed:
-        by_points[p.n_points].append(p)
-    queue: list[Partition] = []
+    by_points: list[list[int]] = [[] for _ in range(bound + 1)]
+    for i in closed:
+        by_points[points[i]].append(i)
+    queue: list[int] = []
 
-    def add(p: Partition):
-        # callers normalize: tensor, class and domination results already are
-        if p.n_points > bound or p in members:
+    def add(i: int):
+        if i in members:
             return
-        if p not in universe.class_of:
-            raise NotInCategory(f"{p} is not a bounded projective of {universe.cat}")
-        for q in universe.class_of[p]:
-            if q not in members:
-                members.add(q)
-                by_points[q.n_points].append(q)
-                queue.append(q)
+        for j in class_of[i]:
+            if j not in members:
+                members.add(j)
+                by_points[points[j]].append(j)
+                queue.append(j)
 
     for g in gens:
         add(g)
     while queue:
-        p = queue.pop()
-        add(universe.normalize(p.reverse()))
-        for q in universe.dominated_by[p]:
-            add(q)
+        i = queue.pop()
+        add(reverse[i])
+        for j in dominated_by[i]:
+            add(j)
         # a bucket may grow while it is walked; its new members are
-        # paired with p either way
-        for bucket in by_points[: bound - p.n_points + 1]:
-            for q in bucket:
-                add(p.tensor(q))
-                add(q.tensor(p))
+        # paired with i either way
+        for bucket in by_points[: bound - points[i] + 1]:
+            for j in bucket:
+                add(tensor(i, j))
+                add(tensor(j, i))
     return frozenset(members)
 
 
@@ -229,23 +278,20 @@ def distinct_generated_modules(universe: PartitionUniverse) -> list[ProjectiveMo
     """All distinct closures of single projective generators, closed under
     pairwise joins.  One closure is computed per equivalence class since
     equivalent generators give the same module."""
-    modules: dict[frozenset, ProjectiveModule] = {}
-    for cls in universe.equivalence_classes:
-        rep = next(iter(cls))
-        mod = closure(universe, [rep])
-        modules[mod.members] = mod
+    classes = universe.equivalence_classes
+    modules = dict.fromkeys(_close(universe, frozenset(), cls) for cls in classes)
     changed = True
     while changed:
         changed = False
-        mods = list(modules.values())
+        mods = list(modules)
         for i, a in enumerate(mods):
             for b in mods[i + 1 :]:
-                big, small = (a, b) if len(a.members) >= len(b.members) else (b, a)
-                join = _close(universe, big.members, small.members - big.members)
+                big, small = (a, b) if len(a) >= len(b) else (b, a)
+                join = _close(universe, big, small - big)
                 if join not in modules:
-                    modules[join] = ProjectiveModule(join)
+                    modules[join] = None
                     changed = True
-    return list(modules.values())
+    return [universe._module(m) for m in modules]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ import pytest
 
 from qcomb import projmod, words
 from qcomb.categories import CU, NAMED, NC_PRIME, all_members
-from qcomb.errors import TooLarge
+from qcomb.errors import NotInCategory, TooLarge
 from qcomb.partitions import (
     Partition,
     UnionFind,
     duality,
     enumerate_noncrossing,
+    enumerate_partitions,
     identity,
 )
 from qcomb.projmod import (
@@ -21,7 +22,6 @@ from qcomb.projmod import (
     classify_module,
     closure,
     distinct_generated_modules,
-    dominated,
     equivalent,
     through_word,
     through_word_module,
@@ -40,11 +40,11 @@ def universe(name, bound=6):
 
 
 def test_domination_is_two_sided_absorption():
-    assert dominated(CUPCAP, identity("ox"))
-    assert not dominated(identity("ox"), CUPCAP)
-    assert dominated(CUPCAP, CUPCAP)
+    assert oracle_dominated(CUPCAP, identity("ox"))
+    assert not oracle_dominated(identity("ox"), CUPCAP)
+    assert oracle_dominated(CUPCAP, CUPCAP)
     # different frames never dominate
-    assert not dominated(EMPTY, BAR)
+    assert not oracle_dominated(EMPTY, BAR)
 
 
 def test_equivalence_witness_links_the_empty_diagram_to_the_nested_pair():
@@ -74,6 +74,17 @@ def test_closures_contain_their_generators_and_only_projectives():
         assert p.compose(p)[0] == p
 
 
+def test_closure_drops_over_bound_generators_and_rejects_the_rest_outside_the_universe():
+    assert closure(universe("NC2", 2), [TWO]).members == frozenset()
+    for name, bad in [
+        ("NC2", Partition("o", "o", (0, 1))),  # s s*, singletons are not in NC2
+        ("NC2", duality("o", "x")),  # not projective
+        ("CU", Partition("o", "x", (0, 0))),  # the labels and upper row of p_o
+    ]:
+        with pytest.raises(NotInCategory, match="is not a bounded projective"):
+            closure(universe(name, 2), [BAR, bad])
+
+
 def test_catalog_names_and_sizes_at_bound_six():
     assert {k: len(v.members) for k, v in catalog(universe("NC2")).items()} == {
         "proj0": 2,
@@ -96,7 +107,7 @@ def test_fork_witness_collapses_the_two_strand_module_onto_the_full_one():
     fork = Partition("o", "oo", (0, 0, 1))
     rr = fork.compose(fork.adjoint())[0]
     assert fork.adjoint().compose(fork)[0] == BAR
-    assert dominated(rr, TWO)
+    assert oracle_dominated(rr, TWO)
     proj2 = closure(u, [TWO])
     proj = closure(u, [BAR])
     assert proj2.members == proj.members
@@ -274,9 +285,12 @@ def oracle_distinct_modules(universe):
 
 def assert_universe_matches_oracle(u, old):
     assert u.members == old.members
-    assert u.projectives == old.projectives
-    assert u.equivalence_classes == old.equivalence_classes
-    assert u.dominated_by == old.dominated_by
+    ps = u.projectives
+    assert ps == old.projectives
+    assert [frozenset(ps[i] for i in c) for c in u.equivalence_classes] == old.equivalence_classes
+    assert {ps[i]: frozenset(ps[j] for j in js) for i, js in enumerate(u.dominated_by)} == (
+        old.dominated_by
+    )
 
 
 UNCOLORED = ["NC2", "NC12", "NC12prime", "NC12sharp", "NCeven", "NCall", "NCprime"]
@@ -324,3 +338,95 @@ def test_a_dominated_projective_has_fewer_through_blocks(name):
     assert pairs
     for q, p in pairs:
         assert q.n_through < p.n_through
+
+
+def test_label_read_domination_matches_composition_on_the_partition_monoid():
+    # every projective of P(w, w), crossing ones included: the rule reads
+    # only the upper-row labels and the through-blocks
+    pairs = dominated = 0
+    for w in ["", "o", "oo", "ox", "ooo", "oxo", "oooo", "oxox"]:
+        ps = [p for p in enumerate_partitions(w, w) if p.adjoint() == p and p.compose(p)[0] == p]
+        rows = [projmod._upper_and_through(p) for p in ps]
+        for q, q_row in zip(ps, rows):
+            for p, p_row in zip(ps, rows):
+                below = oracle_dominated(q, p)
+                assert projmod._below(q_row, p_row) == below, (str(q), str(p))
+                pairs += 1
+                dominated += below
+    assert (pairs, dominated) == (18717, 1376)
+
+
+# ---------------------------------------------------------------------------
+# The module definition itself: the least bounded set of projectives closed
+# under tensor, reverse and r p r* for every bounded witness r
+
+
+class LiteralModules:
+    def __init__(self, universe):
+        self.universe = universe
+        self.witnesses = {}
+        for r in universe.half_members:
+            self.witnesses.setdefault(r.upper, []).append((r, r.adjoint()))
+        self.sandwiched = {}
+
+    def sandwiches(self, p):
+        """r p r* for every witness r whose upper row is p's frame."""
+        if p not in self.sandwiched:
+            self.sandwiched[p] = [
+                r.compose(p.compose(r_adj)[0])[0] for r, r_adj in self.witnesses.get(p.upper, ())
+            ]
+        return self.sandwiched[p]
+
+    def closure(self, gens):
+        u = self.universe
+        members, queue = set(), []
+
+        def add(p):
+            p = u.normalize(p)
+            if p not in members:
+                members.add(p)
+                queue.append(p)
+
+        for g in gens:
+            add(g)
+        while queue:
+            p = queue.pop()
+            add(p.reverse())
+            for s in self.sandwiches(p):
+                add(s)
+            for q in list(members):
+                if p.n_points + q.n_points <= u.point_bound:
+                    add(p.tensor(q))
+                    add(q.tensor(p))
+        return frozenset(members)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_closure_matches_the_literal_module_definition(name):
+    # every single projective generator at bound 6, the catalog generators
+    # among them
+    u = universe(name)
+    literal = LiteralModules(u)
+    for p in u.projectives:
+        assert closure(u, [p]).members == literal.closure([p]), str(p)
+
+
+# ---------------------------------------------------------------------------
+# The half-bound universe
+
+
+def test_the_module_table_never_builds_the_full_member_list():
+    u = PartitionUniverse(NAMED["NCall"], 10)
+    catalog(u)
+    distinct_generated_modules(u)
+    assert "members" not in u.__dict__
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_half_bound_members_are_the_full_list_filtered(name):
+    cat = NAMED[name]
+    for bound in range(9):
+        half = bound // 2
+        assert PartitionUniverse(cat, bound).half_members == [
+            r for r in all_members(cat, bound) if r.n_upper <= half and r.n_lower <= half
+        ]
