@@ -341,11 +341,6 @@ def one_block(upper: str, lower: str) -> Partition:
     return Partition(upper, lower, (0,) * n)
 
 
-def crossing(c1: str, c2: str) -> Partition:
-    """Two through-blocks crossing: upper c1 c2, lower c2 c1."""
-    return Partition(c1 + c2, c2 + c1, (0, 1, 1, 0))
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 

@@ -27,7 +27,7 @@ from functools import cached_property
 from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, CategorySpec
 from .categories import all_members, contains, enumerate_members
 from .errors import NoCatalogMatch, NotInCategory, TooLarge
-from .partitions import Partition, UnionFind, _square_labels, identity, one_block, singleton
+from .partitions import Partition, _square_labels, identity, one_block, singleton
 from .words import WHITE
 
 EMPTY = Partition("", "", ())
@@ -56,8 +56,28 @@ class PartitionUniverse:
         return Partition(WHITE * p.n_upper, WHITE * p.n_lower, p.labels)
 
     @cached_property
+    def _square_pass(self) -> tuple[list[Partition], list[frozenset[int]]]:
+        """`projectives` and `equivalence_classes` from one r*r, rr* per
+        member; every r*r is a projective, so ~ joins (frame, labels) keys."""
+        projectives, parent, groups = [], {}, {}
+
+        def find(a):
+            while parent.setdefault(a, a) != a:
+                parent[a] = a = parent[parent[a]]  # path halving
+            return a
+
+        for r in self.half_members:
+            rr, ss = _square_labels(r)
+            if r.upper == r.lower and rr == r.labels:
+                projectives.append(r)
+            parent[find((r.upper, rr))] = find((r.lower, ss))
+        for i, p in enumerate(projectives):
+            groups.setdefault(find((p.upper, p.labels)), []).append(i)
+        return projectives, [frozenset(g) for g in groups.values()]
+
+    @cached_property
     def projectives(self) -> list[Partition]:
-        return [p for p in self.half_members if p.is_projective()]
+        return self._square_pass[0]
 
     @cached_property
     def _index(self) -> dict[tuple[str, tuple[int, ...]], int]:
@@ -68,17 +88,7 @@ class PartitionUniverse:
     def equivalence_classes(self) -> list[frozenset[int]]:
         """Classes of ~ as sets of projective numbers, by the witnesses r in
         the category whose r*r and rr* stay within the point bound."""
-        index = self._index
-        uf = UnionFind(len(index))
-        for r in self.half_members:
-            rr, ss = _square_labels(r)
-            i, j = index.get((r.upper, rr)), index.get((r.lower, ss))
-            if i is not None and j is not None:
-                uf.union(i, j)
-        groups: dict[int, list[int]] = {}
-        for i in range(len(index)):
-            groups.setdefault(uf.find(i), []).append(i)
-        return [frozenset(g) for g in groups.values()]
+        return self._square_pass[1]
 
     @cached_property
     def dominated_by(self) -> list[tuple[int, ...]]:

@@ -89,9 +89,6 @@ class Quad:
     def __hash__(self):
         return hash((self.a, self.b, self.d if self.b else 0))
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)

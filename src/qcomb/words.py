@@ -6,8 +6,8 @@ balance, conjugation, elementary cancellations, the catalog of admissible
 word sets (sets closed under concatenation, conjugation and cancellation
 of an adjacent ``ox``/``xo`` pair: the empty set, the balanced-mod-k
 words, and the bands of balanced words whose prefix balances stay in an
-interval [-k2, k]), bounded generated closures,
-classification of a generated closure against the catalog, and the
+interval [-k2, k]) and their sizes by length, generated closures capped
+by those sizes, classification against the catalog by size, and the
 canonical reduction of a balanced word to ``o^k x^k``.
 """
 
@@ -192,6 +192,39 @@ def canonical_generators(spec: AdmissibleSetSpec) -> set[str]:
 # Generated closures
 
 
+@lru_cache(maxsize=256)
+def _counts(spec: AdmissibleSetSpec, length_bound: int) -> tuple[int, ...]:
+    """The number of members of each length n <= length_bound: for the mod
+    kind, the sum of C(n, j) over the j with 2j - n in kZ; for a band, the
+    balance walks of n steps inside [-k2, k] that end at 0."""
+    if spec.kind == "empty":
+        return (0,) * (length_bound + 1)
+    if spec.kind == "mod":
+        return tuple(
+            sum(math.comb(n, j) for j in range(n + 1) if (2 * j - n) % spec.k == 0)
+            for n in range(length_bound + 1)
+        )
+    out, walks = [], {0: 1}  # the walks of n steps, by their end balance
+    for n in range(length_bound + 1):
+        out.append(walks.get(0, 0))
+        inside = range(max(-spec.k2, -n - 1), min(spec.k, n + 1) + 1)
+        walks = {b: walks.get(b - 1, 0) + walks.get(b + 1, 0) for b in inside}
+    return tuple(out)
+
+
+def _least_superset(gens: frozenset[str]) -> AdmissibleSetSpec:
+    """The least catalog set holding gens, and so their closure: concatenation
+    adds color balances and conjugation negates them; on balanced words it
+    keeps the prefix balances, and a cancellation makes no new extreme."""
+    if not gens:
+        return empty_set()
+    g = math.gcd(*map(color_balance, gens))
+    if g:
+        return mod_k(g)
+    balances = [0] + [b for w in gens for b in prefix_balances(w)]
+    return pair(max(balances), -min(balances))
+
+
 @dataclass(frozen=True)
 class GeneratedWordSet:
     members: frozenset[str]
@@ -206,49 +239,51 @@ def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> Gener
     intermediate words up to length_bound + headroom, keeping only the
     final slice.  Every returned word is genuinely derivable.
 
-    The members are kept in buckets by length, and a word w taken from
-    the work list concatenates, in both orders, only with the members of
-    length <= length_bound + headroom - len(w), so every pair it forms
-    fits the working length.  Nothing is formed at a length that already
-    holds all 2^n words, since every product, conjugate or cancellation
-    of that length is already a member.  The work list is taken shortest
-    word first, so a length fills from its shorter factors before the
-    longer words reach it.  A one-letter member ends the closure at once:
-    with its conjugate it generates every word up to the working length."""
+    Every operation stays inside `_least_superset(gens)`, so nothing is
+    formed at a length that holds that set's count (`_counts`), and the
+    closure stops once every length up to length_bound does: the slice is
+    then the set's truncation.  The work list is taken shortest word
+    first, and a word taken concatenates in both orders with itself and
+    the words taken before it, within the working length, so each pair is
+    formed once.  A one-letter member ends the closure at once: with its
+    conjugate it generates every word up to the working length."""
     gens = frozenset(validate_word(g) for g in gens)
     if any(len(g) > length_bound for g in gens):
         raise InputError("generator longer than the length bound")
     if headroom < 0:
         raise InputError("headroom must be >= 0")
     bound = length_bound + headroom
+    caps = list(_counts(_least_superset(gens), bound))
     members: set[str] = set(gens)
-    by_length: list[list[str]] = [[] for _ in range(bound + 1)]
-    pending: list[list[str]] = [[] for _ in range(bound + 1)]  # not yet taken
+    sizes = [0] * (bound + 1)  # members of each length
+    taken: list[list[str]] = [[] for _ in range(bound + 1)]
+    pending: list[list[str]] = [[] for _ in range(bound + 1)]
     for g in gens:
-        by_length[len(g)].append(g)
+        sizes[len(g)] += 1
         pending[len(g)].append(g)
     n = 0
-    while n <= bound:
+    while n <= bound and sizes[: length_bound + 1] != caps[: length_bound + 1]:
         if not pending[n]:
             n += 1
             continue
-        if bound and by_length[1]:
+        if bound and sizes[1]:
             return GeneratedWordSet(frozenset(all_words(length_bound)))
         w = pending[n].pop()
+        taken[n].append(w)
         new = set()
-        if len(by_length[n]) < 1 << n:
+        if sizes[n] < caps[n]:
             new.add(conjugate(w))
-        if n >= 2 and len(by_length[n - 2]) < 1 << (n - 2):
+        if n >= 2 and sizes[n - 2] < caps[n - 2]:
             new |= cancellations(w)
         for m in range(n, bound + 1):
-            if len(by_length[m]) < 1 << m:
-                for v in by_length[m - n]:
+            if sizes[m] < caps[m]:
+                for v in taken[m - n]:
                     new.add(w + v)
                     new.add(v + w)
         new -= members
         members |= new
         for v in new:
-            by_length[len(v)].append(v)
+            sizes[len(v)] += 1
             pending[len(v)].append(v)
             n = min(n, len(v))
     return GeneratedWordSet(frozenset(w for w in members if len(w) <= length_bound))
@@ -302,42 +337,22 @@ def _candidate_specs(length_bound: int) -> list[AdmissibleSetSpec]:
     return cands + [mod_k(k) for k in range(1, length_bound + 1)]
 
 
-def _slice_key(ws: frozenset[str]) -> str:
-    """An exact key of a word set that is smaller than the set: its words,
-    each ended by a '.', in sorted order."""
-    return ".".join(sorted(ws)) + "." if ws else ""
-
-
-@lru_cache(maxsize=1)
-def _catalog_slices(length_bound: int) -> dict[str, tuple[AdmissibleSetSpec, ...]]:
-    """Each distinct catalog truncation at the bound, by its _slice_key,
-    mapped to the specs that have it, in reporting priority."""
-    slices: dict[str, list[AdmissibleSetSpec]] = {}
-    for sp in _candidate_specs(length_bound):
-        slices.setdefault(_slice_key(truncation(sp, length_bound)), []).append(sp)
-    return {key: tuple(specs) for key, specs in slices.items()}
-
-
 def classify(gens: Iterable[str], length_bound: int) -> ClassificationResult:
     """Match the generated closure against the catalog of admissible sets.
 
     Truncation semantics: specs are compared through their length-bounded
     slices; when several parameters give the same slice, the smallest one
-    is reported and the ambiguity is flagged.  Raises TooLarge before a
-    closure would run at a working length (bound plus headroom) above
-    MAX_WORKING_LENGTH.
+    is reported and the ambiguity is flagged.  A catalog set holding gens
+    holds their closure, so it matches when the sizes (`_counts`) agree.
+    Raises TooLarge before a closure would run at a working length (bound
+    plus headroom) above MAX_WORKING_LENGTH.
     """
     gens = frozenset(gens)
     max_gen = max((len(g) for g in gens), default=0)
     if gens and length_bound < max_gen:
         raise InputError("length bound must cover the longest generator")
-    # The closure slice can only grow toward the true set as the headroom
-    # increases, and every derived word lies in the true set.  So as soon
-    # as the slice coincides with a catalog truncation, that catalog set
-    # contains the generators and hence the whole closure, and the match
-    # is the answer; widen the headroom until that happens.
-    slices = _catalog_slices(length_bound)
-    matches: tuple[AdmissibleSetSpec, ...] = ()
+    holding = [sp for sp in _candidate_specs(length_bound) if all(member(sp, g) for g in gens)]
+    matches: list[AdmissibleSetSpec] = []
     for headroom in range(0, 2 * max_gen + 5, 2):
         if length_bound + headroom > MAX_WORKING_LENGTH:
             raise TooLarge(
@@ -345,20 +360,16 @@ def classify(gens: Iterable[str], length_bound: int) -> ClassificationResult:
                 f" {length_bound} needs working length {length_bound + headroom}"
                 f" > {MAX_WORKING_LENGTH}"
             )
-        matches = slices.get(_slice_key(generate(gens, length_bound, headroom).members), ())
+        size = len(generate(gens, length_bound, headroom).members)
+        matches = [sp for sp in holding if sum(_counts(sp, length_bound)) == size]
         if matches:
             break
     if not matches:
         raise NoCatalogMatch(
             f"no catalog truncation at L={length_bound} equals the closure of {sorted(gens)}"
         )
-    spec = matches[0]
-    flags = []
-    if len(matches) > 1:
-        flags.append("parameter may be larger: " + ", ".join(str(m) for m in matches[1:]))
-    if INF in (spec.k, spec.k2):
-        flags.append("infinite parameter certified only up to the length bound")
-    return ClassificationResult(spec, tuple(flags))
+    more = ", ".join(str(m) for m in matches[1:])
+    return ClassificationResult(matches[0], ("parameter may be larger: " + more,) if more else ())
 
 
 # ---------------------------------------------------------------------------

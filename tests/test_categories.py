@@ -39,7 +39,6 @@ from qcomb.categories import (
 from qcomb.partitions import (
     Partition,
     circular_order,
-    crossing,
     duality,
     enumerate_partitions,
     identity,
@@ -209,7 +208,7 @@ def test_membership_predicates_on_distinguished_diagrams():
     assert not contains(NAMED["NC12prime"], fork)
     assert not contains(NAMED["NC2"], singleton())
     assert contains(NAMED["NC12"], singleton())
-    assert not contains(NAMED["NC2"], crossing("o", "x"))
+    assert not contains(NAMED["NC2"], Partition("ox", "xo", (0, 1, 1, 0)))
     assert contains(CU, duality("o", "x"))
     assert contains(CU, identity("ox"))
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from qcomb.partitions import (
     Partition,
     circular_order,
-    crossing,
     duality,
     enumerate_noncrossing,
     enumerate_partitions,
@@ -113,7 +112,7 @@ def test_circular_order_is_its_own_inverse():
 
 
 def test_noncrossing_predicate():
-    assert not crossing("o", "x").is_noncrossing()
+    assert not Partition("ox", "xo", (0, 1, 1, 0)).is_noncrossing()
     assert identity("oo").is_noncrossing()
     assert duality("o", "x").is_noncrossing()
 

@@ -411,6 +411,18 @@ def test_closure_matches_the_literal_module_definition(name):
         assert closure(u, [p]).members == literal.closure([p]), str(p)
 
 
+@pytest.mark.parametrize("name", UNCOLORED)
+def test_distinct_modules_are_closed_under_every_bounded_witness(name):
+    # the r(.)r* part of the module definition, for every witness r in the
+    # category whose rows fit half the bound
+    u = universe(name)
+    literal = LiteralModules(u)
+    for module in distinct_generated_modules(u):
+        for p in module.members:
+            for s in literal.sandwiches(p):
+                assert u.normalize(s) in module.members, (str(p), str(s))
+
+
 # ---------------------------------------------------------------------------
 # The half-bound universe
 

@@ -6,6 +6,7 @@ height at most k.  For k = 1 that is 1, for k = 2 it is 2^(n-1), and for
 k = 3 it is the odd-indexed Fibonacci numbers 1, 2, 5, 13.
 """
 
+import functools
 import hashlib
 import itertools
 import random
@@ -18,6 +19,8 @@ from qcomb import errors, words
 word_st = st.text(alphabet="ox", max_size=8)
 
 SHORT_WORDS = ["".join(t) for n in range(1, 5) for t in itertools.product("ox", repeat=n)]
+# the empty set, every single word and every pair of words of length <= 4
+SHORT_SETS = [()] + [(w,) for w in SHORT_WORDS] + list(itertools.combinations(SHORT_WORDS, 2))
 LADDER_WORDS = ["o", "oo", "ooo", "ooxx", "oxxo", "ooooo", "xxxxx"]
 GENERATOR_PAIRS = [
     ("ox", "ooo"),
@@ -57,6 +60,98 @@ def generate_oracle(gens, length_bound, headroom=0):
 def truncation_oracle(spec, length_bound):
     """Every word up to the bound, filtered by membership."""
     return frozenset(w for w in words.all_words(length_bound) if words.member(spec, w))
+
+
+def generate_capped_oracle(gens, length_bound, headroom=0):
+    """generate as it was before the catalog counts: a length stops taking
+    new words only once it holds all 2^n words, and the closure runs until
+    its work list is empty or it holds a one-letter word."""
+    gens = frozenset(words.validate_word(g) for g in gens)
+    if any(len(g) > length_bound for g in gens):
+        raise errors.InputError("generator longer than the length bound")
+    bound = length_bound + headroom
+    members = set(gens)
+    by_length = [[] for _ in range(bound + 1)]
+    pending = [[] for _ in range(bound + 1)]
+    for g in gens:
+        by_length[len(g)].append(g)
+        pending[len(g)].append(g)
+    n = 0
+    while n <= bound:
+        if not pending[n]:
+            n += 1
+            continue
+        if bound and by_length[1]:
+            return words.GeneratedWordSet(frozenset(words.all_words(length_bound)))
+        w = pending[n].pop()
+        new = set()
+        if len(by_length[n]) < 1 << n:
+            new.add(words.conjugate(w))
+        if n >= 2 and len(by_length[n - 2]) < 1 << (n - 2):
+            new |= words.cancellations(w)
+        for m in range(n, bound + 1):
+            if len(by_length[m]) < 1 << m:
+                for v in by_length[m - n]:
+                    new.add(w + v)
+                    new.add(v + w)
+        new -= members
+        members |= new
+        for v in new:
+            by_length[len(v)].append(v)
+            pending[len(v)].append(v)
+            n = min(n, len(v))
+    return words.GeneratedWordSet(frozenset(w for w in members if len(w) <= length_bound))
+
+
+@functools.lru_cache(maxsize=1)  # each test case runs at one bound
+def catalog_slices(length_bound):
+    """Each distinct catalog truncation at the bound mapped to the specs
+    that have it, in reporting priority."""
+    slices = {}
+    for sp in words._candidate_specs(length_bound):
+        slices.setdefault(words.truncation(sp, length_bound), []).append(sp)
+    return slices
+
+
+def classify_oracle(gens, length_bound, generate=generate_capped_oracle):
+    """classify as it was before the catalog counts: the closure slice is
+    looked up among the catalog truncations."""
+    gens = frozenset(gens)
+    max_gen = max((len(g) for g in gens), default=0)
+    if gens and length_bound < max_gen:
+        raise errors.InputError("length bound must cover the longest generator")
+    slices = catalog_slices(length_bound)
+    matches = []
+    for headroom in range(0, 2 * max_gen + 5, 2):
+        if length_bound + headroom > words.MAX_WORKING_LENGTH:
+            raise errors.TooLarge(
+                f"the closure of {','.join(sorted(map(words.word_to_str, gens)))} at bound"
+                f" {length_bound} needs working length {length_bound + headroom}"
+                f" > {words.MAX_WORKING_LENGTH}"
+            )
+        matches = slices.get(generate(gens, length_bound, headroom).members, [])
+        if matches:
+            break
+    if not matches:
+        raise errors.NoCatalogMatch(
+            f"no catalog truncation at L={length_bound} equals the closure of {sorted(gens)}"
+        )
+    spec = matches[0]
+    flags = []
+    if len(matches) > 1:
+        flags.append("parameter may be larger: " + ", ".join(str(m) for m in matches[1:]))
+    if words.INF in (spec.k, spec.k2):
+        flags.append("infinite parameter certified only up to the length bound")
+    return words.ClassificationResult(spec, tuple(flags))
+
+
+def outcome(classify, gens, length_bound):
+    """The spec and flags, or the type and message of the error."""
+    try:
+        result = classify(gens, length_bound)
+    except errors.InputError as e:
+        return type(e), str(e)
+    return str(result.spec), result.flags
 
 
 def test_str_roundtrip_uses_e_for_the_empty_word():
@@ -270,6 +365,47 @@ def test_generate_matches_the_pairwise_closure_on_generator_pairs(headroom):
     for gens in GENERATOR_PAIRS:
         got = words.generate(gens, 8, headroom).members
         assert got == generate_oracle(gens, 8, headroom), gens
+
+
+@pytest.mark.parametrize("bound", range(9))
+def test_classify_matches_the_slice_table_over_the_capped_closure(bound):
+    for gens in SHORT_SETS:
+        assert outcome(words.classify, gens, bound) == outcome(classify_oracle, gens, bound), gens
+
+
+@pytest.mark.parametrize("bound", range(9, 13))
+def test_classify_by_count_matches_the_slice_table(bound, monkeypatch):
+    # above bound 8 the capped closure is too slow for tier-1, so both
+    # sides read the same closure slices, computed once (classify runs at
+    # most seven headrooms): this compares the matching by count, its
+    # flags and its errors
+    closures = functools.lru_cache(maxsize=8)(words.generate)
+    monkeypatch.setattr(words, "generate", closures)
+    for gens in SHORT_SETS:
+        want = outcome(functools.partial(classify_oracle, generate=closures), gens, bound)
+        assert outcome(words.classify, gens, bound) == want, gens
+
+
+def test_each_closure_lies_in_its_least_catalog_superset():
+    slices = {sp: words.truncation(sp, 8) for sp in words._candidate_specs(8)}
+    for gens in SHORT_SETS:
+        spec = words._least_superset(frozenset(gens))
+        for w in words.generate(gens, 8, 2).members:
+            assert words.member(spec, w), (gens, w)
+        # least: inside every catalog set that holds the generators
+        least = words.truncation(spec, 8)
+        for sp, ws in slices.items():
+            if all(words.member(sp, g) for g in gens):
+                assert least <= ws, (gens, spec, sp)
+
+
+def test_counts_equal_the_truncation_sizes_on_every_candidate_spec():
+    for bound in range(13):
+        for spec in words._candidate_specs(bound):
+            sizes = [0] * (bound + 1)
+            for w in words.truncation(spec, bound):
+                sizes[len(w)] += 1
+            assert list(words._counts(spec, bound)) == sizes, (spec, bound)
 
 
 def test_generate_rejects_negative_headroom():
