@@ -17,6 +17,11 @@ indexed by joint assignments, <T_p, T_q> = N^(number of blocks of the
 join of p and q on all k+l points).  A full-rank residue of the Gram
 matrix modulo a prime certifies full rank over the rationals; otherwise
 a fraction-free elimination over the integers settles the rank exactly.
+The modular elimination runs in place on that residue, an int64 matrix
+with entries in [0, p) that the certification builds and hands over, and
+clears the rows below each pivot a chunk of at most _ROW_CHUNK entries
+at a time, so its working set beyond the residue stays bounded, at
+about 0.4 MiB whatever the family size.
 
 The join block counts of a family are computed for all pairs at once in
 numpy batches: each partition becomes a successor map that cycles through
@@ -170,6 +175,9 @@ def check_laws(pairs, N: int) -> dict:
 
 # pairs per batch in gram_exponents; keeps each temporary near 1 MB
 _PAIR_CHUNK = 4096
+# entries per row chunk cleared by _rank_mod_p; keeps each temporary
+# near 128 KB
+_ROW_CHUNK = 2**14
 # circle families kept by the Gram memo, the oldest evicted first;
 # `verify fusion-rank --length 10` meets 176 of them
 _MAX_FAMILIES = 256
@@ -271,7 +279,10 @@ def gram_exponents(parts: list[Partition]) -> np.ndarray:
     and permutes it to the order of parts.  Members of different frames
     raise ShapeMismatch."""
     if not parts:
-        return np.zeros((0, 0), dtype=np.int64)
+        # no member, no point: the type of a point count of 0
+        B = np.zeros((0, 0), dtype=np.min_scalar_type(0))
+        B.flags.writeable = False
+        return B
     family, circles = _family(parts)
     perm = [family.row[c] for c in circles]
     B = family.exponents[np.ix_(perm, perm)]
@@ -279,12 +290,15 @@ def gram_exponents(parts: list[Partition]) -> np.ndarray:
     return B
 
 
-def _rank_mod_p(M: np.ndarray, p: int) -> int:
-    """Gaussian elimination over F_p; int64 is safe for p < 2^31.
+def _rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank over F_p of A, eliminated in place; int64 is safe for p < 2^31.
 
-    Only the rows below the pivot are cleared, and only from the pivot
-    column on: the rank needs an echelon form, not a reduced one."""
-    A = np.mod(M, p).astype(np.int64, copy=False)
+    A is an int64 residue with entries in [0, p) that the caller owns
+    and hands over: it is overwritten.  Only the rows below the pivot with
+    a nonzero entry in the pivot column are cleared, and only from the
+    pivot column on: the rank needs an echelon form, not a reduced one.
+    They are cleared a chunk of rows at a time, at most _ROW_CHUNK
+    entries each, so the working set beyond A stays bounded."""
     rows, cols = A.shape
     rank = 0
     for c in range(cols):
@@ -297,8 +311,13 @@ def _rank_mod_p(M: np.ndarray, p: int) -> int:
         inv = pow(int(A[rank, c]), p - 2, p)
         pivot_row = A[rank, c:] * inv % p
         below = rank + 1 + np.flatnonzero(A[rank + 1 :, c])
-        if below.size:
-            A[below, c:] = (A[below, c:] - np.outer(A[below, c], pivot_row)) % p
+        step = max(1, _ROW_CHUNK // (cols - c))
+        for i in range(0, below.size, step):
+            chunk = below[i : i + step]
+            block = A[chunk, c:]
+            block -= np.outer(block[:, 0], pivot_row)
+            block %= p
+            A[chunk, c:] = block
         rank += 1
         if rank == rows:
             break
@@ -348,7 +367,8 @@ def _certified_rank(B: np.ndarray, N: int) -> int:
     n = len(B)
     # a full-rank residue modulo a prime certifies full rational rank;
     # the table holds N^e reduced modulo the prime, so table[B] is the
-    # exact residue of the Gram matrix however large N^e grows
+    # exact residue of the Gram matrix however large N^e grows; it is a
+    # fresh array, so the elimination may overwrite it
     table = np.array([pow(N, e, _PRIME) for e in range(int(B.max()) + 1)], dtype=np.int64)
     if _rank_mod_p(table[B], _PRIME) == n:
         return n

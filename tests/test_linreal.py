@@ -6,8 +6,10 @@ diagonal symmetric group S_N, whose dimension is the number of index
 orbits, i.e. the sum of Stirling numbers S(n, j) for j <= N.
 
 Differential oracles: the sparse PartitionMap realization, the per-pair
-law check built on it, the all-pairs law pairing and the union-find
-join_block_count are the code the dense kernels replaced.
+law check built on it, the all-pairs law pairing, the union-find
+join_block_count and the modular elimination that cleared all rows below
+a pivot at once on a copy are the code the dense and in-place kernels
+replaced.
 
 Closed-form oracles for the Gram matrices of NC(k), the noncrossing
 partitions of k points: Di Francesco's meander determinant (Commun. Math.
@@ -19,6 +21,7 @@ pairing and none when it has not.
 """
 
 import itertools
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -410,6 +413,13 @@ def test_gram_exponents_are_covariant_under_rotation(n, k):
     assert np.array_equal(gram_exponents(parts), gram_exponents(flat)[np.ix_(perm, perm)])
 
 
+def test_gram_exponents_of_no_members_is_an_empty_read_only_matrix():
+    # no member has a point, and the type holding a point count of 0 is uint8
+    B = gram_exponents([])
+    assert B.shape == (0, 0) and B.dtype == np.uint8
+    assert not B.flags.writeable
+
+
 def test_gram_exponents_memo_follows_the_family(monkeypatch):
     monkeypatch.setattr(linreal, "_families", {})
     a = all_parts(4)
@@ -693,9 +703,111 @@ def small_matrices(draw):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
 
 
-@given(small_matrices(), st.sampled_from([2147483647, 2147483629, 2147483587]))
+PRIMES = [2147483647, 2147483629, 2147483587]
+# the default row chunk, and two that put chunk boundaries inside the
+# rows of small matrices
+ROW_CHUNKS = [linreal._ROW_CHUNK, 8, 1]
+
+
+@given(small_matrices(), st.sampled_from(PRIMES))
 def test_modular_rank_matches_bareiss(M, prime):
-    assert _rank_mod_p(np.array(M, dtype=np.int64), prime) == _rank_bareiss(M)
+    assert _rank_mod_p(np.array(M, dtype=np.int64) % prime, prime) == _rank_bareiss(M)
+
+
+def rank_mod_p_by_copies(M, p):
+    """Gaussian elimination over F_p on a reduced copy of M, clearing all
+    rows below each pivot at once: the kernel _rank_mod_p replaced."""
+    A = np.mod(M, p).astype(np.int64, copy=False)
+    rows, cols = A.shape
+    rank = 0
+    for c in range(cols):
+        nz = np.flatnonzero(A[rank:, c])
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            A[[rank, piv]] = A[[piv, rank]]
+        inv = pow(int(A[rank, c]), p - 2, p)
+        pivot_row = A[rank, c:] * inv % p
+        below = rank + 1 + np.flatnonzero(A[rank + 1 :, c])
+        if below.size:
+            A[below, c:] = (A[below, c:] - np.outer(A[below, c], pivot_row)) % p
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+@given(small_matrices(), st.sampled_from(PRIMES))
+def test_modular_rank_matches_the_copying_kernel_at_every_row_chunk(M, prime):
+    want = rank_mod_p_by_copies(np.array(M, dtype=np.int64), prime)
+    for row_chunk in ROW_CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linreal, "_ROW_CHUNK", row_chunk)
+            assert _rank_mod_p(np.array(M, dtype=np.int64) % prime, prime) == want, row_chunk
+
+
+def residue(B, N):
+    """The Gram matrix N^B modulo the certification prime, as int64."""
+    table = np.array([pow(N, e, linreal._PRIME) for e in range(int(B.max()) + 1)], dtype=np.int64)
+    return table[B]
+
+
+@lru_cache(maxsize=None)
+def circle_families():
+    """(name, exponents, Ns) for every NCall circle family up to 8 points,
+    to rank at N = 2..5, and every CU circle family up to 8 points, to
+    rank at N = 2..4.  The frames with all points in the lower row reach
+    every family, since a family is its points read around the circle."""
+    families = {}
+    for cat, words, Ns in [
+        (NAMED["NCall"], ["o" * n for n in range(9)], (2, 3, 4, 5)),
+        (CU, all_words(8), (2, 3, 4)),
+    ]:
+        for w in words:
+            parts = enumerate_members(cat, "", w)
+            if parts:
+                key = (cat.name, frozenset(linreal._circles(parts)))
+                families.setdefault(key, (f"{cat.name} {w or 'e'}", gram_exponents(parts), Ns))
+    return list(families.values())
+
+
+@lru_cache(maxsize=None)
+def copying_rank(i, N):
+    _, B, _ = circle_families()[i]
+    return rank_mod_p_by_copies(residue(B, N), linreal._PRIME)
+
+
+@pytest.mark.parametrize("row_chunk", ROW_CHUNKS)
+def test_in_place_modular_rank_matches_the_copying_kernel_on_circle_families(
+    row_chunk, monkeypatch
+):
+    monkeypatch.setattr(linreal, "_ROW_CHUNK", row_chunk)
+    families = circle_families()
+    for i, (name, B, Ns) in enumerate(families):
+        for N in Ns:
+            assert _rank_mod_p(residue(B, N), linreal._PRIME) == copying_rank(i, N), (name, N)
+    # NC(7) and NC(8) are deficient at N = 2 and 3, so the comparison
+    # covers eliminations that run out of pivots as well as full ones
+    ranks = {copying_rank(i, N) for i, (_, _, Ns) in enumerate(families) for N in Ns}
+    assert {64, 365, 128, 1094, 429, 1430} <= ranks
+    assert len(families) == 9 + 50
+
+
+def test_modular_elimination_stays_within_a_bounded_working_set():
+    # NC(7) at N = 4: the residue is 429 x 429 int64 (1.4 MiB); clearing
+    # all rows below a pivot at once on a copy of it peaked at 4.3 MiB
+    # beyond it, row chunks of at most _ROW_CHUNK entries at 0.4 MiB
+    parts = enumerate_members(NAMED["NCall"], "o" * 7, "")
+    R = residue(gram_exponents(parts), 4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _rank_mod_p(R, linreal._PRIME) == 429
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB beyond the residue"
 
 
 @pytest.mark.parametrize("N", (2, 3))
