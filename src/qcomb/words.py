@@ -245,14 +245,27 @@ def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> Gener
     then the set's truncation.  The work list is taken shortest word
     first, and a word taken concatenates in both orders with itself and
     the words taken before it, within the working length, so each pair is
-    formed once.  A one-letter member ends the closure at once: with its
-    conjugate it generates every word up to the working length."""
+    formed once.  From working length 2 on, a one-letter member ends the
+    closure at once: with its conjugate it generates every word up to the
+    working length (at working length 1 it cannot reach the empty word).
+
+    No word is formed at a terminal length: a length above length_bound
+    that no concatenation can extend, every length from
+    max(length_bound + 1, bound - 1) up, where bound is the working
+    length.  A word w.v there is a concatenation of members, since
+    generators are at most length_bound long and a cancellation ends at
+    most at bound - 2.  Its conjugate is conj(v).conj(w), again such a
+    concatenation, and a cancellation inside w or v gives w'.v or w.v',
+    a concatenation at length m - 2 that the closure forms anyway.  So
+    the junction cancellation w[:-1] + v[1:], where w ends on the other
+    letter than v starts with, is all a terminal pair adds."""
     gens = frozenset(validate_word(g) for g in gens)
     if any(len(g) > length_bound for g in gens):
         raise InputError("generator longer than the length bound")
     if headroom < 0:
         raise InputError("headroom must be >= 0")
     bound = length_bound + headroom
+    terminal = max(length_bound + 1, bound - 1)  # bound + 1, none, at headroom 0
     caps = list(_counts(_least_superset(gens), bound))
     members: set[str] = set(gens)
     sizes = [0] * (bound + 1)  # members of each length
@@ -266,7 +279,7 @@ def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> Gener
         if not pending[n]:
             n += 1
             continue
-        if bound and sizes[1]:
+        if bound > 1 and sizes[1]:
             return GeneratedWordSet(frozenset(all_words(length_bound)))
         w = pending[n].pop()
         taken[n].append(w)
@@ -275,11 +288,19 @@ def generate(gens: Iterable[str], length_bound: int, headroom: int = 0) -> Gener
             new.add(conjugate(w))
         if n >= 2 and sizes[n - 2] < caps[n - 2]:
             new |= cancellations(w)
-        for m in range(n, bound + 1):
+        for m in range(n, terminal):
             if sizes[m] < caps[m]:
                 for v in taken[m - n]:
                     new.add(w + v)
                     new.add(v + w)
+        # a terminal pair has two nonempty words, so m >= 2
+        for m in range(max(n, terminal, 2), bound + 1):
+            if sizes[m - 2] < caps[m - 2]:
+                for v in taken[m - n]:
+                    if w[-1] != v[0]:
+                        new.add(w[:-1] + v[1:])
+                    if v[-1] != w[0]:
+                        new.add(v[:-1] + w[1:])
         new -= members
         members |= new
         for v in new:
