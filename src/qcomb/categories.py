@@ -35,7 +35,7 @@ from typing import Callable
 
 from .errors import TooLarge
 from .partitions import Partition, circular_order, enumerate_noncrossing
-from .words import WHITE, all_words
+from .words import BLACK, WHITE, all_words
 
 MAX_FRAME_POINTS = 12
 
@@ -132,6 +132,10 @@ def enumerate_members(cat: CategorySpec, upper: str, lower: str) -> list[Partiti
     n = len(upper) + len(lower)
     if n > MAX_FRAME_POINTS:
         raise TooLarge(f"frame has {n} > {MAX_FRAME_POINTS} points")
+    if cat.colored and 2 * (upper.count(WHITE) + lower.count(BLACK)) != n:
+        # each pair takes one o and one x of the circular color word
+        # upper + conjugate(lower), so an unbalanced frame has no member
+        return []
     # the cache keeps the sizes of every frame in its key, and a tuple of
     # them takes a quarter of the memory of a frozenset or less
     sizes = tuple(s for s in range(1, n + 1) if cat.block_size(s))

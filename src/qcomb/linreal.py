@@ -17,16 +17,36 @@ indexed by joint assignments, <T_p, T_q> = N^(number of blocks of the
 join of p and q on all k+l points).  A full-rank residue of the Gram
 matrix modulo a prime certifies full rank over the rationals; otherwise
 a fraction-free elimination over the integers settles the rank exactly.
-The modular elimination runs in place on that residue, an int64 matrix
-with entries in [0, p) that the certification builds and hands over, and
-clears the rows below each pivot a chunk of at most _ROW_CHUNK entries
-at a time, so its working set beyond the residue stays bounded, at
-about 0.4 MiB whatever the family size.
+The prime is 4,194,301, the largest below 2^22.  A residue modulo any
+prime has rank at most the rational rank, so a prime can only make a
+full-rank family look deficient, which sends it to the exact elimination
+or, above 400 members, to TooLarge: it never yields a wrong rank.  On
+every NCall circle family up to 8 points at N = 2..5 and every CU one
+at N = 2..4, the ranks modulo this prime equal those modulo 2^31 - 1.
 
-The join block counts of a family are computed for all pairs at once in
-numpy batches: each partition becomes a successor map that cycles through
-every block, and min-label propagation along the two maps of a pair
-reaches the least point of each block of the join.
+The modular elimination runs in place on the residue, an int64 matrix
+with entries in [0, p) that the certification builds and hands over,
+and clears the rows below each pivot a chunk of at most _ROW_CHUNK
+entries at a time, so its working set beyond the residue stays bounded,
+at about 0.4 MiB whatever the family size.  It reduces lazily, as in
+Dumas, Giorgi and Pernet, "Dense linear algebra over word-size prime
+fields: the FFLAS and FFPACK packages" (ACM TOMS 2008): each pivot
+reduces only its column, which finds the pivot and the multipliers, and
+its own row, and the rows below take the update unreduced.  An update
+moves an entry by less than (p - 1)^2, so (2^63 - p) // (p - 1)^2
+updates fit in int64 before the rows below must be reduced again: 2 at
+p near 2^31, and 524,289 at this prime, more than the 208,012 members of
+the largest family a 12-point frame holds, so a certification never
+reduces them.
+
+The join block counts of a family are computed by merges, one column q
+at a time for every p at once.  The members' labels start as one matrix;
+each merge of q joins a point to the first point of its block, relabels
+the block it joins in every p and counts down where the two blocks were
+apart.  The q's are visited in the order of their merge sequences with a
+stack of the labels after each merge, so q's that share leading merges
+share the labels after them, and at most n + 1 label matrices are held
+for n points.
 
 One memo holds the circle families met so far, at most _MAX_FAMILIES of
 them, the oldest evicted first.  A family's key is the set of its
@@ -58,7 +78,7 @@ from .partitions import WHITE, Partition, _canonical_labels, circular_order, enu
 
 MAX_POINTS = 10
 MAX_ENTRIES = 2**20  # N^points, the largest dense realization
-_PRIME = 2147483647
+_PRIME = 4194301  # the largest prime below 2^22
 
 
 def realize(p: Partition, N: int) -> np.ndarray:
@@ -173,8 +193,6 @@ def check_laws(pairs, N: int) -> dict:
 # Exact ranks
 
 
-# pairs per batch in gram_exponents; keeps each temporary near 1 MB
-_PAIR_CHUNK = 4096
 # entries per row chunk cleared by _rank_mod_p; keeps each temporary
 # near 128 KB
 _ROW_CHUNK = 2**14
@@ -207,47 +225,33 @@ def _circles(parts: list[Partition]) -> list[tuple[int, ...]]:
     ]
 
 
-def _successors(circles: list[tuple[int, ...]]) -> np.ndarray:
-    """Row i maps each point to the next point of its block under
-    circles[i], cyclically, so that the block is one cycle of the map."""
-    succ = np.empty((len(circles), len(circles[0])), dtype=np.intp)
-    for i, labels in enumerate(circles):
-        blocks: dict[int, list[int]] = {}
-        for point, b in enumerate(labels):
-            blocks.setdefault(b, []).append(point)
-        for blk in blocks.values():
-            succ[i, blk] = blk[1:] + blk[:1]
-    return succ
-
-
 def _exponents(circles: list[tuple[int, ...]]) -> np.ndarray:
     m, n = len(circles), len(circles[0])
-    succ = _successors(circles)
     B = np.empty((m, m), dtype=np.min_scalar_type(n))
-    points = np.arange(n)
-    r0 = 0
-    while r0 < m:
-        # rows r0..r1-1 against columns r0..m-1; the pairs below the
-        # diagonal inside the band are recomputed, which is cheap
-        r1 = min(m, r0 + max(1, _PAIR_CHUNK // (m - r0)))
-        I = np.repeat(np.arange(r0, r1), m - r0)
-        J = np.tile(np.arange(r0, m), r1 - r0)
-        offset = (np.arange(len(I)) * n)[:, None]
-        nxt_p = (succ[I] + offset).ravel()
-        nxt_q = (succ[J] + offset).ravel()
-        # min-label propagation: at the fixed point every point carries
-        # the least point of its block of the join, so each block has
-        # exactly one point whose label is itself
-        lab = np.tile(points, len(I))
-        while True:
-            new = np.minimum(lab, np.minimum(lab[nxt_p], lab[nxt_q]))
-            if np.array_equal(new, lab):
-                break
-            lab = new
-        counts = (lab.reshape(len(I), n) == points).sum(axis=1)
-        B[I, J] = counts
-        B[J, I] = counts
-        r0 = r1
+    # row i of L holds every p's label of point i; the labels are
+    # canonical, so p has max + 1 blocks, and a label's first point in q
+    # is its first index
+    L = np.array(circles, dtype=B.dtype).reshape(m, n).T.copy()
+    count = L.max(axis=0) + 1 if n else np.zeros(m, dtype=B.dtype)
+    # q's merges join each point to the first point of its block
+    merges = [tuple((q.index(b), c) for c, b in enumerate(q) if q.index(b) != c) for q in circles]
+    # stack[d]: the labels and block counts of every p joined with the
+    # first d merges of the last q, so q's that share leading merges
+    # share the labels after them
+    stack = [(L, count)]
+    last: tuple = ()
+    for j in sorted(range(m), key=merges.__getitem__):
+        shared = 0
+        while shared < min(len(last), len(merges[j])) and last[shared] == merges[j][shared]:
+            shared += 1
+        del stack[shared + 1 :]
+        for a, c in merges[j][shared:]:
+            L, count = stack[-1]
+            merged = L.copy()
+            np.copyto(merged, L[a], where=L == L[c])
+            stack.append((merged, count - (L[a] != L[c])))
+        B[:, j] = stack[-1][1]
+        last = merges[j]
     B.flags.writeable = False
     return B
 
@@ -298,16 +302,26 @@ def _rank_mod_p(A: np.ndarray, p: int) -> int:
     a nonzero entry in the pivot column are cleared, and only from the
     pivot column on: the rank needs an echelon form, not a reduced one.
     They are cleared a chunk of rows at a time, at most _ROW_CHUNK
-    entries each, so the working set beyond A stays bounded."""
+    entries each, so the working set beyond A stays bounded.
+
+    Reduction is lazy: each pivot reduces only its column below the rank
+    and its own row, so the multipliers and the pivot row lie in [0, p),
+    and an update moves an entry of a row below down by less than
+    (p - 1)^2.  Entries stay in (-2^63, p) for `lazy` pivots, after which
+    the rows below are reduced."""
     rows, cols = A.shape
+    lazy = (2**63 - p) // (p - 1) ** 2
     rank = 0
     for c in range(cols):
-        nz = np.flatnonzero(A[rank:, c])
+        column = A[rank:, c]
+        column %= p
+        nz = np.flatnonzero(column)
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
         if piv != rank:
             A[[rank, piv]] = A[[piv, rank]]
+        A[rank, c:] %= p
         inv = pow(int(A[rank, c]), p - 2, p)
         pivot_row = A[rank, c:] * inv % p
         below = rank + 1 + np.flatnonzero(A[rank + 1 :, c])
@@ -316,11 +330,12 @@ def _rank_mod_p(A: np.ndarray, p: int) -> int:
             chunk = below[i : i + step]
             block = A[chunk, c:]
             block -= np.outer(block[:, 0], pivot_row)
-            block %= p
             A[chunk, c:] = block
         rank += 1
         if rank == rows:
             break
+        if rank % lazy == 0:
+            A[rank:, c + 1 :] %= p
     return rank
 
 

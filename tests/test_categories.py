@@ -32,6 +32,7 @@ from qcomb.categories import (
     NAMED,
     NC_EVEN,
     NC_PRIME,
+    _candidates,
     all_members,
     contains,
     enumerate_members,
@@ -290,6 +291,25 @@ def test_enumeration_matches_the_filter_on_every_coloring(n):
 def test_unitary_enumeration_matches_the_filter_on_every_coloring(n):
     for upper, lower in frames(n, product("ox", repeat=n)):
         assert_matches_filter([CU], upper, lower, pairs_only=True)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_unbalanced_unitary_frames_skip_the_enumeration_cache(n):
+    # a frame whose circular color word upper + conjugate(lower) holds
+    # unequal numbers of o and x has no member, and returns before the
+    # cache: no hit, no miss, no entry
+    cu_sizes = tuple(s for s in range(1, n + 1) if CU.block_size(s))
+    unbalanced = 0
+    for upper, lower in frames(n, product("ox", repeat=n)):
+        before = _candidates.cache_info()
+        members = enumerate_members(CU, upper, lower)
+        if 2 * (upper.count("o") + lower.count("x")) != n:
+            assert _candidates.cache_info() == before, (upper, lower)
+            unbalanced += 1
+        assert members == list(_candidates(upper, lower, cu_sizes, True)), (upper, lower)
+    # the frames of n points whose circular word has k o's number
+    # (n + 1) C(n, k), balanced only at k = n/2
+    assert unbalanced == (n + 1) * (2**n - (comb(n, n // 2) if n % 2 == 0 else 0))
 
 
 def catalan(m):

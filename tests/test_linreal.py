@@ -7,9 +7,10 @@ orbits, i.e. the sum of Stirling numbers S(n, j) for j <= N.
 
 Differential oracles: the sparse PartitionMap realization, the per-pair
 law check built on it, the all-pairs law pairing, the union-find
-join_block_count and the modular elimination that cleared all rows below
-a pivot at once on a copy are the code the dense and in-place kernels
-replaced.
+join_block_count, the min-label propagation along successor maps and the
+modular elimination that cleared and reduced all rows below a pivot at
+once on a copy are the code the dense, merge-walk and lazily reducing
+kernels replaced.
 
 Closed-form oracles for the Gram matrices of NC(k), the noncrossing
 partitions of k points: Di Francesco's meander determinant (Commun. Math.
@@ -171,6 +172,53 @@ def join_block_count(p, q):
             for a, b in zip(blk, blk[1:]):
                 uf.union(a, b)
     return len({uf.find(i) for i in range(n)})
+
+
+# pairs per batch in exponents_by_min_labels; keeps each temporary near 1 MB
+PAIR_CHUNK = 4096
+
+
+def successors(circles):
+    """Row i maps each point to the next point of its block under
+    circles[i], cyclically, so that the block is one cycle of the map."""
+    succ = np.empty((len(circles), len(circles[0])), dtype=np.intp)
+    for i, labels in enumerate(circles):
+        blocks = {}
+        for point, b in enumerate(labels):
+            blocks.setdefault(b, []).append(point)
+        for blk in blocks.values():
+            succ[i, blk] = blk[1:] + blk[:1]
+    return succ
+
+
+def exponents_by_min_labels(circles):
+    """The join block counts of every pair of circle readings, in numpy
+    batches of pairs: min-label propagation along the two successor maps
+    of a pair reaches the least point of each block of the join, which is
+    then the one point whose label is itself."""
+    m, n = len(circles), len(circles[0])
+    succ = successors(circles)
+    B = np.empty((m, m), dtype=np.int64)
+    points = np.arange(n)
+    r0 = 0
+    while r0 < m:
+        r1 = min(m, r0 + max(1, PAIR_CHUNK // (m - r0)))
+        I = np.repeat(np.arange(r0, r1), m - r0)
+        J = np.tile(np.arange(r0, m), r1 - r0)
+        offset = (np.arange(len(I)) * n)[:, None]
+        nxt_p = (succ[I] + offset).ravel()
+        nxt_q = (succ[J] + offset).ravel()
+        lab = np.tile(points, len(I))
+        while True:
+            new = np.minimum(lab, np.minimum(lab[nxt_p], lab[nxt_q]))
+            if np.array_equal(new, lab):
+                break
+            lab = new
+        counts = (lab.reshape(len(I), n) == points).sum(axis=1)
+        B[I, J] = counts
+        B[J, I] = counts
+        r0 = r1
+    return B
 
 
 def dense(m):
@@ -351,7 +399,7 @@ def test_one_pair_in_the_other_orientation_is_a_flip(monkeypatch):
     assert check_laws(pairs[1:], 2)["orientation"] == "composite_scales_maps"
 
 
-# -- differential tests of the batched Gram kernel ---------------------------
+# -- differential tests of the Gram exponent kernel --------------------------
 
 
 def join_matrix(parts):
@@ -738,7 +786,9 @@ def rank_mod_p_by_copies(M, p):
     return rank
 
 
-@given(small_matrices(), st.sampled_from(PRIMES))
+# at the certification prime the rows below the pivots are never reduced
+# on these sizes; at the 31-bit primes they are reduced every 2 pivots
+@given(small_matrices(), st.sampled_from(PRIMES + [linreal._PRIME]))
 def test_modular_rank_matches_the_copying_kernel_at_every_row_chunk(M, prime):
     want = rank_mod_p_by_copies(np.array(M, dtype=np.int64), prime)
     for row_chunk in ROW_CHUNKS:
@@ -747,18 +797,24 @@ def test_modular_rank_matches_the_copying_kernel_at_every_row_chunk(M, prime):
             assert _rank_mod_p(np.array(M, dtype=np.int64) % prime, prime) == want, row_chunk
 
 
-def residue(B, N):
-    """The Gram matrix N^B modulo the certification prime, as int64."""
-    table = np.array([pow(N, e, linreal._PRIME) for e in range(int(B.max()) + 1)], dtype=np.int64)
+# the certification prime before the lazy reduction: the copying kernel
+# ranks every circle family modulo it
+OLD_PRIME = 2**31 - 1
+
+
+def residue(B, N, prime):
+    """The Gram matrix N^B modulo prime, as int64."""
+    table = np.array([pow(N, e, prime) for e in range(int(B.max()) + 1)], dtype=np.int64)
     return table[B]
 
 
 @lru_cache(maxsize=None)
 def circle_families():
-    """(name, exponents, Ns) for every NCall circle family up to 8 points,
-    to rank at N = 2..5, and every CU circle family up to 8 points, to
-    rank at N = 2..4.  The frames with all points in the lower row reach
-    every family, since a family is its points read around the circle."""
+    """(name, members, exponents, Ns) for every NCall circle family up to
+    8 points, to rank at N = 2..5, and every CU circle family up to 8
+    points, to rank at N = 2..4.  The frames with all points in the lower
+    row reach every family, since a family is its points read around the
+    circle."""
     families = {}
     for cat, words, Ns in [
         (NAMED["NCall"], ["o" * n for n in range(9)], (2, 3, 4, 5)),
@@ -768,30 +824,66 @@ def circle_families():
             parts = enumerate_members(cat, "", w)
             if parts:
                 key = (cat.name, frozenset(linreal._circles(parts)))
-                families.setdefault(key, (f"{cat.name} {w or 'e'}", gram_exponents(parts), Ns))
+                name = f"{cat.name} {w or 'e'}"
+                families.setdefault(key, (name, parts, gram_exponents(parts), Ns))
     return list(families.values())
 
 
 @lru_cache(maxsize=None)
 def copying_rank(i, N):
-    _, B, _ = circle_families()[i]
-    return rank_mod_p_by_copies(residue(B, N), linreal._PRIME)
+    _, _, B, _ = circle_families()[i]
+    return rank_mod_p_by_copies(residue(B, N, OLD_PRIME), OLD_PRIME)
+
+
+def test_gram_exponents_match_the_min_label_kernel_on_circle_families():
+    families = circle_families()
+    for name, parts, B, _ in families:
+        assert np.array_equal(B, exponents_by_min_labels(linreal._circles(parts))), name
+    assert {429, 1430} <= {len(parts) for _, parts, _, _ in families}
+
+
+def assert_in_place_ranks_match_the_copying_kernel(prime):
+    families = circle_families()
+    for i, (name, _, B, Ns) in enumerate(families):
+        for N in Ns:
+            assert _rank_mod_p(residue(B, N, prime), prime) == copying_rank(i, N), (name, N)
+    # NC(7) and NC(8) are deficient at N = 2 and 3, so the comparison
+    # covers eliminations that run out of pivots as well as full ones
+    ranks = {copying_rank(i, N) for i, (_, _, _, Ns) in enumerate(families) for N in Ns}
+    assert {64, 365, 128, 1094, 429, 1430} <= ranks
+    assert len(families) == 9 + 50
 
 
 @pytest.mark.parametrize("row_chunk", ROW_CHUNKS)
 def test_in_place_modular_rank_matches_the_copying_kernel_on_circle_families(
     row_chunk, monkeypatch
 ):
+    # at the certification prime the rows below the pivots of these
+    # families are never reduced
     monkeypatch.setattr(linreal, "_ROW_CHUNK", row_chunk)
-    families = circle_families()
-    for i, (name, B, Ns) in enumerate(families):
+    assert_in_place_ranks_match_the_copying_kernel(linreal._PRIME)
+
+
+def test_reduction_every_two_pivots_matches_the_copying_kernel_on_circle_families():
+    # at 2^31 - 1 the rows below the pivots are reduced every 2 pivots
+    assert (2**63 - OLD_PRIME) // (OLD_PRIME - 1) ** 2 == 2
+    assert_in_place_ranks_match_the_copying_kernel(OLD_PRIME)
+
+
+def test_every_full_rank_family_above_the_bareiss_budget_is_certified_by_one_residue(
+    monkeypatch,
+):
+    # above 400 members a deficient residue raises TooLarge, so a prime
+    # that made a full-rank family look deficient would refuse its rank
+    checked = []
+    for i, (name, parts, _, Ns) in enumerate(circle_families()):
         for N in Ns:
-            assert _rank_mod_p(residue(B, N), linreal._PRIME) == copying_rank(i, N), (name, N)
-    # NC(7) and NC(8) are deficient at N = 2 and 3, so the comparison
-    # covers eliminations that run out of pivots as well as full ones
-    ranks = {copying_rank(i, N) for i, (_, _, Ns) in enumerate(families) for N in Ns}
-    assert {64, 365, 128, 1094, 429, 1430} <= ranks
-    assert len(families) == 9 + 50
+            if len(parts) > 400 and copying_rank(i, N) == len(parts):
+                calls = counted_certification(monkeypatch)
+                assert gram_rank(parts, N) == len(parts), (name, N)
+                assert calls == {"mod_p": [len(parts)], "bareiss": []}, (name, N)
+                checked.append((len(parts), N))
+    assert checked == [(429, 4), (429, 5), (1430, 4), (1430, 5)]
 
 
 def test_modular_elimination_stays_within_a_bounded_working_set():
@@ -799,7 +891,7 @@ def test_modular_elimination_stays_within_a_bounded_working_set():
     # all rows below a pivot at once on a copy of it peaked at 4.3 MiB
     # beyond it, row chunks of at most _ROW_CHUNK entries at 0.4 MiB
     parts = enumerate_members(NAMED["NCall"], "o" * 7, "")
-    R = residue(gram_exponents(parts), 4)
+    R = residue(gram_exponents(parts), 4, linreal._PRIME)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -808,6 +900,23 @@ def test_modular_elimination_stays_within_a_bounded_working_set():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"{peak / 2**20:.2f} MiB beyond the residue"
+
+
+def test_exponents_stay_within_a_bounded_working_set():
+    # NC(8): the result is 1,430 x 1,430 uint8 (1.95 MiB); the pair batches
+    # of the min-label kernel peaked at about 2.0 MiB beyond it, the merge
+    # walk holds at most 9 label matrices of 11 KiB each
+    parts = enumerate_members(NAMED["NCall"], "o" * 8, "")
+    circles = list(dict.fromkeys(linreal._circles(parts)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        B = linreal._exponents(circles)
+        peak = tracemalloc.get_traced_memory()[1] - before - B.nbytes
+    finally:
+        tracemalloc.stop()
+    assert B.shape == (1430, 1430)
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB beyond the result"
 
 
 @pytest.mark.parametrize("N", (2, 3))
