@@ -145,24 +145,20 @@ def enumerate_members(cat: CategorySpec, upper: str, lower: str) -> list[Partiti
     return [p for p in candidates if cat.rule(p)]
 
 
-def all_members(
-    cat: CategorySpec, point_bound: int, row_bound: int | None = None
-) -> list[Partition]:
-    """All members with at most point_bound points, and at most row_bound
-    in each row when given: the full list filtered, in the same order.
+def all_members(cat: CategorySpec, point_bound: int) -> list[Partition]:
+    """All members with at most point_bound points.
 
     For uncolored categories only all-white frames are produced (membership
     does not depend on the coloring, and all computations downstream are
     color-blind for these categories).  For CU every coloring is scanned.
     """
-    row = point_bound if row_bound is None else min(row_bound, point_bound)
     if cat.colored:
-        rows = [list(ws) for _, ws in groupby(all_words(row), len)]
+        rows = [list(ws) for _, ws in groupby(all_words(point_bound), len)]
     else:
-        rows = [[WHITE * n] for n in range(row + 1)]
+        rows = [[WHITE * n] for n in range(point_bound + 1)]
     out = []
-    for k in range(row + 1):
-        for l in range(min(point_bound - k, row) + 1):
+    for k in range(point_bound + 1):
+        for l in range(point_bound - k + 1):
             for up in rows[k]:
                 for lo in rows[l]:
                     out.extend(enumerate_members(cat, up, lo))

@@ -258,7 +258,9 @@ class Partition:
     def is_projective(self) -> bool:
         """p is projective when p = p* = pp.  Every r*r is projective, so p
         is projective exactly when its rows agree and it is its own p*p."""
-        return self.upper == self.lower and _square_labels(self)[0] == self.labels
+        upper = self.labels[: self.n_upper]
+        through = set(upper).intersection(self.labels[self.n_upper :])
+        return self.upper == self.lower and _row_square(upper, through) == self.labels
 
 
 def _row_square(row: tuple[int, ...], through: set[int]) -> tuple[int, ...]:
@@ -277,16 +279,6 @@ def _row_square(row: tuple[int, ...], through: set[int]) -> tuple[int, ...]:
             below[b] = fresh
             fresh += 1
     return tuple([top[b] for b in row] + [below[b] for b in row])
-
-
-def _square_labels(r: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The labels of r*r and of rr*, read off r's labels without composing
-    (Freslon-Weber, "On the representation theory of partition (easy)
-    quantum groups")."""
-    k = r.n_upper
-    upper, lower = r.labels[:k], r.labels[k:]
-    through = set(upper).intersection(lower)
-    return _row_square(upper, through), _row_square(lower, through)
 
 
 def through_factorize(p: Partition) -> list[Partition]:

@@ -8,39 +8,45 @@ tensor, reverse, equivalence saturation and downward domination.
 `test_closure_matches_the_literal_module_definition` checks it against
 the literal definition, with r ranging over every bounded witness.
 
-A PartitionUniverse builds only the frames whose rows both have at most
-point_bound // 2 points: they hold every bounded projective and every
-witness r whose r*r and rr* fit the bound.  `members`, the full list, is
-built only when read.  A projective is read as its upper-row labels plus
-its through-blocks (Freslon-Weber, "On the representation theory of
-partition (easy) quantum groups"), so r*r, rr* and domination come off
-the labels without composing.  The universe numbers its projectives and
-closures run on those numbers, forming each tensor pair once per
-universe; Partitions come back only in the returned modules.
+A PartitionUniverse walks no diagram of the category.  A projective of
+P(w, w) is its row's partition plus a set of through-blocks
+(Freslon-Weber, "On the representation theory of partition (easy)
+quantum groups"), so the universe reads the bounded projectives off the
+rows of at most point_bound // 2 points, and domination off the labels.
+In a noncrossing category the witness r of p ~ q (r*r = p, rr* = q) is
+unique: `glue(p, q)`, p's row over q's with the through-blocks joined
+left to right, as two of them cannot cross.  Witnesses compose: for
+witnesses r of p ~ q and u of q ~ s, ur is in C with (ur)*(ur) = p and
+(ur)(ur)* = s on a frame within the half bound, so ur = glue(p, s) and
+one representative per class decides.  Closures run on projective
+numbers, forming each tensor pair once per universe; Partitions come
+back only in the returned modules.  `members`, every member within the
+bound, is built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, CategorySpec
-from .categories import all_members, contains, enumerate_members
+from .categories import all_members, contains
 from .errors import NoCatalogMatch, NotInCategory, TooLarge
-from .partitions import Partition, _square_labels, identity, one_block, singleton
-from .words import WHITE
+from .partitions import Partition, _row_square, enumerate_noncrossing, identity, one_block, singleton
+from .words import WHITE, all_words
 
 EMPTY = Partition("", "", ())
 
 
 class PartitionUniverse:
-    """The members of a category with at most point_bound // 2 points in
-    each row, plus the projective structure, numbered as in `projectives`."""
+    """The projectives of a category with at most point_bound // 2 points
+    in each row, numbered row by row (shortest first, each sorted by
+    labels), and their classes, domination, reverses and tensors."""
 
     def __init__(self, cat: CategorySpec, point_bound: int):
         self.cat = cat
         self.point_bound = point_bound
-        self.half_members: list[Partition] = all_members(cat, point_bound, point_bound // 2)
         self._tensors: dict[tuple[int, int], int] = {}
 
     @cached_property
@@ -56,39 +62,33 @@ class PartitionUniverse:
         return Partition(WHITE * p.n_upper, WHITE * p.n_lower, p.labels)
 
     @cached_property
-    def _square_pass(self) -> tuple[list[Partition], list[frozenset[int]]]:
-        """`projectives` and `equivalence_classes` from one r*r, rr* per
-        member; every r*r is a projective, so ~ joins (frame, labels) keys."""
-        projectives, parent, groups = [], {}, {}
-
-        def find(a):
-            while parent.setdefault(a, a) != a:
-                parent[a] = a = parent[parent[a]]  # path halving
-            return a
-
-        for r in self.half_members:
-            rr, ss = _square_labels(r)
-            if r.upper == r.lower and rr == r.labels:
-                projectives.append(r)
-            parent[find((r.upper, rr))] = find((r.lower, ss))
-        for i, p in enumerate(projectives):
-            groups.setdefault(find((p.upper, p.labels)), []).append(i)
-        return projectives, [frozenset(g) for g in groups.values()]
-
-    @cached_property
     def projectives(self) -> list[Partition]:
-        return self._square_pass[0]
+        half = self.point_bound // 2
+        rows = all_words(half) if self.cat.colored else (WHITE * n for n in range(half + 1))
+        return [p for row in rows for p in _row_projectives(self.cat, row)]
 
     @cached_property
     def _index(self) -> dict[tuple[str, tuple[int, ...]], int]:
-        """Projective numbers by frame and labels: r*r and rr* need no Partition."""
+        """Projective numbers by frame and labels, for tensors, reverses and generators."""
         return {(p.upper, p.labels): i for i, p in enumerate(self.projectives)}
 
     @cached_property
     def equivalence_classes(self) -> list[frozenset[int]]:
-        """Classes of ~ as sets of projective numbers, by the witnesses r in
-        the category whose r*r and rr* stay within the point bound."""
-        return self._square_pass[1]
+        """Classes of ~ as sets of projective numbers, by the witnesses whose
+        rows fit half the point bound: a projective joins the first class of
+        its through count whose first member glues to it in the category."""
+        reps: dict[int, list[tuple[Partition, list[int]]]] = {}
+        classes: list[list[int]] = []
+        for i, p in enumerate(self.projectives):
+            same = reps.setdefault(p.n_through, [])
+            for rep, members in same:
+                if contains(self.cat, glue(rep, p)):
+                    members.append(i)
+                    break
+            else:
+                classes.append([i])
+                same.append((p, classes[-1]))
+        return [frozenset(members) for members in classes]
 
     @cached_property
     def dominated_by(self) -> list[tuple[int, ...]]:
@@ -159,19 +159,31 @@ def _below(q, p) -> bool:
     )
 
 
-def _squares(r: Partition) -> tuple[Partition, Partition]:
-    """(r*r, rr*)."""
-    rr, ss = _square_labels(r)
-    return Partition(r.upper, r.upper, rr), Partition(r.lower, r.lower, ss)
+def _row_projectives(cat: CategorySpec, row: str) -> list[Partition]:
+    """The projectives of P(row, row) in the category, sorted by labels:
+    each noncrossing partition of the row with each set of its blocks made
+    through-blocks.  A block of s points appears twice, as two blocks of
+    s points, unless it is a through-block of 2s points."""
+    sizes = [s for s in range(1, len(row) + 1) if cat.block_size(s) or cat.block_size(2 * s)]
+    out = []
+    for part in enumerate_noncrossing(row, "", sizes):
+        kinds = [[t for t in (False, True) if cat.block_size(len(blk) * (1 + t))] for blk in part.blocks]
+        for choice in product(*kinds):
+            through = {b for b, t in enumerate(choice) if t}
+            p = Partition(row, row, _row_square(part.labels, through))
+            if contains(cat, p):
+                out.append(p)
+    out.sort(key=lambda p: p.labels)
+    return out
 
 
-def equivalent(universe: PartitionUniverse, p: Partition, q: Partition):
-    """Search for a witness r in the category with r*r = p and rr* = q.
-    The witness frame is forced: upper = frame of p, lower = frame of q."""
-    for r in enumerate_members(universe.cat, p.upper, q.upper):
-        if _squares(r) == (p, q):
-            return r
-    return None
+def glue(p: Partition, q: Partition) -> Partition:
+    """The only noncrossing r with r*r = p and rr* = q, for projectives
+    with equally many through-blocks: p's upper row over q's, with their
+    through-blocks joined left to right."""
+    joined = {q.labels[c[0]]: p.labels[b[0]] for b, c in zip(p.through_blocks, q.through_blocks)}
+    lower = [joined.get(b, b + p.n_blocks) for b in q.labels[: q.n_upper]]
+    return Partition(p.upper, q.upper, p.labels[: p.n_upper] + tuple(lower))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ from itertools import groupby
 import pytest
 
 from qcomb import projmod, words
-from qcomb.categories import CU, NAMED, NC_PRIME, all_members
+from qcomb import categories
+from qcomb.categories import CU, NAMED, NC2, NC_PRIME, all_members, contains, enumerate_members
 from qcomb.errors import NotInCategory, TooLarge
 from qcomb.partitions import (
     Partition,
     UnionFind,
+    _row_square,
     duality,
     enumerate_noncrossing,
     enumerate_partitions,
@@ -22,7 +24,7 @@ from qcomb.projmod import (
     classify_module,
     closure,
     distinct_generated_modules,
-    equivalent,
+    glue,
     through_word,
     through_word_module,
     word_module,
@@ -48,18 +50,18 @@ def test_domination_is_two_sided_absorption():
 
 
 def test_equivalence_witness_links_the_empty_diagram_to_the_nested_pair():
-    u = universe("NC2")
-    r = equivalent(u, EMPTY, CUPCAP)
-    assert r is not None
+    r = glue(EMPTY, CUPCAP)
+    assert contains(NC2, r)
     # the witness conjugates one projective into the other
     assert r.adjoint().compose(r)[0] == EMPTY
     assert r.compose(r.adjoint())[0] == CUPCAP
 
 
 def test_no_equivalence_across_row_parity_in_the_odd_block_parity_category():
-    u = universe("NCprime")
-    ss = Partition("o", "o", (0, 1))
-    assert equivalent(u, ss, EMPTY) is None
+    # the only candidate witness is the lone singleton, an odd block
+    r = glue(Partition("o", "o", (0, 1)), EMPTY)
+    assert r == Partition("o", "", (0,))
+    assert not contains(NC_PRIME, r)
 
 
 def test_closures_contain_their_generators_and_only_projectives():
@@ -323,12 +325,13 @@ def test_unitary_word_modules_match_the_composing_oracle(bound):
 
 
 def test_squares_read_off_the_labels_equal_the_compositions():
+    # the labels of r*r and rr* read off r, and r read back off them: the
+    # witness of p ~ q is unique in a noncrossing category
     for cat in NAMED.values():
         for r in all_members(cat, 6):
-            assert projmod._squares(r) == (
-                r.adjoint().compose(r)[0],
-                r.compose(r.adjoint())[0],
-            )
+            rr, ss = r.adjoint().compose(r)[0], r.compose(r.adjoint())[0]
+            assert square_labels(r) == (rr.labels, ss.labels)
+            assert glue(rr, ss) == r, str(r)
 
 
 @pytest.mark.parametrize("name", ["NCall", "NCprime"])
@@ -361,11 +364,29 @@ def test_label_read_domination_matches_composition_on_the_partition_monoid():
 # under tensor, reverse and r p r* for every bounded witness r
 
 
+def half_members(cat, bound):
+    """all_members(cat, bound) filtered to rows of at most bound // 2
+    points, in the same order, enumerating only those frames."""
+    half = bound // 2
+    if cat.colored:
+        rows = [list(ws) for _, ws in groupby(all_words(half), len)]
+    else:
+        rows = [[WHITE * n] for n in range(half + 1)]
+    return [
+        r
+        for k in range(half + 1)
+        for l in range(half + 1)
+        for up in rows[k]
+        for lo in rows[l]
+        for r in enumerate_members(cat, up, lo)
+    ]
+
+
 class LiteralModules:
     def __init__(self, universe):
         self.universe = universe
         self.witnesses = {}
-        for r in universe.half_members:
+        for r in half_members(universe.cat, universe.point_bound):
             self.witnesses.setdefault(r.upper, []).append((r, r.adjoint()))
         self.sandwiched = {}
 
@@ -424,21 +445,64 @@ def test_distinct_modules_are_closed_under_every_bounded_witness(name):
 
 
 # ---------------------------------------------------------------------------
-# The half-bound universe
+# The universe read off the rows
 
 
 def test_the_module_table_never_builds_the_full_member_list():
-    u = PartitionUniverse(NAMED["NCall"], 10)
-    catalog(u)
-    distinct_generated_modules(u)
-    assert "members" not in u.__dict__
+    # nor any frame of the category: the projectives come off the rows and
+    # the classes off glued witnesses (CU has no catalog)
+    for name in ["NCall", "CU"]:
+        before = categories._candidates.cache_info()
+        u = PartitionUniverse(NAMED[name], 10)
+        if name != "CU":
+            catalog(u)
+        distinct_generated_modules(u)
+        assert "members" not in u.__dict__
+        assert categories._candidates.cache_info() == before, name
+
+
+def square_labels(r):
+    """The labels of r*r and rr*, read off r's rows and through-blocks."""
+    upper, lower = r.labels[: r.n_upper], r.labels[r.n_upper :]
+    through = set(upper).intersection(lower)
+    return _row_square(upper, through), _row_square(lower, through)
+
+
+def square_pass(cat, bound):
+    """Projectives and classes by walking every half-bound member r: r is
+    a projective when its rows agree and it is its own r*r, and ~ joins
+    r*r with rr*, both read off r's labels, by union-find."""
+    projectives, parent, groups = [], {}, {}
+
+    def find(a):
+        while parent.setdefault(a, a) != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for r in half_members(cat, bound):
+        rr, ss = square_labels(r)
+        if r.upper == r.lower and rr == r.labels:
+            projectives.append(r)
+        parent[find((r.upper, rr))] = find((r.lower, ss))
+    for i, p in enumerate(projectives):
+        groups.setdefault(find((p.upper, p.labels)), []).append(i)
+    return projectives, [frozenset(g) for g in groups.values()]
+
+
+@pytest.mark.parametrize("bound", range(11))
+@pytest.mark.parametrize("name", NAMED)
+def test_row_projectives_and_glued_classes_match_the_member_walk(name, bound):
+    u = PartitionUniverse(NAMED[name], bound)
+    assert (u.projectives, u.equivalence_classes) == square_pass(NAMED[name], bound)
 
 
 @pytest.mark.parametrize("name", NAMED)
 def test_half_bound_members_are_the_full_list_filtered(name):
+    # the member walk and the literal witnesses enumerate only the frames
+    # with rows of at most bound // 2 points
     cat = NAMED[name]
     for bound in range(9):
         half = bound // 2
-        assert PartitionUniverse(cat, bound).half_members == [
+        assert half_members(cat, bound) == [
             r for r in all_members(cat, bound) if r.n_upper <= half and r.n_lower <= half
         ]
