@@ -1,16 +1,21 @@
 """Named categories of partitions: one definition each, read by both
 membership and enumeration.
 
-Each category is a `CategorySpec`, a piece of data with three fields (the
+Each category is a `CategorySpec`, a piece of data with four fields (the
 noncrossing categories of Banica-Speicher, "Liberation of orthogonal Lie
 groups", and Weber, "On the classification of easy quantum groups"):
 
 * `block_size`: which block sizes are allowed, as a function of the
   size, so that no point bound is built into a category;
-* `rule`: at most one extra condition on the whole partition, namely an
-  even number of singletons (NC12prime), that and an even number of
-  singletons between any two connected points (NC12sharp), or an even
-  number of odd blocks (NCprime);
+* `even_points`: whether a frame must hold an even number of points.
+  This is the parity rule of NC12prime (an even number of singletons:
+  with blocks of at most two points, the singletons have the parity of
+  the points), of NC12sharp, and of NCprime (an even number of odd
+  blocks: the block sizes add up to the point count), decided once per
+  frame;
+* `rule`: at most one extra condition on the whole partition that reads
+  only positions on the circle, namely an even number of singletons
+  between any two connected points (NC12sharp);
 * `colored`: whether the unitary color rule applies, so that connected
   points have the same color in different rows and different colors in
   the same row (only CU; the other categories ignore the coloring).
@@ -19,11 +24,13 @@ Every category is noncrossing.  The pair-and-color rule alone admits the
 crossing swap, which the corresponding quantum group excludes, so CU is
 noncrossing too.
 
-`contains` checks the three fields and noncrossing.  `enumerate_members`
+`contains` checks the four fields and noncrossing.  `enumerate_members`
 builds the members of a frame from the same fields rather than filtering
-every partition: noncrossing partitions in the circular order, pruned by
-the block sizes and, for CU, by the color rule, then filtered by the rule
-and sorted by labels.
+every partition: a frame of the wrong parity has none, and otherwise they
+are the noncrossing partitions in the circular order, pruned by the block
+sizes and, for CU, by the color rule, then kept by the rule, decided once
+per circle shape since it reads only circular positions, and sorted by
+labels.
 """
 
 from __future__ import annotations
@@ -42,16 +49,6 @@ MAX_FRAME_POINTS = 12
 
 # ---------------------------------------------------------------------------
 # The rules
-
-
-def _singleton_parity_ok(p: Partition) -> bool:
-    return sum(1 for b in p.blocks if len(b) == 1) % 2 == 0
-
-
-def _odd_block_parity_ok(p: Partition) -> bool:
-    # the block sizes add up to the point count, so the number of odd
-    # blocks has the parity of the point count
-    return p.n_points % 2 == 0
 
 
 def _sharp_ok(p: Partition) -> bool:
@@ -84,13 +81,17 @@ def _unitary_colors_ok(p: Partition) -> bool:
 
 @dataclass(frozen=True)
 class CategorySpec:
-    """A named noncrossing category: allowed block sizes, one optional rule
-    on the whole partition, and whether colors matter."""
+    """A named noncrossing category: allowed block sizes, whether frames
+    need an even number of points (checked once per frame), one optional
+    rule on the positions around the circle (decided once per circle
+    shape, on the one-row partition whose point order is circular order),
+    and whether colors matter."""
 
     name: str
     block_size: Callable[[int], bool]
     rule: Callable[[Partition], bool] | None = None
     colored: bool = False
+    even_points: bool = False
 
     def __str__(self) -> str:
         return self.name
@@ -99,12 +100,10 @@ class CategorySpec:
 CU = CategorySpec("CU", lambda s: s == 2, colored=True)
 NC2 = CategorySpec("NC2", lambda s: s == 2)
 NC12 = CategorySpec("NC12", lambda s: s <= 2)
-NC12_PRIME = CategorySpec("NC12prime", lambda s: s <= 2, _singleton_parity_ok)
-NC12_SHARP = CategorySpec(
-    "NC12sharp", lambda s: s <= 2, lambda p: _singleton_parity_ok(p) and _sharp_ok(p)
-)
+NC12_PRIME = CategorySpec("NC12prime", lambda s: s <= 2, even_points=True)
+NC12_SHARP = CategorySpec("NC12sharp", lambda s: s <= 2, _sharp_ok, even_points=True)
 NC_EVEN = CategorySpec("NCeven", lambda s: s % 2 == 0)
-NC_PRIME = CategorySpec("NCprime", lambda s: True, _odd_block_parity_ok)
+NC_PRIME = CategorySpec("NCprime", lambda s: True, even_points=True)
 NC = CategorySpec("NCall", lambda s: True)
 
 NAMED = {c.name: c for c in (CU, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, NC)}
@@ -112,7 +111,8 @@ NAMED = {c.name: c for c in (CU, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_
 
 def contains(cat: CategorySpec, p: Partition) -> bool:
     return (
-        all(cat.block_size(len(b)) for b in p.blocks)
+        (not cat.even_points or p.n_points % 2 == 0)
+        and all(cat.block_size(len(b)) for b in p.blocks)
         and p.is_noncrossing()
         and (not cat.colored or _unitary_colors_ok(p))
         and (cat.rule is None or cat.rule(p))
@@ -120,11 +120,11 @@ def contains(cat: CategorySpec, p: Partition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _candidates(upper: str, lower: str, sizes: tuple, colored: bool) -> tuple[Partition, ...]:
-    """The partitions of a frame allowed by everything but the rule, shared
-    by the categories with the same block sizes (NCall and NCprime; NC12,
-    NC12prime and NC12sharp)."""
-    return tuple(enumerate_noncrossing(upper, lower, sizes, colored=colored))
+def _candidates(upper: str, lower: str, sizes: tuple, colored: bool, rule) -> tuple[Partition, ...]:
+    """The members of a frame of the right parity, shared by the categories
+    with the same block sizes and rule (NCall and NCprime; NC12 and
+    NC12prime)."""
+    return tuple(enumerate_noncrossing(upper, lower, sizes, colored, rule))
 
 
 def enumerate_members(cat: CategorySpec, upper: str, lower: str) -> list[Partition]:
@@ -136,13 +136,12 @@ def enumerate_members(cat: CategorySpec, upper: str, lower: str) -> list[Partiti
         # each pair takes one o and one x of the circular color word
         # upper + conjugate(lower), so an unbalanced frame has no member
         return []
+    if cat.even_points and n % 2:
+        return []
     # the cache keeps the sizes of every frame in its key, and a tuple of
     # them takes a quarter of the memory of a frozenset or less
     sizes = tuple(s for s in range(1, n + 1) if cat.block_size(s))
-    candidates = _candidates(upper, lower, sizes, cat.colored)
-    if cat.rule is None:
-        return list(candidates)
-    return [p for p in candidates if cat.rule(p)]
+    return list(_candidates(upper, lower, sizes, cat.colored, cat.rule))
 
 
 def all_members(cat: CategorySpec, point_bound: int) -> list[Partition]:

@@ -34,10 +34,10 @@ fields: the FFLAS and FFPACK packages" (ACM TOMS 2008): each pivot
 reduces only its column, which finds the pivot and the multipliers, and
 its own row, and the rows below take the update unreduced.  An update
 moves an entry by less than (p - 1)^2, so (2^63 - p) // (p - 1)^2
-updates fit in int64 before the rows below must be reduced again: 2 at
-p near 2^31, and 524,289 at this prime, more than the 208,012 members of
-the largest family a 12-point frame holds, so a certification never
-reduces them.
+updates fit in int64 before the rows below that took them must be
+reduced again: 2 at p near 2^31, and 524,289 at this prime, more than
+the 208,012 members of the largest family a 12-point frame holds, so a
+certification never reduces them, nor tracks which rows took updates.
 
 The join block counts of a family are computed by merges, one column q
 at a time for every p at once.  The members' labels start as one matrix;
@@ -308,9 +308,12 @@ def _rank_mod_p(A: np.ndarray, p: int) -> int:
     and its own row, so the multipliers and the pivot row lie in [0, p),
     and an update moves an entry of a row below down by less than
     (p - 1)^2.  Entries stay in (-2^63, p) for `lazy` pivots, after which
-    the rows below are reduced."""
+    the rows below that took an update since the last reduction are
+    reduced.  With `lazy` at least the row count that never happens, and
+    no row is tracked."""
     rows, cols = A.shape
     lazy = (2**63 - p) // (p - 1) ** 2
+    updated = np.zeros(rows, dtype=bool) if lazy < rows else None
     rank = 0
     for c in range(cols):
         column = A[rank:, c]
@@ -321,6 +324,8 @@ def _rank_mod_p(A: np.ndarray, p: int) -> int:
         piv = rank + int(nz[0])
         if piv != rank:
             A[[rank, piv]] = A[[piv, rank]]
+            if updated is not None:
+                updated[[rank, piv]] = updated[[piv, rank]]
         A[rank, c:] %= p
         inv = pow(int(A[rank, c]), p - 2, p)
         pivot_row = A[rank, c:] * inv % p
@@ -334,8 +339,13 @@ def _rank_mod_p(A: np.ndarray, p: int) -> int:
         rank += 1
         if rank == rows:
             break
-        if rank % lazy == 0:
-            A[rank:, c + 1 :] %= p
+        if updated is not None:
+            updated[below] = True
+            if rank % lazy == 0:
+                stale = rank + np.flatnonzero(updated[rank:])
+                for i in range(0, stale.size, step):
+                    A[stale[i : i + step], c + 1 :] %= p
+                updated[:] = False
     return rank
 
 

@@ -263,6 +263,17 @@ class Partition:
         return self.upper == self.lower and _row_square(upper, through) == self.labels
 
 
+def _trusted_partition(upper: str, lower: str, labels: tuple[int, ...]) -> Partition:
+    """A Partition from labels already canonical and of the right length,
+    without __post_init__.  Attributes are set as the frozen dataclass
+    sets them, so instances keep the shared-key attribute dict."""
+    p = object.__new__(Partition)
+    object.__setattr__(p, "upper", upper)
+    object.__setattr__(p, "lower", lower)
+    object.__setattr__(p, "labels", labels)
+    return p
+
+
 def _row_square(row: tuple[int, ...], through: set[int]) -> tuple[int, ...]:
     """Labels of r*r, given the labels of r's upper row and the labels of
     r's through-blocks (of rr*, given r's lower row).  The row's blocks sit
@@ -354,7 +365,7 @@ def enumerate_partitions(upper: str, lower: str):
 
 
 @lru_cache(maxsize=None)
-def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None):
+def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None, rule=None):
     """Noncrossing partitions of n positions on a circle as label tuples
     indexed by position, blocks numbered by first appearance.
 
@@ -363,8 +374,15 @@ def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None):
     every block above it, since a later point of those would cross.  A
     block is pruned once it outgrows max(sizes) or closes with a size not
     in sizes.  With colors (the circular color word), blocks are pairs
-    whose two colors differ.
+    whose two colors differ.  With rule, only the shapes it accepts on
+    the one-row partition whose labels are the shape, colored by the
+    circular color word: there point order is circular order.
     """
+    if rule is not None:
+        row = colors or WHITE * n
+        # the rule-free shapes under the key enumerate_noncrossing gives them
+        shapes = _noncrossing_shapes(n, sizes, colors, None)
+        return tuple(s for s in shapes if rule(_trusted_partition(row, "", s)))
     if colors is not None:
         sizes = frozenset({2})
         if 2 * colors.count(WHITE) != n:
@@ -394,23 +412,30 @@ def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None):
 
 
 def enumerate_noncrossing(
-    upper: str, lower: str, block_sizes, colored: bool = False
+    upper: str, lower: str, block_sizes, colored: bool = False, rule=None
 ) -> list[Partition]:
     """The noncrossing partitions of the frame whose block sizes lie in
     block_sizes, sorted by labels.  With colored, the pair partitions
     obeying the unitary color rule: same color across the rows, different
-    colors within a row.
+    colors within a row.  With rule, only those whose reading around the
+    circle it accepts: it must read positions on the circle only, as it
+    is decided once per circle shape.
 
     Built directly in the circular order rather than filtered from all
     set partitions.  Shapes are shared between frames with the same
     number of points (or, when colored, the same circular color word).
+    This is the one cut of a circle shape into a frame: each shape is
+    read in the frame's point order and its blocks numbered by first
+    appearance in the same pass, so the labels are canonical and the
+    Partitions are built by _trusted_partition.
     """
     order = circular_order(len(upper), len(lower))
     # read in circular order with lower colors flipped, a pair obeys the
     # color rule exactly when its two colors differ
     colors = upper + conjugate(lower) if colored else None
-    shapes = _noncrossing_shapes(len(order), frozenset(block_sizes), colors)
-    # Partition canonicalizes the relabelled shape
-    out = [Partition(upper, lower, tuple([shape[i] for i in order])) for shape in shapes]
-    out.sort(key=lambda p: p.labels)
-    return out
+    cuts = []
+    for shape in _noncrossing_shapes(len(order), frozenset(block_sizes), colors, rule):
+        first: dict[int, int] = {}
+        cuts.append(tuple([first.setdefault(shape[i], len(first)) for i in order]))
+    cuts.sort()
+    return [_trusted_partition(upper, lower, labels) for labels in cuts]

@@ -299,20 +299,23 @@ def classify_module(universe: PartitionUniverse, gens) -> str:
 def distinct_generated_modules(universe: PartitionUniverse) -> list[ProjectiveModule]:
     """All distinct closures of single projective generators, closed under
     pairwise joins.  One closure is computed per equivalence class since
-    equivalent generators give the same module."""
+    equivalent generators give the same module.
+
+    Joins go round by round, each new module listed after those before
+    it; a round joins only the pairs with a module new in the last round,
+    as the joins of earlier pairs are listed already, and skips a pair
+    whose smaller module lies in the bigger, which is their join."""
     classes = universe.equivalence_classes
     modules = dict.fromkeys(_close(universe, frozenset(), cls) for cls in classes)
-    changed = True
-    while changed:
-        changed = False
+    joined = 0  # every pair among the first `joined` modules is joined
+    while joined < len(modules):
         mods = list(modules)
         for i, a in enumerate(mods):
-            for b in mods[i + 1 :]:
+            for b in mods[max(i + 1, joined) :]:
                 big, small = (a, b) if len(a) >= len(b) else (b, a)
-                join = _close(universe, big, small - big)
-                if join not in modules:
-                    modules[join] = None
-                    changed = True
+                if not small <= big:
+                    modules.setdefault(_close(universe, big, small - big))
+        joined = len(mods)
     return [universe._module(m) for m in modules]
 
 

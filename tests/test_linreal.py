@@ -865,9 +865,41 @@ def test_in_place_modular_rank_matches_the_copying_kernel_on_circle_families(
 
 
 def test_reduction_every_two_pivots_matches_the_copying_kernel_on_circle_families():
-    # at 2^31 - 1 the rows below the pivots are reduced every 2 pivots
+    # at 2^31 - 1 the rows below the pivots that took an update are
+    # reduced every 2 pivots
     assert (2**63 - OLD_PRIME) // (OLD_PRIME - 1) ** 2 == 2
     assert_in_place_ranks_match_the_copying_kernel(OLD_PRIME)
+
+
+def overflow_traps(kind, count, seed):
+    """Matrices of rank 4 with 5 rows, entries near 2^31 - 1, in which one
+    row, a combination of three others, takes a third update before it is
+    reduced unless the reduction after every 2 pivots finds it.  With
+    "swap" it takes its first update and then trades places with a row
+    that took none, the only one with column 1.  With "next" it takes two
+    updates, stands at the next pivot's place at the reduction, and then
+    trades places with the only row that has column 2."""
+    p = OLD_PRIME
+    rng = np.random.default_rng(seed)
+    gap = 1 if kind == "swap" else 2
+    for _ in range(count):
+        a, b, c, last = rng.integers(int(0.9 * p), p, (4, 5))
+        a[gap] = b[gap] = c[gap] = 0
+        if kind == "swap":
+            a[0], last[0] = 1, 0
+        weights = rng.integers(1, p, 3).tolist()
+        combined = [sum(int(w) * int(r[j]) for w, r in zip(weights, (a, b, c))) % p for j in range(5)]
+        rows = [a, combined, b, c, last] if kind == "swap" else [a, b, combined, c, last]
+        yield np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind", ["swap", "next"])
+def test_every_row_updated_since_the_last_reduction_is_reduced(kind):
+    # entries near p make three updates overflow int64, and the overflow
+    # turns the dependent row independent
+    for M in overflow_traps(kind, 2000, seed=0):
+        assert rank_mod_p_by_copies(M, OLD_PRIME) == 4
+        assert _rank_mod_p(M.copy(), OLD_PRIME) == 4, M.tolist()
 
 
 def test_every_full_rank_family_above_the_bareiss_budget_is_certified_by_one_residue(

@@ -170,15 +170,27 @@ def even_odd_block_count(p):
     return sum(len(b) % 2 for b in p.blocks) % 2 == 0
 
 
+def even_singleton_count(p):
+    return sum(len(b) == 1 for b in p.blocks) % 2 == 0
+
+
+# the rules as written, each read on every member of every frame
+LITERAL_RULES = {
+    "NC12prime": even_singleton_count,
+    "NC12sharp": lambda p: even_singleton_count(p) and categories._sharp_ok(p),
+    "NCprime": even_odd_block_count,
+}
+
+
 def oracle_members(cat, bound):
     """Every member up to the bound, frame by frame in the order of
     all_members, each frame enumerated for this category alone, with the
-    odd-block rule counting the odd blocks."""
+    parity rules counting the singletons or the odd blocks."""
     if cat.colored:
         rows = [list(ws) for _, ws in groupby(all_words(bound), len)]
     else:
         rows = [[WHITE * n] for n in range(bound + 1)]
-    rule = even_odd_block_count if cat is NC_PRIME else cat.rule
+    rule = LITERAL_RULES.get(cat.name)
     out = []
     for k in range(bound + 1):
         for l in range(bound + 1 - k):
@@ -308,6 +320,29 @@ def test_module_kernel_matches_the_composing_oracle(name, bound):
     for key, gens in catalog_generators(u.cat).items():
         assert mods[key].members == oracle_closure(old, gens)
     assert [m.members for m in distinct_generated_modules(u)] == oracle_distinct_modules(old)
+
+
+def round_by_round_modules(u):
+    """Member sets in the order distinct_generated_modules lists them,
+    joining every pair of modules in each round, by the kernel's closure."""
+    modules = dict.fromkeys(projmod._close(u, frozenset(), cls) for cls in u.equivalence_classes)
+    changed = True
+    while changed:
+        changed = False
+        mods = list(modules)
+        for i, a in enumerate(mods):
+            for b in mods[i + 1 :]:
+                join = projmod._close(u, a, b - a)
+                if join not in modules:
+                    modules[join] = None
+                    changed = True
+    return [u._module(m).members for m in modules]
+
+
+@pytest.mark.parametrize("bound", range(9))
+def test_unitary_distinct_modules_keep_the_round_by_round_order(bound):
+    u = PartitionUniverse(CU, bound)
+    assert [m.members for m in distinct_generated_modules(u)] == round_by_round_modules(u)
 
 
 @pytest.mark.parametrize("bound", [4, 6, 8])
