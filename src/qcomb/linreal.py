@@ -17,12 +17,33 @@ indexed by joint assignments, <T_p, T_q> = N^(number of blocks of the
 join of p and q on all k+l points).  A full-rank residue of the Gram
 matrix modulo a prime certifies full rank over the rationals; otherwise
 a fraction-free elimination over the integers settles the rank exactly.
-The prime is 4,194,301, the largest below 2^22.  A residue modulo any
-prime has rank at most the rational rank, so a prime can only make a
-full-rank family look deficient, which sends it to the exact elimination
-or, above 400 members, to TooLarge: it never yields a wrong rank.  On
-every NCall circle family up to 8 points at N = 2..5 and every CU one
-at N = 2..4, the ranks modulo this prime equal those modulo 2^31 - 1.
+The prime is 4,158,001 = 150 * 27720 + 1, below 2^22; 27720 is the
+least common multiple of 1..12, so F_p holds a primitive h-th root of
+unity, a power of the primitive root 17, for every h up to 12.  A
+residue modulo any prime has rank at most the rational rank, so a prime
+can only make a full-rank family look deficient, which sends it to the
+exact elimination or, above 400 members, to TooLarge: it never yields a
+wrong rank.  On every NCall circle family up to 8 points at N = 2..5
+and every CU one at N = 2..4, the ranks modulo this prime equal those
+modulo 2^31 - 1.
+
+The residue is ranked one rotation character at a time.  A turn of the
+circle that maps a family to itself maps the join of two members to the
+join of their images, so it leaves the Gram matrix invariant; over F_p
+the family's space then splits into one eigenspace of the turn per
+character of its rotation group, each mapped to itself by the Gram
+matrix, and the rank is the sum of the ranks of the blocks, one per
+character (Gatermann and Parrilo, "Symmetry groups, semidefinite
+programs, and sums of squares", JPAA 2004; on NC(n) this is the
+rotation symmetry of Di Francesco's meander Gram matrix, "Meander
+determinants", CMP 1998).  The Gram matrix is symmetric, so the blocks
+of conjugate characters have the same rank and only the characters up
+to half the group order are eliminated (gram_rank gives the blocks).
+NC(8), whose 1,430 members make 190 orbits of 8 turns, is certified by
+five eliminations of 170 to 190 rows instead of one of 1,430, and each
+elimination pays numpy's per-pivot overhead on fewer pivots.  A family
+without rotation symmetry is ranked whole, as the one block of a group
+of order 1.
 
 The modular elimination runs in place on the residue, an int64 matrix
 with entries in [0, p) that the certification builds and hands over,
@@ -35,12 +56,13 @@ reduces only its column, which finds the pivot and the multipliers, and
 its own row, and the rows below take the update unreduced.  An update
 moves an entry by less than (p - 1)^2, so (2^63 - p) // (p - 1)^2
 updates fit in int64 before the rows below that took them must be
-reduced again: 2 at p near 2^31, and 524,289 at this prime, more than
+reduced again: 2 at p near 2^31, and 533,483 at this prime, more than
 the 208,012 members of the largest family a 12-point frame holds, so a
 certification never reduces them, nor tracks which rows took updates.
 
 The join block counts of a family are computed by merges, one column q
-at a time for every p at once.  The members' labels start as one matrix;
+at a time for every p at once, for one q per rotation orbit: the others
+are gathered from the rows of their orbit's column turned back.  The members' labels start as one matrix;
 each merge of q joins a point to the first point of its block, relabels
 the block it joins in every p and counts down where the two blocks were
 apart.  The q's are visited in the order of their merge sequences with a
@@ -53,10 +75,11 @@ them, the oldest evicted first.  A family's key is the set of its
 members' labels read around the circle of their frame (circular_order),
 so all frames with the same points around one circle share an entry:
 the NCall frames (a, n-a) of one n, or the CU frames of one circular
-color word, whatever the split.  An entry holds the exponent matrix of
-the first family that reached the key, stored as the smallest unsigned
-integer type that holds the point count (uint8 on every frame a suite
-ranks), and the ranks certified so far at each N.  A rank found out of
+color word, whatever the split.  An entry holds, in the row order of
+the first family that reached the key, the rotation orbits of its
+members, the exponent columns of one member per orbit, stored as the
+smallest unsigned integer type that holds the point count (uint8 on
+every frame a suite ranks), and the ranks certified so far at each N.  A rank found out of
 budget raises and is not stored.
 
 This is the package's numpy module, and nothing on the import path of
@@ -78,7 +101,8 @@ from .partitions import WHITE, Partition, _canonical_labels, circular_order, enu
 
 MAX_POINTS = 10
 MAX_ENTRIES = 2**20  # N^points, the largest dense realization
-_PRIME = 4194301  # the largest prime below 2^22
+_PRIME = 4158001  # 150 * 27720 + 1, below 2^22; 27720 = lcm(1, ..., 12)
+_ROOT = 17  # a primitive root modulo _PRIME
 
 
 def realize(p: Partition, N: int) -> np.ndarray:
@@ -203,11 +227,17 @@ _MAX_FAMILIES = 256
 
 @dataclass
 class _Family:
-    """A memo entry: the row of each circle reading, the exponent matrix
-    in the order of the first family that reached the key, and the ranks
+    """A memo entry: the row of each circle reading, in the order of the
+    first family that reached the key; its rotation orbits, as the orbit
+    of each row, the turns from its orbit's first row to it, and turns,
+    whose entry [r, O] is the row r turns from orbit O's first row; the
+    exponents of the orbits' first rows, one column each; and the ranks
     certified so far, keyed by N."""
 
     row: dict[tuple[int, ...], int]
+    orbit: np.ndarray
+    shift: np.ndarray
+    turns: np.ndarray
     exponents: np.ndarray
     ranks: dict[int, int] = field(default_factory=dict)
 
@@ -225,22 +255,24 @@ def _circles(parts: list[Partition]) -> list[tuple[int, ...]]:
     ]
 
 
-def _exponents(circles: list[tuple[int, ...]]) -> np.ndarray:
+def _exponents(circles: list[tuple[int, ...]], qs: list[tuple[int, ...]]) -> np.ndarray:
+    """The join block counts of every reading of circles with each of qs,
+    one column per q."""
     m, n = len(circles), len(circles[0])
-    B = np.empty((m, m), dtype=np.min_scalar_type(n))
+    B = np.empty((m, len(qs)), dtype=np.min_scalar_type(n))
     # row i of L holds every p's label of point i; the labels are
     # canonical, so p has max + 1 blocks, and a label's first point in q
     # is its first index
     L = np.array(circles, dtype=B.dtype).reshape(m, n).T.copy()
     count = L.max(axis=0) + 1 if n else np.zeros(m, dtype=B.dtype)
     # q's merges join each point to the first point of its block
-    merges = [tuple((q.index(b), c) for c, b in enumerate(q) if q.index(b) != c) for q in circles]
+    merges = [tuple((q.index(b), c) for c, b in enumerate(q) if q.index(b) != c) for q in qs]
     # stack[d]: the labels and block counts of every p joined with the
     # first d merges of the last q, so q's that share leading merges
     # share the labels after them
     stack = [(L, count)]
     last: tuple = ()
-    for j in sorted(range(m), key=merges.__getitem__):
+    for j in sorted(range(len(qs)), key=merges.__getitem__):
         shared = 0
         while shared < min(len(last), len(merges[j])) and last[shared] == merges[j][shared]:
             shared += 1
@@ -256,6 +288,49 @@ def _exponents(circles: list[tuple[int, ...]]) -> np.ndarray:
     return B
 
 
+def _turned(circles: list[tuple[int, ...]], row: dict, d: int) -> list[int] | None:
+    """The row of each reading with its points moved d places back around
+    the circle, or None if one leaves the family."""
+    out = []
+    for c in circles:
+        i = row.get(_canonical_labels(c[d:] + c[:d]))
+        if i is None:
+            return None
+        out.append(i)
+    return out
+
+
+def _orbits(circles: list[tuple[int, ...]], row: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbit of each reading under the family's rotation group, the
+    turns from its orbit's first reading to it, and the (h, orbits) rows
+    r turns from each orbit's first reading.  A turn moves the points d
+    places around the circle, for the least d dividing the point count n
+    whose turn maps the family to itself and whose order h = n / d divides
+    p - 1, so that F_p holds a primitive h-th root of unity."""
+    m, n = len(circles), len(circles[0])
+    for h in range(n, 1, -1):
+        if n % h == 0 and (_PRIME - 1) % h == 0:
+            turn = _turned(circles, row, n // h)
+            if turn is not None:
+                break
+    else:
+        h, turn = 1, list(range(m))
+    orbit, shift, first = [-1] * m, [0] * m, []
+    for i in range(m):
+        x, s = i, 0
+        while orbit[x] < 0:
+            orbit[x], shift[x] = len(first), s
+            x, s = turn[x], s + 1
+        if s:
+            first.append(i)
+    turns = np.empty((h, len(first)), dtype=np.intp)
+    turns[0] = first
+    turn = np.array(turn, dtype=np.intp)
+    for r in range(1, h):
+        turns[r] = turn[turns[r - 1]]
+    return np.array(orbit, dtype=np.intp), np.array(shift, dtype=np.intp), turns
+
+
 def _family(parts: list[Partition]) -> tuple[_Family, list[tuple[int, ...]]]:
     """The memo entry of the circle family of parts, made when first
     reached, and each member's circle reading."""
@@ -266,8 +341,30 @@ def _family(parts: list[Partition]) -> tuple[_Family, list[tuple[int, ...]]]:
         if len(_families) >= _MAX_FAMILIES:
             del _families[next(iter(_families))]
         row = {c: i for i, c in enumerate(dict.fromkeys(circles))}
-        family = _families[key] = _Family(row, _exponents(list(row)))
+        rows = list(row)
+        orbit, shift, turns = _orbits(rows, row)
+        exponents = _exponents(rows, [rows[i] for i in turns[0]])
+        family = _families[key] = _Family(row, orbit, shift, turns, exponents)
     return family, circles
+
+
+def _gathered(family: _Family, rows) -> np.ndarray:
+    """The read-only exponent matrix of the family's rows `rows`, against
+    themselves.  The entry at (x, y), for y = s turns from the first row
+    of orbit O, is that of x turned s turns back against the first row:
+    a turn of both members keeps the join's block count."""
+    rows = np.asarray(rows, dtype=np.intp)
+    E, turns = family.exponents, family.turns
+    h = len(turns)
+    orbit, shift = family.orbit[rows], family.shift[rows]
+    B = np.empty((len(rows), len(rows)), dtype=E.dtype)
+    for s in range(h):
+        cols = np.flatnonzero(shift == s)
+        if cols.size:
+            back = turns[(shift - s) % h, orbit]
+            B[:, cols] = E[back[:, None], orbit[cols]]
+    B.flags.writeable = False
+    return B
 
 
 def gram_exponents(parts: list[Partition]) -> np.ndarray:
@@ -279,19 +376,20 @@ def gram_exponents(parts: list[Partition]) -> np.ndarray:
     to the join of their images, block for block.  So two families whose
     members read the same around the circle have the same matrix up to
     one permutation of its rows and columns, which leaves the rank of the
-    Gram matrix unchanged: the memo keeps one matrix per circle family
-    and permutes it to the order of parts.  Members of different frames
-    raise ShapeMismatch."""
+    Gram matrix unchanged, and a rotation of the circle that maps the
+    family to itself leaves the matrix invariant.  The memo keeps the
+    columns of one member per rotation orbit of each circle family and
+    gathers the others from their rotated rows, in the order of parts;
+    gram_rank ranks the Gram matrix off the same columns, one rotation
+    character at a time.  Members of different frames raise
+    ShapeMismatch."""
     if not parts:
         # no member, no point: the type of a point count of 0
         B = np.zeros((0, 0), dtype=np.min_scalar_type(0))
         B.flags.writeable = False
         return B
     family, circles = _family(parts)
-    perm = [family.row[c] for c in circles]
-    B = family.exponents[np.ix_(perm, perm)]
-    B.flags.writeable = False
-    return B
+    return _gathered(family, [family.row[c] for c in circles])
 
 
 def _rank_mod_p(A: np.ndarray, p: int) -> int:
@@ -378,24 +476,72 @@ def gram_rank(parts: list[Partition], N: int) -> int:
     The rank is certified once per circle family and N, on the family's
     stored exponents: the matrix of parts is that one with its rows and
     columns permuted together, and a member listed twice only repeats a
-    row and a column, so the rank is the same."""
+    row and a column, so the rank is the same.
+
+    The certificate is the rank of the Gram residue modulo the prime,
+    one rotation character at a time.  The family's rotation group of
+    order h permutes its members and leaves G = N^B invariant, and over
+    F_p, which holds a primitive h-th root of unity w and in which h is
+    invertible, F_p^m splits into the eigenspaces of the rotation, one
+    per character j = 0..h-1, each mapped to itself by G (Gatermann and
+    Parrilo, "Symmetry groups, semidefinite programs, and sums of
+    squares", JPAA 2004; on NC(n) this is the rotation symmetry of Di
+    Francesco's meander Gram matrix, CMP 1998).  Character j meets orbit
+    O when h divides j|O|, and on those orbits G acts by
+
+        M_j[O, O'] = sum over r < |O| of w^(jr) G[s^r p_O, p_O'],
+
+    s the turn and p_O the orbit's first member.  So the residue rank is
+    the sum of the ranks of the M_j.  G is symmetric and invariant, so
+    M_(-j) = D M_j^T D^-1 with D = diag(|O|), and characters j and h - j
+    have the same rank: the sum counts twice each j with 0 < 2j < h and
+    once j = 0 and 2j = h.  A family without rotation symmetry has h = 1
+    and one block, its full residue."""
     if not parts:
         return 0
     family, _ = _family(parts)
     if N not in family.ranks:
-        family.ranks[N] = _certified_rank(family.exponents, N)
+        family.ranks[N] = _certified_rank(family, N)
     return family.ranks[N]
 
 
-def _certified_rank(B: np.ndarray, N: int) -> int:
-    """Exact rational rank of the Gram matrix N^B."""
-    n = len(B)
-    # a full-rank residue modulo a prime certifies full rational rank;
-    # the table holds N^e reduced modulo the prime, so table[B] is the
-    # exact residue of the Gram matrix however large N^e grows; it is a
-    # fresh array, so the elimination may overwrite it
-    table = np.array([pow(N, e, _PRIME) for e in range(int(B.max()) + 1)], dtype=np.int64)
-    if _rank_mod_p(table[B], _PRIME) == n:
+def _block(A: np.ndarray, sizes: np.ndarray, j: int) -> np.ndarray:
+    """M_j modulo the prime over the orbits whose size times j the group
+    order h divides; A[r, O, O'] is the Gram residue of the member r
+    turns from orbit O's first against orbit O''s first, sizes the orbit
+    sizes."""
+    h = len(A)
+    keep = np.flatnonzero(j * sizes % h == 0)
+    # w^(jr) for r below the orbit's size, 0 from there on
+    w = pow(_ROOT, (_PRIME - 1) // h * j, _PRIME)
+    powers = np.array([pow(w, r, _PRIME) for r in range(h)], dtype=np.int64)
+    weights = np.where(np.arange(h)[:, None] < sizes, powers[:, None], 0)
+    # each product is below p^2, and h of them stay below 2^63
+    M = np.einsum("rk,rkl->kl", weights, A)
+    return M[keep[:, None], keep] % _PRIME
+
+
+def _residue_rank(family: _Family, N: int) -> int:
+    """Rank over F_p of the Gram residue, the sum over the rotation
+    characters j <= h/2 of the rank of M_j, doubled when 0 < 2j < h."""
+    E, turns = family.exponents, family.turns
+    h = len(turns)
+    # table holds N^e reduced modulo the prime, so table[E] is the exact
+    # residue of the Gram matrix however large N^e grows
+    table = np.array([pow(N, e, _PRIME) for e in range(int(E.max()) + 1)], dtype=np.int64)
+    A = table[E[turns]]
+    sizes = np.bincount(family.orbit)
+    return sum(
+        (1 if 2 * j % h == 0 else 2) * _rank_mod_p(_block(A, sizes, j), _PRIME)
+        for j in range(h // 2 + 1)
+    )
+
+
+def _certified_rank(family: _Family, N: int) -> int:
+    """Exact rational rank of the family's Gram matrix N^B."""
+    n = len(family.row)
+    # a full-rank residue modulo a prime certifies full rational rank
+    if _residue_rank(family, N) == n:
         return n
     # modular rank only bounds the rational rank from below, so a
     # deficient family needs the integer elimination to settle the value
@@ -404,8 +550,8 @@ def _certified_rank(B: np.ndarray, N: int) -> int:
             f"rank defect suspected on a {n}x{n} Gram matrix; "
             "exact elimination at this size is out of budget"
         )
-    G_exact = [[N ** int(B[i, j]) for j in range(n)] for i in range(n)]
-    return _rank_bareiss(G_exact)
+    B = _gathered(family, range(n))
+    return _rank_bareiss([[N ** int(e) for e in row] for row in B])
 
 
 def rank(maps: list[np.ndarray]) -> int:

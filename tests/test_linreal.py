@@ -10,7 +10,8 @@ law check built on it, the all-pairs law pairing, the union-find
 join_block_count, the min-label propagation along successor maps and the
 modular elimination that cleared and reduced all rows below a pivot at
 once on a copy are the code the dense, merge-walk and lazily reducing
-kernels replaced.
+kernels replaced, and the modular rank of the whole Gram residue is the
+certificate that the rotation-character blocks replaced.
 
 Closed-form oracles for the Gram matrices of NC(k), the noncrossing
 partitions of k points: Di Francesco's meander determinant (Commun. Math.
@@ -479,14 +480,41 @@ def test_gram_exponents_memo_follows_the_family(monkeypatch):
         assert not B.flags.writeable
         with pytest.raises(ValueError):
             B[0, 0] = 0
-    # a and its reversal are one family, stored once in the order of a
-    stored = [f.exponents for f in linreal._families.values()]
-    assert len(stored) == 2
-    assert np.array_equal(stored[0], join_matrix(a))
-    assert all(E.dtype == np.uint8 and not E.flags.writeable for E in stored)
+    # a and its reversal are one family, stored once in the order of a,
+    # as one column per rotation orbit from which the rest is gathered
+    families = list(linreal._families.values())
+    assert len(families) == 2
+    assert np.array_equal(full_exponents(families[0]), join_matrix(a))
+    for f in families:
+        E = f.exponents
+        assert E.shape == (len(f.row), f.turns.shape[1])
+        assert E.dtype == np.uint8 and not E.flags.writeable
 
 
 # -- the circle-family memo of gram_exponents and gram_rank ------------------
+
+
+def full_exponents(family):
+    """The whole exponent matrix of a memo entry, in its row order."""
+    return linreal._gathered(family, range(len(family.row)))
+
+
+def character_blocks(family):
+    """The size of the block M_j of each rotation character j <= h/2 of a
+    memo entry, j = 0 first: the number of orbits whose size times j the
+    group order h divides."""
+    h = len(family.turns)
+    sizes = np.bincount(family.orbit)
+    return [int(np.count_nonzero(j * sizes % h == 0)) for j in range(h // 2 + 1)]
+
+
+def one_residue(family):
+    """character_blocks of a memo entry, checked to make up its whole
+    residue: each j with 0 < 2j < h stands for j and h - j."""
+    blocks = character_blocks(family)
+    h = len(family.turns)
+    assert sum((1 if 2 * j % h == 0 else 2) * k for j, k in enumerate(blocks)) == len(family.row)
+    return blocks
 
 
 def memo_frames():
@@ -541,13 +569,17 @@ def test_each_circle_family_is_eliminated_once_per_N(monkeypatch):
         parts = enumerate_members(NAMED["NCall"], "o" * a, "o" * (8 - a))
         for N in (4, 5):
             assert gram_rank(parts, N) == 1430
-    assert eliminated == [1430, 1430]
+    # one residue per N, one block per rotation character j <= 4 of the
+    # 8 turns of NC(8)
+    (family,) = linreal._families.values()
+    assert len(family.turns) == 8
+    assert eliminated == one_residue(family) * 2
 
 
 def counted_certification(monkeypatch, residue_rank=None):
     """A fresh memo, with the row count of every modular and every Bareiss
     elimination recorded; residue_rank, if given, replaces the modular
-    rank the certification sees."""
+    rank of each character block the certification sees."""
     monkeypatch.setattr(linreal, "_families", {})
     calls = {"mod_p": [], "bareiss": []}
     mod_p, bareiss = linreal._rank_mod_p, linreal._rank_bareiss
@@ -570,23 +602,28 @@ def test_a_full_rank_family_is_certified_by_one_residue(monkeypatch):
     calls = counted_certification(monkeypatch)
     parts = enumerate_members(NAMED["NCall"], "oo", "oo")
     assert gram_rank(parts, 4) == 14
-    assert calls == {"mod_p": [14], "bareiss": []}
+    (family,) = linreal._families.values()
+    assert calls == {"mod_p": one_residue(family), "bareiss": []}
 
 
 def test_a_deficient_family_runs_one_residue_then_bareiss(monkeypatch):
     calls = counted_certification(monkeypatch)
     parts = all_parts(4)
     assert gram_rank(parts, 2) == sum(stirling2(4, j) for j in range(1, 3)) == 8
-    assert calls == {"mod_p": [15], "bareiss": [15]}
+    (family,) = linreal._families.values()
+    assert calls == {"mod_p": one_residue(family), "bareiss": [15]}
 
 
 def test_a_deficient_residue_of_a_full_rank_family_is_settled_by_bareiss(monkeypatch):
     # the residue rank only bounds the rational rank from below, so a
-    # residue that reads one short must not become the rank
-    calls = counted_certification(monkeypatch, residue_rank=lambda r: r - 1)
+    # residue that reads one short must not become the rank: the first
+    # block, of the trivial character, reads one short
+    short = iter([1])
+    calls = counted_certification(monkeypatch, residue_rank=lambda r: r - next(short, 0))
     parts = enumerate_members(NAMED["NCall"], "oo", "oo")
     assert gram_rank(parts, 4) == 14
-    assert calls == {"mod_p": [14], "bareiss": [14]}
+    (family,) = linreal._families.values()
+    assert calls == {"mod_p": one_residue(family), "bareiss": [14]}
 
 
 def test_at_N_1_every_unitary_word_spans_at_most_one_dimension(monkeypatch):
@@ -597,8 +634,10 @@ def test_at_N_1_every_unitary_word_spans_at_most_one_dimension(monkeypatch):
     calls = counted_certification(monkeypatch)
     for w in all_words(10):
         assert fixed_points_dim(w, 1) == (1 if enumerate_members(CU, "", w) else 0), w
-    sizes = [len(family.row) for family in linreal._families.values()]
-    assert sorted(calls["mod_p"]) == sorted(sizes) and len(sizes) == 176
+    families = list(linreal._families.values())
+    sizes = [len(family.row) for family in families]
+    blocks = [k for family in families for k in one_residue(family)]
+    assert sorted(calls["mod_p"]) == sorted(blocks) and len(sizes) == 176
     assert sorted(calls["bareiss"]) == sorted(n for n in sizes if n >= 2)
     assert len(calls["bareiss"]) == 160
 
@@ -913,9 +952,113 @@ def test_every_full_rank_family_above_the_bareiss_budget_is_certified_by_one_res
             if len(parts) > 400 and copying_rank(i, N) == len(parts):
                 calls = counted_certification(monkeypatch)
                 assert gram_rank(parts, N) == len(parts), (name, N)
-                assert calls == {"mod_p": [len(parts)], "bareiss": []}, (name, N)
+                (family,) = linreal._families.values()
+                assert calls == {"mod_p": one_residue(family), "bareiss": []}, (name, N)
                 checked.append((len(parts), N))
     assert checked == [(429, 4), (429, 5), (1430, 4), (1430, 5)]
+
+
+# -- the rotation characters of the certification ----------------------------
+
+
+@lru_cache(maxsize=None)
+def rotation_families():
+    """(name, members, Ns) for each circle family of circle_families() at
+    its Ns, of all set partitions of up to 5 points, crossing ones
+    included, at N = 1..4, and of every CU word up to length 10 at
+    N = 2..5; a family met twice is ranked at the union of its Ns."""
+    families = {}
+
+    def add(name, parts, Ns):
+        key = frozenset(linreal._circles(parts))
+        families.setdefault(key, (name, parts, set()))[2].update(Ns)
+
+    for name, parts, _, Ns in circle_families():
+        add(name, parts, Ns)
+    for n in range(6):
+        add(f"all {n}", all_parts(n), (1, 2, 3, 4))
+    for w in all_words(10):
+        parts = enumerate_members(CU, "", w)
+        if parts:
+            add(f"CU {w}", parts, (2, 3, 4, 5))
+    return [(name, parts, sorted(Ns)) for name, parts, Ns in families.values()]
+
+
+def test_character_blocks_rank_the_full_residue(monkeypatch):
+    # the blocks of the rotation characters, the conjugate ones counted
+    # twice, have the rank of the whole Gram residue modulo the prime
+    monkeypatch.setattr(linreal, "_families", {})
+    orders, pairs = {}, 0
+    for name, parts, Ns in rotation_families():
+        family, _ = linreal._family(parts)
+        B = full_exponents(family)
+        for N in Ns:
+            want = _rank_mod_p(residue(B, N, linreal._PRIME), linreal._PRIME)
+            assert linreal._residue_rank(family, N) == want, (name, N)
+            pairs += 1
+        h = len(family.turns)
+        orders.setdefault(h, [0, 0])[0] += 1
+        orders[h][1] += bool((np.bincount(family.orbit) < h).any())
+    # the turn orders met, with the families of each that have an orbit
+    # smaller than the group
+    assert orders == {
+        1: [142, 0], 2: [30, 30], 3: [1, 1], 4: [5, 5], 5: [2, 2],
+        6: [2, 2], 7: [1, 1], 8: [2, 2], 10: [1, 1],
+    }
+    assert (len(rotation_families()), pairs) == (186, 748)
+
+
+def test_conjugate_character_blocks_are_transposed_by_the_orbit_sizes(monkeypatch):
+    # G symmetric and invariant under the turn give M_(h-j) = D M_j^T D^-1,
+    # D the diagonal of the orbit sizes, which is why the certification
+    # ranks only j <= h/2
+    monkeypatch.setattr(linreal, "_families", {})
+    p = linreal._PRIME
+    blocks = 0
+    for name, parts, Ns in rotation_families():
+        family, _ = linreal._family(parts)
+        h, sizes = len(family.turns), np.bincount(family.orbit)
+        for N in Ns:
+            A = residue(family.exponents[family.turns], N, p)
+            for j in range(h):
+                M = linreal._block(A, sizes, j)
+                D = sizes[j * sizes % h == 0].astype(np.int64)
+                D_inv = np.array([pow(int(d), p - 2, p) for d in D], dtype=np.int64)
+                want = D[:, None] * M.T % p * D_inv % p
+                assert np.array_equal(linreal._block(A, sizes, (h - j) % h), want), (name, N, j)
+                blocks += 1
+    assert blocks > 748
+
+
+def test_the_prime_has_every_root_of_unity_up_to_12_and_lazy_headroom():
+    p = linreal._PRIME
+    assert p < 2**22 and all(p % d for d in range(2, int(p**0.5) + 1))
+    # 27720 = lcm(1, ..., 12); 17 generates F_p^*, so 17^((p-1)/h) has
+    # order exactly h
+    assert (p - 1) % 27720 == 0
+    factors = [q for q in range(2, 12) if (p - 1) % q == 0 and all(q % d for d in range(2, q))]
+    assert factors == [2, 3, 5, 7, 11]
+    assert (p - 1) // (2**4 * 3**3 * 5**3 * 7 * 11) == 1
+    assert all(pow(linreal._ROOT, (p - 1) // q, p) != 1 for q in factors)
+    # the rows below a pivot are never reduced again within a family of
+    # up to 208,012 members, the 12-point noncrossing partitions
+    assert (2**63 - p) // (p - 1) ** 2 >= comb(24, 12) // 13 == 208012
+
+
+def test_a_turn_order_that_does_not_divide_p_minus_1_is_not_used(monkeypatch):
+    # the 13 turns of a 13-point partition form one orbit of order 13,
+    # which does not divide p - 1, so the family is ranked whole; the 14
+    # turns of a 14-point one have order 14 = 2 * 7, which does
+    monkeypatch.setattr(linreal, "_families", {})
+    for n, h in [(13, 1), (14, 14)]:
+        labels = [0, 1, 0, 2, 2] + list(range(3, n - 2))
+        shapes = {tuple(labels[r:] + labels[:r]) for r in range(n)}
+        parts = [Partition("", "o" * n, c) for c in shapes]
+        family, _ = linreal._family(parts)
+        assert len(family.turns) == h
+        want = _rank_mod_p(residue(full_exponents(family), 3, linreal._PRIME), linreal._PRIME)
+        assert linreal._residue_rank(family, 3) == want
+        assert np.array_equal(gram_exponents(parts), join_matrix(parts))
 
 
 def test_modular_elimination_stays_within_a_bounded_working_set():
@@ -935,19 +1078,22 @@ def test_modular_elimination_stays_within_a_bounded_working_set():
 
 
 def test_exponents_stay_within_a_bounded_working_set():
-    # NC(8): the result is 1,430 x 1,430 uint8 (1.95 MiB); the pair batches
-    # of the min-label kernel peaked at about 2.0 MiB beyond it, the merge
-    # walk holds at most 9 label matrices of 11 KiB each
+    # NC(8): the result is 1,430 x 190 uint8, one column per rotation
+    # orbit; the pair batches of the min-label kernel peaked at about
+    # 2.0 MiB beyond the 1,430 x 1,430 matrix, and the merge walk holds at
+    # most 9 label matrices of 11 KiB each
     parts = enumerate_members(NAMED["NCall"], "o" * 8, "")
     circles = list(dict.fromkeys(linreal._circles(parts)))
+    _, _, turns = linreal._orbits(circles, {c: i for i, c in enumerate(circles)})
+    firsts = [circles[i] for i in turns[0]]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        B = linreal._exponents(circles)
+        B = linreal._exponents(circles, firsts)
         peak = tracemalloc.get_traced_memory()[1] - before - B.nbytes
     finally:
         tracemalloc.stop()
-    assert B.shape == (1430, 1430)
+    assert B.shape == (1430, len(firsts))
     assert peak < 2**20, f"{peak / 2**20:.2f} MiB beyond the result"
 
 
