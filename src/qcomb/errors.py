@@ -36,8 +36,8 @@ class TooLarge(InputError):
 
 
 class NoCatalogMatch(InputError):
-    """A generated word set or module matches no catalog entry (a bug, or
-    a bound too small), or a category has no module catalog."""
+    """A generated word set matches no catalog entry (a bug, or a bound
+    too small), or a category has no module catalog."""
 
 
 class PreconditionViolated(InputError):
@@ -49,7 +49,7 @@ class NotInSet(InputError):
 
 
 class MalformedWord(InputError):
-    """A word, or a wreath or free-product word, is not well formed."""
+    """A word or a free-product word is not well formed."""
 
 
 class ShapeMismatch(InputError):
@@ -58,10 +58,6 @@ class ShapeMismatch(InputError):
 
 class NotInCategory(InputError):
     """A partition lies outside the category or universe at hand."""
-
-
-class NotFactorizable(InputError):
-    """A partition is not a noncrossing projective with a through-block."""
 
 
 class NotUnitary(InputError):

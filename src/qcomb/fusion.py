@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ClosureViolation, MalformedWord, NotInSet
-from .words import AdmissibleSetSpec, conjugate, member, white, word_from_str, word_to_str
+from .words import AdmissibleSetSpec, conjugate, member, white, word_to_str
 
 
 def product_u(w: str, w2: str) -> Counter:
@@ -69,17 +69,6 @@ class WreathWord:
 
     def __str__(self) -> str:
         return "".join(f"[{word_to_str(l)}]" for l in self.letters) if self.letters else "1"
-
-    @staticmethod
-    def from_str(s: str) -> "WreathWord":
-        if s == "1":
-            return WreathWord(())
-        if not (s.startswith("[") and s.endswith("]")):
-            raise MalformedWord(f"bad wreath word {s!r}")
-        return WreathWord(tuple(word_from_str(t) for t in s[1:-1].split("][")))
-
-    def conjugate(self) -> "WreathWord":
-        return WreathWord(tuple(conjugate(l) for l in reversed(self.letters)))
 
 
 def wreath_product(x: WreathWord, y: WreathWord) -> Counter:

@@ -54,21 +54,20 @@ Dumas, Giorgi and Pernet, "Dense linear algebra over word-size prime
 fields: the FFLAS and FFPACK packages" (ACM TOMS 2008): each pivot
 reduces only its column, which finds the pivot and the multipliers, and
 its own row, and the rows below take the update unreduced.  An update
-moves an entry by less than (p - 1)^2, so (2^63 - p) // (p - 1)^2
-updates fit in int64 before the rows below that took them must be
-reduced again: 2 at p near 2^31, and 533,483 at this prime, more than
-the 208,012 members of the largest family a 12-point frame holds, so a
-certification never reduces them, nor tracks which rows took updates.
+moves an entry by less than (p - 1)^2 and a row takes one per pivot
+above it, so a block of up to (2^63 - p) // (p - 1)^2 = 533,483 rows,
+more than the 208,012 noncrossing partitions of 12 points, is never
+reduced again; a larger block raises TooLarge before its first pivot.
 
 The join block counts of a family are computed by merges, one column q
 at a time for every p at once, for one q per rotation orbit: the others
-are gathered from the rows of their orbit's column turned back.  The members' labels start as one matrix;
-each merge of q joins a point to the first point of its block, relabels
-the block it joins in every p and counts down where the two blocks were
-apart.  The q's are visited in the order of their merge sequences with a
-stack of the labels after each merge, so q's that share leading merges
-share the labels after them, and at most n + 1 label matrices are held
-for n points.
+are gathered from the rows of their orbit's column turned back.  The
+members' labels start as one matrix; each merge of q joins a point to
+the first point of its block, relabels the block it joins in every p
+and counts down where the two blocks were apart.  The q's are visited
+in the order of their merge sequences with a stack of the labels after
+each merge, so q's that share leading merges share the labels after
+them, and at most n + 1 label matrices are held for n points.
 
 One memo holds the circle families met so far, at most _MAX_FAMILIES of
 them, the oldest evicted first.  A family's key is the set of its
@@ -79,8 +78,8 @@ color word, whatever the split.  An entry holds, in the row order of
 the first family that reached the key, the rotation orbits of its
 members, the exponent columns of one member per orbit, stored as the
 smallest unsigned integer type that holds the point count (uint8 on
-every frame a suite ranks), and the ranks certified so far at each N.  A rank found out of
-budget raises and is not stored.
+every frame a suite ranks), and the ranks certified so far at each N.
+A rank found out of budget raises and is not stored.
 
 This is the package's numpy module, and nothing on the import path of
 the command line imports it: only the `verify laws` and `verify
@@ -103,6 +102,7 @@ MAX_POINTS = 10
 MAX_ENTRIES = 2**20  # N^points, the largest dense realization
 _PRIME = 4158001  # 150 * 27720 + 1, below 2^22; 27720 = lcm(1, ..., 12)
 _ROOT = 17  # a primitive root modulo _PRIME
+_LAZY = (2**63 - _PRIME) // (_PRIME - 1) ** 2  # rows _rank_mod_p never reduces again
 
 
 def realize(p: Partition, N: int) -> np.ndarray:
@@ -392,8 +392,8 @@ def gram_exponents(parts: list[Partition]) -> np.ndarray:
     return _gathered(family, [family.row[c] for c in circles])
 
 
-def _rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Rank over F_p of A, eliminated in place; int64 is safe for p < 2^31.
+def _rank_mod_p(A: np.ndarray) -> int:
+    """Rank over F_p of A, p = _PRIME, eliminated in place.
 
     A is an int64 residue with entries in [0, p) that the caller owns
     and hands over: it is overwritten.  Only the rows below the pivot with
@@ -405,13 +405,12 @@ def _rank_mod_p(A: np.ndarray, p: int) -> int:
     Reduction is lazy: each pivot reduces only its column below the rank
     and its own row, so the multipliers and the pivot row lie in [0, p),
     and an update moves an entry of a row below down by less than
-    (p - 1)^2.  Entries stay in (-2^63, p) for `lazy` pivots, after which
-    the rows below that took an update since the last reduction are
-    reduced.  With `lazy` at least the row count that never happens, and
-    no row is tracked."""
+    (p - 1)^2, once per pivot above it: entries stay in (-2^63, p) when A
+    has at most _LAZY rows, and a larger A raises TooLarge at once."""
     rows, cols = A.shape
-    lazy = (2**63 - p) // (p - 1) ** 2
-    updated = np.zeros(rows, dtype=bool) if lazy < rows else None
+    if rows > _LAZY:
+        raise TooLarge(f"{rows} rows exceed the {_LAZY}-row budget of the modular elimination")
+    p = _PRIME
     rank = 0
     for c in range(cols):
         column = A[rank:, c]
@@ -422,8 +421,6 @@ def _rank_mod_p(A: np.ndarray, p: int) -> int:
         piv = rank + int(nz[0])
         if piv != rank:
             A[[rank, piv]] = A[[piv, rank]]
-            if updated is not None:
-                updated[[rank, piv]] = updated[[piv, rank]]
         A[rank, c:] %= p
         inv = pow(int(A[rank, c]), p - 2, p)
         pivot_row = A[rank, c:] * inv % p
@@ -437,13 +434,6 @@ def _rank_mod_p(A: np.ndarray, p: int) -> int:
         rank += 1
         if rank == rows:
             break
-        if updated is not None:
-            updated[below] = True
-            if rank % lazy == 0:
-                stale = rank + np.flatnonzero(updated[rank:])
-                for i in range(0, stale.size, step):
-                    A[stale[i : i + step], c + 1 :] %= p
-                updated[:] = False
     return rank
 
 
@@ -532,7 +522,7 @@ def _residue_rank(family: _Family, N: int) -> int:
     A = table[E[turns]]
     sizes = np.bincount(family.orbit)
     return sum(
-        (1 if 2 * j % h == 0 else 2) * _rank_mod_p(_block(A, sizes, j), _PRIME)
+        (1 if 2 * j % h == 0 else 2) * _rank_mod_p(_block(A, sizes, j))
         for j in range(h // 2 + 1)
     )
 

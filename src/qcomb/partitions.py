@@ -5,11 +5,11 @@ A partition has k upper points and l lower points, each colored white
 blocks.  Points are indexed 0..k-1 (upper, left to right) then
 k..k+l-1 (lower, left to right).
 
-Serialization: ``upper;lower;b_0,...,b_{k+l-1}`` where upper and lower
-are color words ('e' when empty) and b_i is the 1-based block label of
-point i, blocks numbered by first appearance.  Example: the two-block
-crossing pair partition with upper 'ox' and lower 'ox' is
-``ox;ox;1,2,1,2``.
+str prints a partition as ``upper;lower;b_0,...,b_{k+l-1}`` where upper
+and lower are color words ('e' when empty) and b_i is the 1-based block
+label of point i, blocks numbered by first appearance.  Example: the
+two-block crossing pair partition with upper 'ox' and lower 'ox' prints
+as ``ox;ox;1,2,1,2``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InputError, NotFactorizable, ShapeMismatch
-from .words import WHITE, conjugate, word_from_str, word_to_str
+from .errors import InputError, ShapeMismatch
+from .words import WHITE, conjugate, word_to_str
 
 
 @lru_cache(maxsize=None)
@@ -73,16 +73,6 @@ class Partition:
         canonical = _canonical_labels(self.labels)
         if canonical != self.labels:
             object.__setattr__(self, "labels", canonical)
-
-    # -- construction -------------------------------------------------
-
-    @staticmethod
-    def from_str(s: str) -> "Partition":
-        up_s, lo_s, lab_s = s.split(";")
-        upper = word_from_str(up_s)
-        lower = word_from_str(lo_s)
-        labels = tuple(int(t) - 1 for t in lab_s.split(",")) if lab_s else ()
-        return Partition(upper, lower, labels)
 
     def __str__(self) -> str:
         return "{};{};{}".format(
@@ -208,59 +198,12 @@ class Partition:
             loops,
         )
 
-    def _recut(self, start: int, k: int) -> "Partition":
-        """Turn the circle of points to begin at circular position start
-        and cut it after k points: those form the upper row, the rest the
-        lower row.  The circular color word upper + conjugate(lower) turns
-        with the points, so a point that changes rows flips its color."""
-        order = circular_order(self.n_upper, self.n_lower)
-        n = len(order)
-        word = self.upper + conjugate(self.lower)
-        word = word[start:] + word[:start]
-        lab = [self.labels[order[(start + i) % n]] for i in circular_order(k, n - k)]
-        return Partition(word[:k], conjugate(word[k:]), lab)
-
-    def rotate_left_down(self) -> "Partition":
-        """Move the leftmost upper point to the front of the lower row,
-        flipping its color."""
-        if self.n_upper == 0:
-            raise ShapeMismatch("no upper point to rotate")
-        return self._recut(1, self.n_upper - 1)
-
-    def rotate_down_left(self) -> "Partition":
-        """Inverse of rotate_left_down."""
-        if self.n_lower == 0:
-            raise ShapeMismatch("no lower point to rotate")
-        return self._recut(self.n_points - 1, self.n_upper + 1)
-
-    def rotate_right_down(self) -> "Partition":
-        """Move the rightmost upper point to the end of the lower row,
-        flipping its color."""
-        if self.n_upper == 0:
-            raise ShapeMismatch("no upper point to rotate")
-        return self._recut(0, self.n_upper - 1)
-
-    def rotate_down_right(self) -> "Partition":
-        """Inverse of rotate_right_down."""
-        if self.n_lower == 0:
-            raise ShapeMismatch("no lower point to rotate")
-        return self._recut(0, self.n_upper + 1)
-
     def reverse(self) -> "Partition":
         """Mirror left-right and invert every color."""
         k, l = self.n_upper, self.n_lower
         perm = list(range(k - 1, -1, -1)) + list(range(k + l - 1, k - 1, -1))
         lab = [self.labels[p] for p in perm]
         return Partition(conjugate(self.upper), conjugate(self.lower), lab)
-
-    # -- projective structure --------------------------------------------
-
-    def is_projective(self) -> bool:
-        """p is projective when p = p* = pp.  Every r*r is projective, so p
-        is projective exactly when its rows agree and it is its own p*p."""
-        upper = self.labels[: self.n_upper]
-        through = set(upper).intersection(self.labels[self.n_upper :])
-        return self.upper == self.lower and _row_square(upper, through) == self.labels
 
 
 def _trusted_partition(upper: str, lower: str, labels: tuple[int, ...]) -> Partition:
@@ -290,30 +233,6 @@ def _row_square(row: tuple[int, ...], through: set[int]) -> tuple[int, ...]:
             below[b] = fresh
             fresh += 1
     return tuple([top[b] for b in row] + [below[b] for b in row])
-
-
-def through_factorize(p: Partition) -> list[Partition]:
-    """Split a noncrossing projective partition into tensor factors with
-    one through-block each.
-
-    Cuts are placed at the leftmost upper point of every through-block
-    after the first, so non-through clutter attaches to the factor of the
-    through-block to its right (trailing clutter goes to the last factor).
-    Raises NotFactorizable when there is no through-block.
-    """
-    if not (p.is_projective() and p.is_noncrossing()):
-        raise NotFactorizable("through_factorize needs a noncrossing projective partition")
-    tb = p.through_blocks
-    if not tb:
-        raise NotFactorizable("no through-block")
-    k = p.n_upper
-    cuts = [0] + [blk[0] for blk in tb[1:]] + [k]
-    factors = []
-    for a, b in zip(cuts, cuts[1:]):
-        pts = list(range(a, b)) + list(range(k + a, k + b))
-        lab = [p.labels[i] for i in pts]
-        factors.append(Partition(p.upper[a:b], p.lower[a:b], lab))
-    return factors
 
 
 # ---------------------------------------------------------------------------

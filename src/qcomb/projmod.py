@@ -283,19 +283,6 @@ def catalog(universe: PartitionUniverse) -> dict[str, ProjectiveModule]:
     }
 
 
-def classify_module(universe: PartitionUniverse, gens) -> str:
-    """Name of the unique catalog module matching closure(gens) within
-    the bound."""
-    target = closure(universe, gens)
-    for name, mod in catalog(universe).items():
-        if mod.members == target.members:
-            return name
-    raise NoCatalogMatch(
-        f"closure of {sorted(map(str, gens))} matches no catalog entry of "
-        f"{universe.cat} at bound {universe.point_bound}"
-    )
-
-
 def distinct_generated_modules(universe: PartitionUniverse) -> list[ProjectiveModule]:
     """All distinct closures of single projective generators, closed under
     pairwise joins.  One closure is computed per equivalence class since

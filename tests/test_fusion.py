@@ -83,15 +83,7 @@ def test_restricted_product_rejects_outside_inputs():
 def test_wreath_word_string_roundtrip():
     x = WreathWord(("ox", "", "ooxx"))
     assert str(x) == "[ox][e][ooxx]"
-    assert WreathWord.from_str(str(x)) == x
     assert str(WreathWord(())) == "1"
-    assert WreathWord.from_str("1") == WreathWord(())
-
-
-def test_wreath_conjugate_reverses_and_conjugates_letters():
-    x = WreathWord(("ox", "oox"))
-    assert x.conjugate() == WreathWord((words.conjugate("oox"), "ox"))
-    assert x.conjugate().conjugate() == x
 
 
 def test_wreath_product_three_term_recursion():

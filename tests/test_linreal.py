@@ -560,9 +560,9 @@ def test_each_circle_family_is_eliminated_once_per_N(monkeypatch):
     eliminated = []
     real = linreal._rank_mod_p
 
-    def counted(M, prime):
+    def counted(M):
         eliminated.append(len(M))
-        return real(M, prime)
+        return real(M)
 
     monkeypatch.setattr(linreal, "_rank_mod_p", counted)
     for a in range(9):
@@ -584,9 +584,9 @@ def counted_certification(monkeypatch, residue_rank=None):
     calls = {"mod_p": [], "bareiss": []}
     mod_p, bareiss = linreal._rank_mod_p, linreal._rank_bareiss
 
-    def counted_mod_p(M, prime):
+    def counted_mod_p(M):
         calls["mod_p"].append(len(M))
-        r = mod_p(M, prime)
+        r = mod_p(M)
         return r if residue_rank is None else residue_rank(r)
 
     def counted_bareiss(M):
@@ -640,6 +640,23 @@ def test_at_N_1_every_unitary_word_spans_at_most_one_dimension(monkeypatch):
     assert sorted(calls["mod_p"]) == sorted(blocks) and len(sizes) == 176
     assert sorted(calls["bareiss"]) == sorted(n for n in sizes if n >= 2)
     assert len(calls["bareiss"]) == 160
+
+
+def test_at_N_equal_to_the_prime_every_family_is_settled_by_bareiss(monkeypatch):
+    # at N = p every entry N^e of a residue with a point is 0 modulo p, so
+    # each family reads rank 0 there and goes to the exact elimination
+    # once, which finds the unitary pairings independent
+    residues = []
+    calls = counted_certification(monkeypatch, residue_rank=lambda r: residues.append(r) or r)
+    for w in all_words(6):
+        if w:
+            parts = enumerate_members(CU, "", w)
+            assert gram_rank(parts, linreal._PRIME) == len(parts), w
+    families = list(linreal._families.values())
+    blocks = [k for family in families for k in one_residue(family)]
+    assert sorted(calls["mod_p"]) == sorted(blocks) and set(residues) == {0}
+    assert sorted(calls["bareiss"]) == sorted(len(family.row) for family in families)
+    assert len(families) == 14
 
 
 def test_a_capped_memo_evicts_the_oldest_family_and_stays_exact(monkeypatch):
@@ -790,15 +807,14 @@ def small_matrices(draw):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
 
 
-PRIMES = [2147483647, 2147483629, 2147483587]
 # the default row chunk, and two that put chunk boundaries inside the
 # rows of small matrices
 ROW_CHUNKS = [linreal._ROW_CHUNK, 8, 1]
 
 
-@given(small_matrices(), st.sampled_from(PRIMES))
-def test_modular_rank_matches_bareiss(M, prime):
-    assert _rank_mod_p(np.array(M, dtype=np.int64) % prime, prime) == _rank_bareiss(M)
+@given(small_matrices())
+def test_modular_rank_matches_bareiss(M):
+    assert _rank_mod_p(np.array(M, dtype=np.int64) % linreal._PRIME) == _rank_bareiss(M)
 
 
 def rank_mod_p_by_copies(M, p):
@@ -825,15 +841,14 @@ def rank_mod_p_by_copies(M, p):
     return rank
 
 
-# at the certification prime the rows below the pivots are never reduced
-# on these sizes; at the 31-bit primes they are reduced every 2 pivots
-@given(small_matrices(), st.sampled_from(PRIMES + [linreal._PRIME]))
-def test_modular_rank_matches_the_copying_kernel_at_every_row_chunk(M, prime):
-    want = rank_mod_p_by_copies(np.array(M, dtype=np.int64), prime)
+@given(small_matrices())
+def test_modular_rank_matches_the_copying_kernel_at_every_row_chunk(M):
+    p = linreal._PRIME
+    want = rank_mod_p_by_copies(np.array(M, dtype=np.int64), p)
     for row_chunk in ROW_CHUNKS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linreal, "_ROW_CHUNK", row_chunk)
-            assert _rank_mod_p(np.array(M, dtype=np.int64) % prime, prime) == want, row_chunk
+            assert _rank_mod_p(np.array(M, dtype=np.int64) % p) == want, row_chunk
 
 
 # the certification prime before the lazy reduction: the copying kernel
@@ -881,11 +896,12 @@ def test_gram_exponents_match_the_min_label_kernel_on_circle_families():
     assert {429, 1430} <= {len(parts) for _, parts, _, _ in families}
 
 
-def assert_in_place_ranks_match_the_copying_kernel(prime):
+def assert_in_place_ranks_match_the_copying_kernel():
     families = circle_families()
     for i, (name, _, B, Ns) in enumerate(families):
         for N in Ns:
-            assert _rank_mod_p(residue(B, N, prime), prime) == copying_rank(i, N), (name, N)
+            want = copying_rank(i, N)
+            assert _rank_mod_p(residue(B, N, linreal._PRIME)) == want, (name, N)
     # NC(7) and NC(8) are deficient at N = 2 and 3, so the comparison
     # covers eliminations that run out of pivots as well as full ones
     ranks = {copying_rank(i, N) for i, (_, _, _, Ns) in enumerate(families) for N in Ns}
@@ -897,48 +913,11 @@ def assert_in_place_ranks_match_the_copying_kernel(prime):
 def test_in_place_modular_rank_matches_the_copying_kernel_on_circle_families(
     row_chunk, monkeypatch
 ):
-    # at the certification prime the rows below the pivots of these
-    # families are never reduced
+    # the ranks modulo the certification prime, whose rows below the
+    # pivots are never reduced again, against the copying kernel's
+    # modulo 2^31 - 1
     monkeypatch.setattr(linreal, "_ROW_CHUNK", row_chunk)
-    assert_in_place_ranks_match_the_copying_kernel(linreal._PRIME)
-
-
-def test_reduction_every_two_pivots_matches_the_copying_kernel_on_circle_families():
-    # at 2^31 - 1 the rows below the pivots that took an update are
-    # reduced every 2 pivots
-    assert (2**63 - OLD_PRIME) // (OLD_PRIME - 1) ** 2 == 2
-    assert_in_place_ranks_match_the_copying_kernel(OLD_PRIME)
-
-
-def overflow_traps(kind, count, seed):
-    """Matrices of rank 4 with 5 rows, entries near 2^31 - 1, in which one
-    row, a combination of three others, takes a third update before it is
-    reduced unless the reduction after every 2 pivots finds it.  With
-    "swap" it takes its first update and then trades places with a row
-    that took none, the only one with column 1.  With "next" it takes two
-    updates, stands at the next pivot's place at the reduction, and then
-    trades places with the only row that has column 2."""
-    p = OLD_PRIME
-    rng = np.random.default_rng(seed)
-    gap = 1 if kind == "swap" else 2
-    for _ in range(count):
-        a, b, c, last = rng.integers(int(0.9 * p), p, (4, 5))
-        a[gap] = b[gap] = c[gap] = 0
-        if kind == "swap":
-            a[0], last[0] = 1, 0
-        weights = rng.integers(1, p, 3).tolist()
-        combined = [sum(int(w) * int(r[j]) for w, r in zip(weights, (a, b, c))) % p for j in range(5)]
-        rows = [a, combined, b, c, last] if kind == "swap" else [a, b, combined, c, last]
-        yield np.array(rows, dtype=np.int64)
-
-
-@pytest.mark.parametrize("kind", ["swap", "next"])
-def test_every_row_updated_since_the_last_reduction_is_reduced(kind):
-    # entries near p make three updates overflow int64, and the overflow
-    # turns the dependent row independent
-    for M in overflow_traps(kind, 2000, seed=0):
-        assert rank_mod_p_by_copies(M, OLD_PRIME) == 4
-        assert _rank_mod_p(M.copy(), OLD_PRIME) == 4, M.tolist()
+    assert_in_place_ranks_match_the_copying_kernel()
 
 
 def test_every_full_rank_family_above_the_bareiss_budget_is_certified_by_one_residue(
@@ -993,7 +972,7 @@ def test_character_blocks_rank_the_full_residue(monkeypatch):
         family, _ = linreal._family(parts)
         B = full_exponents(family)
         for N in Ns:
-            want = _rank_mod_p(residue(B, N, linreal._PRIME), linreal._PRIME)
+            want = _rank_mod_p(residue(B, N, linreal._PRIME))
             assert linreal._residue_rank(family, N) == want, (name, N)
             pairs += 1
         h = len(family.turns)
@@ -1042,7 +1021,15 @@ def test_the_prime_has_every_root_of_unity_up_to_12_and_lazy_headroom():
     assert all(pow(linreal._ROOT, (p - 1) // q, p) != 1 for q in factors)
     # the rows below a pivot are never reduced again within a family of
     # up to 208,012 members, the 12-point noncrossing partitions
-    assert (2**63 - p) // (p - 1) ** 2 >= comb(24, 12) // 13 == 208012
+    assert linreal._LAZY == 533483 >= comb(24, 12) // 13 == 208012
+
+
+def test_a_block_above_the_lazy_headroom_raises_before_its_first_pivot():
+    # a row of a larger block could take _LAZY updates, each below
+    # (p - 1)^2, and leave int64 without a reduction to catch it
+    with pytest.raises(TooLarge, match="533484 rows exceed"):
+        _rank_mod_p(np.zeros((linreal._LAZY + 1, 1), dtype=np.int64))
+    assert _rank_mod_p(np.ones((linreal._LAZY, 1), dtype=np.int64)) == 1
 
 
 def test_a_turn_order_that_does_not_divide_p_minus_1_is_not_used(monkeypatch):
@@ -1056,7 +1043,7 @@ def test_a_turn_order_that_does_not_divide_p_minus_1_is_not_used(monkeypatch):
         parts = [Partition("", "o" * n, c) for c in shapes]
         family, _ = linreal._family(parts)
         assert len(family.turns) == h
-        want = _rank_mod_p(residue(full_exponents(family), 3, linreal._PRIME), linreal._PRIME)
+        want = _rank_mod_p(residue(full_exponents(family), 3, linreal._PRIME))
         assert linreal._residue_rank(family, 3) == want
         assert np.array_equal(gram_exponents(parts), join_matrix(parts))
 
@@ -1070,7 +1057,7 @@ def test_modular_elimination_stays_within_a_bounded_working_set():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert _rank_mod_p(R, linreal._PRIME) == 429
+        assert _rank_mod_p(R) == 429
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -21,7 +21,6 @@ from qcomb.projmod import (
     PartitionUniverse,
     catalog,
     catalog_generators,
-    classify_module,
     closure,
     distinct_generated_modules,
     glue,
@@ -135,16 +134,6 @@ def test_catalog_modules_are_stable_under_sandwiching(name):
                 assert s.adjoint() == s
                 assert s.compose(s)[0] == s
                 assert s in mod.members
-
-
-def test_classify_module_recovers_catalog_names():
-    u = universe("NC2")
-    # the nested pair is equivalent to the empty diagram, both land in the
-    # module generated by the unit
-    assert classify_module(u, [CUPCAP]) == "proj0"
-    assert classify_module(u, [EMPTY]) == "proj0"
-    assert classify_module(u, [TWO]) == "proj2"
-    assert classify_module(u, [BAR]) == "proj"
 
 
 def test_through_words_read_off_the_propagating_strands():
