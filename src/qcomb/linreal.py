@@ -46,18 +46,22 @@ without rotation symmetry is ranked whole, as the one block of a group
 of order 1.
 
 The modular elimination runs in place on the residue, an int64 matrix
-with entries in [0, p) that the certification builds and hands over,
-and clears the rows below each pivot a chunk of at most _ROW_CHUNK
-entries at a time, so its working set beyond the residue stays bounded,
-at about 0.4 MiB whatever the family size.  It reduces lazily, as in
-Dumas, Giorgi and Pernet, "Dense linear algebra over word-size prime
-fields: the FFLAS and FFPACK packages" (ACM TOMS 2008): each pivot
-reduces only its column, which finds the pivot and the multipliers, and
-its own row, and the rows below take the update unreduced.  An update
-moves an entry by less than (p - 1)^2 and a row takes one per pivot
-above it, so a block of up to (2^63 - p) // (p - 1)^2 = 533,483 rows,
-more than the 208,012 noncrossing partitions of 12 points, is never
-reduced again; a larger block raises TooLarge before its first pivot.
+with entries in [0, p) that the certification builds and hands over, and
+clears the rows below each pivot a chunk of at most _ROW_CHUNK entries
+at a time, so its working set beyond the residue is one column and about
+0.4 MiB whatever the family size.  It reduces lazily, as in Dumas,
+Giorgi and Pernet, "Dense linear algebra over word-size prime fields:
+the FFLAS and FFPACK packages" (ACM TOMS 2008): each pivot reduces its
+column below the rank once, into a copy whose nonzeros give the pivot,
+the rows to clear and their multipliers, and the tail of its own row,
+and the rows below take the update unreduced; a row that is 0 in the
+pivot column is not touched.  Most character blocks have a few rows,
+where a pivot's time is the interpreter's steps around its numpy calls
+rather than arithmetic.  An update moves an entry by less than (p - 1)^2
+and a row takes one per pivot above it, so a block of up to
+(2^63 - p) // (p - 1)^2 = 533,483 rows, more than the 208,012
+noncrossing partitions of 12 points, is never reduced again; a larger
+block raises TooLarge before its first pivot.
 
 The join block counts of a family are computed by merges, one column q
 at a time for every p at once, for one q per rotation orbit: the others
@@ -249,10 +253,14 @@ def _circles(parts: list[Partition]) -> list[tuple[int, ...]]:
     """Each member's labels read around the circle of their common frame."""
     if len({(p.upper, p.lower) for p in parts}) > 1:
         raise ShapeMismatch("mixed frames")
-    return [
-        _canonical_labels([p.labels[i] for i in circular_order(p.n_upper, p.n_lower)])
-        for p in parts
-    ]
+    order = circular_order(parts[0].n_upper, parts[0].n_lower)
+    out = []
+    for p in parts:
+        # blocks numbered by first appearance in the circular order
+        first: dict[int, int] = {}
+        labels = p.labels
+        out.append(tuple([first.setdefault(labels[i], len(first)) for i in order]))
+    return out
 
 
 def _exponents(circles: list[tuple[int, ...]], qs: list[tuple[int, ...]]) -> np.ndarray:
@@ -396,41 +404,41 @@ def _rank_mod_p(A: np.ndarray) -> int:
     """Rank over F_p of A, p = _PRIME, eliminated in place.
 
     A is an int64 residue with entries in [0, p) that the caller owns
-    and hands over: it is overwritten.  Only the rows below the pivot with
-    a nonzero entry in the pivot column are cleared, and only from the
-    pivot column on: the rank needs an echelon form, not a reduced one.
-    They are cleared a chunk of rows at a time, at most _ROW_CHUNK
-    entries each, so the working set beyond A stays bounded.
+    and hands over: it is overwritten.  Each column is reduced below the
+    rank once, into a copy, and its nonzeros give both the pivot, the
+    first of them, and the rows to clear, the others, with their
+    multipliers.  Only those rows are cleared, and only right of the
+    pivot column, which is not read again: the rank needs an echelon
+    form, not a reduced one.  They are cleared a chunk of rows at a time,
+    at most _ROW_CHUNK entries each, so the working set beyond A is the
+    column copy and one chunk.
 
     Reduction is lazy: each pivot reduces only its column below the rank
-    and its own row, so the multipliers and the pivot row lie in [0, p),
-    and an update moves an entry of a row below down by less than
-    (p - 1)^2, once per pivot above it: entries stay in (-2^63, p) when A
-    has at most _LAZY rows, and a larger A raises TooLarge at once."""
+    and the tail of its own row, so the multipliers and the pivot row
+    lie in [0, p), and an update moves an entry of a row below down by
+    less than (p - 1)^2, once per pivot above it: entries stay in
+    (-2^63, p) when A has at most _LAZY rows, and a larger A raises
+    TooLarge at once."""
     rows, cols = A.shape
     if rows > _LAZY:
         raise TooLarge(f"{rows} rows exceed the {_LAZY}-row budget of the modular elimination")
     p = _PRIME
     rank = 0
     for c in range(cols):
-        column = A[rank:, c]
-        column %= p
-        nz = np.flatnonzero(column)
+        col = A[rank:, c] % p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-        A[rank, c:] %= p
-        inv = pow(int(A[rank, c]), p - 2, p)
-        pivot_row = A[rank, c:] * inv % p
-        below = rank + 1 + np.flatnonzero(A[rank + 1 :, c])
-        step = max(1, _ROW_CHUNK // (cols - c))
-        for i in range(0, below.size, step):
-            chunk = below[i : i + step]
-            block = A[chunk, c:]
-            block -= np.outer(block[:, 0], pivot_row)
-            A[chunk, c:] = block
+        first = int(nz[0])
+        if first:
+            A[[rank, rank + first]] = A[[rank + first, rank]]
+        if nz.size > 1:
+            inv = pow(int(col[first]), -1, p)
+            pivot_row = A[rank, c + 1 :] % p * inv % p
+            step = max(1, _ROW_CHUNK // (cols - c))
+            for i in range(1, nz.size, step):
+                chunk = nz[i : i + step]
+                A[rank + chunk, c + 1 :] -= col[chunk, None] * pivot_row
         rank += 1
         if rank == rows:
             break
@@ -513,13 +521,16 @@ def _block(A: np.ndarray, sizes: np.ndarray, j: int) -> np.ndarray:
 
 def _residue_rank(family: _Family, N: int) -> int:
     """Rank over F_p of the Gram residue, the sum over the rotation
-    characters j <= h/2 of the rank of M_j, doubled when 0 < 2j < h."""
+    characters j <= h/2 of the rank of M_j, doubled when 0 < 2j < h.
+    A family with h = 1 has one block, its residue, ranked as it is."""
     E, turns = family.exponents, family.turns
     h = len(turns)
     # table holds N^e reduced modulo the prime, so table[E] is the exact
     # residue of the Gram matrix however large N^e grows
     table = np.array([pow(N, e, _PRIME) for e in range(int(E.max()) + 1)], dtype=np.int64)
     A = table[E[turns]]
+    if h == 1:
+        return _rank_mod_p(A[0])
     sizes = np.bincount(family.orbit)
     return sum(
         (1 if 2 * j % h == 0 else 2) * _rank_mod_p(_block(A, sizes, j))

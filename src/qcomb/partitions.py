@@ -292,10 +292,12 @@ def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None, rule=None)
     position opens a block or joins one on the stack; joining closes
     every block above it, since a later point of those would cross.  A
     block is pruned once it outgrows max(sizes) or closes with a size not
-    in sizes.  With colors (the circular color word), blocks are pairs
-    whose two colors differ.  With rule, only the shapes it accepts on
-    the one-row partition whose labels are the shape, colored by the
-    circular color word: there point order is circular order.
+    in sizes.  With colors (the circular color word), the pair shapes of
+    n positions whose two colors differ in every pair: those whose white
+    positions hold distinct labels, filtered from the uncolored pair
+    shapes.  With rule, only the shapes it accepts on the one-row
+    partition whose labels are the shape, colored by the circular color
+    word: there point order is circular order.
     """
     if rule is not None:
         row = colors or WHITE * n
@@ -303,26 +305,28 @@ def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None, rule=None)
         shapes = _noncrossing_shapes(n, sizes, colors, None)
         return tuple(s for s in shapes if rule(_trusted_partition(row, "", s)))
     if colors is not None:
-        sizes = frozenset({2})
-        if 2 * colors.count(WHITE) != n:
+        whites = [i for i, c in enumerate(colors) if c == WHITE]
+        if 2 * len(whites) != n:
             return ()
+        # each pair holds one white position exactly when no two white
+        # positions share a label
+        pairs = _noncrossing_shapes(n, frozenset({2}), None, None)
+        return tuple(s for s in pairs if len({s[i] for i in whites}) == len(whites))
     top = max(sizes, default=0)
     labels = [0] * n
     out = []
 
     def rec(i: int, opened: int, stack: tuple):
         if i == n:
-            if all(s in sizes for _, s, _ in stack):
+            if all(s in sizes for _, s in stack):
                 out.append(tuple(labels))
             return
-        color = colors[i] if colors else None
         labels[i] = opened
-        rec(i + 1, opened + 1, stack if top == 1 else stack + ((opened, 1, color),))
+        rec(i + 1, opened + 1, stack if top == 1 else stack + ((opened, 1),))
         for j in range(len(stack) - 1, -1, -1):
-            b, s, c = stack[j]
-            if colors is None or c != color:
-                labels[i] = b
-                rec(i + 1, opened, stack[:j] if s + 1 == top else stack[:j] + ((b, s + 1, c),))
+            b, s = stack[j]
+            labels[i] = b
+            rec(i + 1, opened, stack[:j] if s + 1 == top else stack[:j] + ((b, s + 1),))
             if s not in sizes:
                 break  # joining further down would close this block
 
@@ -342,7 +346,9 @@ def enumerate_noncrossing(
 
     Built directly in the circular order rather than filtered from all
     set partitions.  Shapes are shared between frames with the same
-    number of points (or, when colored, the same circular color word).
+    number of points; when colored, the pair shapes of that number are
+    filtered by the color rule once per circular color word, and the
+    frames of one word share the result.
     This is the one cut of a circle shape into a frame: each shape is
     read in the frame's point order and its blocks numbered by first
     appearance in the same pass, so the labels are canonical and the

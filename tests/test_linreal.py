@@ -7,9 +7,10 @@ orbits, i.e. the sum of Stirling numbers S(n, j) for j <= N.
 
 Differential oracles: the sparse PartitionMap realization, the per-pair
 law check built on it, the all-pairs law pairing, the union-find
-join_block_count, the min-label propagation along successor maps and the
+join_block_count, the min-label propagation along successor maps, the
 modular elimination that cleared and reduced all rows below a pivot at
-once on a copy are the code the dense, merge-walk and lazily reducing
+once on a copy and the lazy one that reduced each column in place and
+searched it twice are the code the dense, merge-walk and lazily reducing
 kernels replaced, and the modular rank of the whole Gram residue is the
 certificate that the rotation-character blocks replaced.
 
@@ -851,6 +852,65 @@ def test_modular_rank_matches_the_copying_kernel_at_every_row_chunk(M):
             assert _rank_mod_p(np.array(M, dtype=np.int64) % p) == want, row_chunk
 
 
+def rank_mod_p_reducing_in_place(A):
+    """The lazy elimination over F_p, p = _PRIME, that reduced each
+    column below the rank and the pivot row in A itself, found the rows
+    to clear by a second search of the column below the pivot and took
+    their multipliers from A: the kernel _rank_mod_p replaced.  A is
+    overwritten."""
+    p = linreal._PRIME
+    rows, cols = A.shape
+    rank = 0
+    for c in range(cols):
+        column = A[rank:, c]
+        column %= p
+        nz = np.flatnonzero(column)
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            A[[rank, piv]] = A[[piv, rank]]
+        A[rank, c:] %= p
+        inv = pow(int(A[rank, c]), p - 2, p)
+        pivot_row = A[rank, c:] * inv % p
+        below = rank + 1 + np.flatnonzero(A[rank + 1 :, c])
+        step = max(1, linreal._ROW_CHUNK // (cols - c))
+        for i in range(0, below.size, step):
+            chunk = below[i : i + step]
+            block = A[chunk, c:]
+            block -= np.outer(block[:, 0], pivot_row)
+            A[chunk, c:] = block
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+@st.composite
+def zero_heavy_residues(draw):
+    """Residues with entries in [0, p), about half of them 0, whose first
+    column is 0 in the first row and not in a row below it, so that the
+    first pivot, and often later ones, lies below the rank."""
+    p = linreal._PRIME
+    rows, cols = draw(st.integers(2, 8)), draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.sampled_from([1, 2, p - 1]), st.integers(1, p - 1))
+    A = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    A[0][0] = 0
+    A[draw(st.integers(1, rows - 1))][0] = draw(st.integers(1, p - 1))
+    return A
+
+
+@given(zero_heavy_residues())
+def test_modular_rank_matches_the_in_place_reducing_kernel_on_zero_heavy_residues(A):
+    p = linreal._PRIME
+    want = rank_mod_p_by_copies(np.array(A, dtype=np.int64), p)
+    for row_chunk in ROW_CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linreal, "_ROW_CHUNK", row_chunk)
+            assert rank_mod_p_reducing_in_place(np.array(A, dtype=np.int64)) == want, row_chunk
+            assert _rank_mod_p(np.array(A, dtype=np.int64)) == want, row_chunk
+
+
 # the certification prime before the lazy reduction: the copying kernel
 # ranks every circle family modulo it
 OLD_PRIME = 2**31 - 1
@@ -1009,6 +1069,34 @@ def test_conjugate_character_blocks_are_transposed_by_the_orbit_sizes(monkeypatc
     assert blocks > 748
 
 
+@pytest.mark.parametrize("row_chunk", ROW_CHUNKS)
+def test_modular_rank_matches_the_in_place_reducing_kernel_on_character_blocks(
+    row_chunk, monkeypatch
+):
+    # every block M_j, j <= h/2, that the certification of a circle family
+    # of up to 8 points eliminates at N = 2..5, which _residue_rank hands
+    # over whole when h = 1
+    monkeypatch.setattr(linreal, "_families", {})
+    monkeypatch.setattr(linreal, "_ROW_CHUNK", row_chunk)
+    p = linreal._PRIME
+    blocks, rows, ranks = 0, 0, set()
+    for name, parts, _, _ in circle_families():
+        family, _ = linreal._family(parts)
+        h, sizes = len(family.turns), np.bincount(family.orbit)
+        for N in (2, 3, 4, 5):
+            A = residue(family.exponents[family.turns], N, p)
+            for j in range(h // 2 + 1):
+                M = A[0] if h == 1 else linreal._block(A, sizes, j)
+                want = rank_mod_p_reducing_in_place(M.copy())
+                assert _rank_mod_p(M.copy()) == want, (name, N, j)
+                blocks, rows = blocks + 1, rows + len(M)
+                ranks.add((len(M), want))
+    # blocks that run out of pivots are met as well as full ones
+    assert any(r < m for m, r in ranks) and any(0 < r == m for m, r in ranks)
+    # 9 NCall and 50 CU families at four N each
+    assert (blocks, rows) == (408, 5676)
+
+
 def test_the_prime_has_every_root_of_unity_up_to_12_and_lazy_headroom():
     p = linreal._PRIME
     assert p < 2**22 and all(p % d for d in range(2, int(p**0.5) + 1))
@@ -1037,6 +1125,13 @@ def test_a_turn_order_that_does_not_divide_p_minus_1_is_not_used(monkeypatch):
     # which does not divide p - 1, so the family is ranked whole; the 14
     # turns of a 14-point one have order 14 = 2 * 7, which does
     monkeypatch.setattr(linreal, "_families", {})
+    blocks, block = [], linreal._block
+
+    def counted(A, sizes, j):
+        blocks.append(j)
+        return block(A, sizes, j)
+
+    monkeypatch.setattr(linreal, "_block", counted)
     for n, h in [(13, 1), (14, 14)]:
         labels = [0, 1, 0, 2, 2] + list(range(3, n - 2))
         shapes = {tuple(labels[r:] + labels[:r]) for r in range(n)}
@@ -1044,7 +1139,10 @@ def test_a_turn_order_that_does_not_divide_p_minus_1_is_not_used(monkeypatch):
         family, _ = linreal._family(parts)
         assert len(family.turns) == h
         want = _rank_mod_p(residue(full_exponents(family), 3, linreal._PRIME))
+        blocks.clear()
         assert linreal._residue_rank(family, 3) == want
+        # a family ranked whole hands its residue over without a block
+        assert len(blocks) == (0 if h == 1 else h // 2 + 1), n
         assert np.array_equal(gram_exponents(parts), join_matrix(parts))
 
 

@@ -2,7 +2,9 @@
 
 Counting oracles are classical integer sequences computed independently of
 the enumeration code: Bell numbers for all set partitions, Catalan numbers
-for noncrossing partitions and noncrossing pairings.
+for noncrossing partitions and noncrossing pairings.  The recursion that
+carried each open block's color is the differential oracle of the colored
+shapes, which are filtered from the uncolored pair shapes.
 """
 
 from functools import lru_cache
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcomb.partitions import (
     Partition,
+    _noncrossing_shapes,
     circular_order,
     duality,
     enumerate_noncrossing,
@@ -56,6 +59,53 @@ def test_counts_noncrossing_pairings_are_catalan():
     for n in range(4):
         got = enumerate_noncrossing("", "o" * (2 * n), block_sizes={2})
         assert len(got) == CATALAN[n]
+
+
+def colored_shapes_by_recursion(colors: str) -> tuple:
+    """The noncrossing pair shapes of the circular color word colors whose
+    two colors differ in every pair, the color of each open block carried
+    on the recursion's stack and checked at each join: the code the filter
+    of the uncolored pair shapes replaced."""
+    n = len(colors)
+    sizes, top = frozenset({2}), 2
+    if 2 * colors.count("o") != n:
+        return ()
+    labels = [0] * n
+    out = []
+
+    def rec(i: int, opened: int, stack: tuple):
+        if i == n:
+            if all(s in sizes for _, s, _ in stack):
+                out.append(tuple(labels))
+            return
+        color = colors[i]
+        labels[i] = opened
+        rec(i + 1, opened + 1, stack + ((opened, 1, color),))
+        for j in range(len(stack) - 1, -1, -1):
+            b, s, c = stack[j]
+            if c != color:
+                labels[i] = b
+                rec(i + 1, opened, stack[:j] if s + 1 == top else stack[:j] + ((b, s + 1, c),))
+            if s not in sizes:
+                break
+
+    rec(0, 0, ())
+    return tuple(out)
+
+
+def test_colored_shapes_match_the_colored_recursion_on_every_word_up_to_12_points():
+    # the uncached function, so the 8,191 words leave no cache entry each
+    shapes = _noncrossing_shapes.__wrapped__
+    per_length = [0] * 13
+    for n in range(13):
+        for colors in product("ox", repeat=n):
+            colors = "".join(colors)
+            got = shapes(n, frozenset({2}), colors, None)
+            assert got == colored_shapes_by_recursion(colors), colors
+            per_length[n] += len(got)
+    # a pair shape of 2m points obeys the color rule on the 2^m words that
+    # color each of its pairs o and x in either order
+    assert per_length == [CATALAN[n // 2] * 2 ** (n // 2) if n % 2 == 0 else 0 for n in range(13)]
 
 
 def first_appearance_canonical(labels):
