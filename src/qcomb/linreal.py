@@ -64,24 +64,24 @@ noncrossing partitions of 12 points, is never reduced again; a larger
 block raises TooLarge before its first pivot.
 
 The join block counts of a family are computed by merges, one column q
-at a time for every p at once, for one q per rotation orbit: the others
-are gathered from the rows of their orbit's column turned back.  The
-members' labels start as one matrix; each merge of q joins a point to
-the first point of its block, relabels the block it joins in every p
-and counts down where the two blocks were apart.  The q's are visited
-in the order of their merge sequences with a stack of the labels after
-each merge, so q's that share leading merges share the labels after
-them, and at most n + 1 label matrices are held for n points.
+at a time for every p at once, and the certificate reads only the
+columns of one q per rotation orbit.  The members' labels start as one
+matrix; each merge of q joins a point to the first point of its block,
+relabels the block it joins in every p and counts down where the two
+blocks were apart.  The q's are visited in the order of their merge
+sequences with a stack of the labels after each merge, so q's that
+share leading merges share the labels after them, and at most n + 1
+label matrices are held for n points.
 
-One memo holds the circle families met so far, at most _MAX_FAMILIES of
-them, the oldest evicted first.  A family's key is the set of its
-members' labels read around the circle of their frame (circular_order),
-so all frames with the same points around one circle share an entry:
-the NCall frames (a, n-a) of one n, or the CU frames of one circular
-color word, whatever the split.  An entry holds, in the row order of
-the first family that reached the key, the rotation orbits of its
-members, the exponent columns of one member per orbit, stored as the
-smallest unsigned integer type that holds the point count (uint8 on
+One memo, an lru_cache of at most _MAX_FAMILIES entries, holds the
+circle families met so far.  A family's key is the set of its members'
+labels read around the circle of their frame (circular_order), so all
+frames with the same points around one circle share an entry: the NCall
+frames (a, n-a) of one n, or the CU frames of one circular color word,
+whatever the split.  An entry holds what the certificate reads: the
+sizes of the rotation orbits, the join block counts of every turn of
+each orbit's first member against every orbit's first member, stored as
+the smallest unsigned integer type that holds the point count (uint8 on
 every frame a suite ranks), and the ranks certified so far at each N.
 A rank found out of budget raises and is not stored.
 
@@ -94,6 +94,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -224,29 +225,21 @@ def check_laws(pairs, N: int) -> dict:
 # entries per row chunk cleared by _rank_mod_p; keeps each temporary
 # near 128 KB
 _ROW_CHUNK = 2**14
-# circle families kept by the Gram memo, the oldest evicted first;
-# `verify fusion-rank --length 10` meets 176 of them
+# circle families kept by the Gram memo, the least recently used evicted
+# first; `verify fusion-rank --length 10` meets 176 of them
 _MAX_FAMILIES = 256
 
 
 @dataclass
 class _Family:
-    """A memo entry: the row of each circle reading, in the order of the
-    first family that reached the key; its rotation orbits, as the orbit
-    of each row, the turns from its orbit's first row to it, and turns,
-    whose entry [r, O] is the row r turns from orbit O's first row; the
-    exponents of the orbits' first rows, one column each; and the ranks
-    certified so far, keyed by N."""
+    """A memo entry, over the rotation orbits of a circle family: the
+    orbit sizes; the exponents, whose entry [r, O, O'] is the join block
+    count of the member r turns from orbit O's first against orbit O''s
+    first; and the ranks certified so far, keyed by N."""
 
-    row: dict[tuple[int, ...], int]
-    orbit: np.ndarray
-    shift: np.ndarray
-    turns: np.ndarray
+    sizes: np.ndarray
     exponents: np.ndarray
     ranks: dict[int, int] = field(default_factory=dict)
-
-
-_families: dict[frozenset, _Family] = {}
 
 
 def _circles(parts: list[Partition]) -> list[tuple[int, ...]]:
@@ -308,14 +301,15 @@ def _turned(circles: list[tuple[int, ...]], row: dict, d: int) -> list[int] | No
     return out
 
 
-def _orbits(circles: list[tuple[int, ...]], row: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The orbit of each reading under the family's rotation group, the
-    turns from its orbit's first reading to it, and the (h, orbits) rows
-    r turns from each orbit's first reading.  A turn moves the points d
-    places around the circle, for the least d dividing the point count n
-    whose turn maps the family to itself and whose order h = n / d divides
-    p - 1, so that F_p holds a primitive h-th root of unity."""
+def _orbits(circles: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes of the orbits of the readings under the family's
+    rotation group, and the (h, orbits) rows r turns from each orbit's
+    first reading.  A turn moves the points d places around the circle,
+    for the least d dividing the point count n whose turn maps the family
+    to itself and whose order h = n / d divides p - 1, so that F_p holds
+    a primitive h-th root of unity."""
     m, n = len(circles), len(circles[0])
+    row = {c: i for i, c in enumerate(circles)}
     for h in range(n, 1, -1):
         if n % h == 0 and (_PRIME - 1) % h == 0:
             turn = _turned(circles, row, n // h)
@@ -323,56 +317,31 @@ def _orbits(circles: list[tuple[int, ...]], row: dict) -> tuple[np.ndarray, np.n
                 break
     else:
         h, turn = 1, list(range(m))
-    orbit, shift, first = [-1] * m, [0] * m, []
+    orbit, first = [-1] * m, []
     for i in range(m):
-        x, s = i, 0
+        x = i
         while orbit[x] < 0:
-            orbit[x], shift[x] = len(first), s
-            x, s = turn[x], s + 1
-        if s:
+            orbit[x] = len(first)
+            x = turn[x]
+        if orbit[i] == len(first):
             first.append(i)
     turns = np.empty((h, len(first)), dtype=np.intp)
     turns[0] = first
     turn = np.array(turn, dtype=np.intp)
     for r in range(1, h):
         turns[r] = turn[turns[r - 1]]
-    return np.array(orbit, dtype=np.intp), np.array(shift, dtype=np.intp), turns
+    return np.bincount(orbit), turns
 
 
-def _family(parts: list[Partition]) -> tuple[_Family, list[tuple[int, ...]]]:
-    """The memo entry of the circle family of parts, made when first
-    reached, and each member's circle reading."""
-    circles = _circles(parts)
-    key = frozenset(circles)
-    family = _families.get(key)
-    if family is None:
-        if len(_families) >= _MAX_FAMILIES:
-            del _families[next(iter(_families))]
-        row = {c: i for i, c in enumerate(dict.fromkeys(circles))}
-        rows = list(row)
-        orbit, shift, turns = _orbits(rows, row)
-        exponents = _exponents(rows, [rows[i] for i in turns[0]])
-        family = _families[key] = _Family(row, orbit, shift, turns, exponents)
-    return family, circles
-
-
-def _gathered(family: _Family, rows) -> np.ndarray:
-    """The read-only exponent matrix of the family's rows `rows`, against
-    themselves.  The entry at (x, y), for y = s turns from the first row
-    of orbit O, is that of x turned s turns back against the first row:
-    a turn of both members keeps the join's block count."""
-    rows = np.asarray(rows, dtype=np.intp)
-    E, turns = family.exponents, family.turns
-    h = len(turns)
-    orbit, shift = family.orbit[rows], family.shift[rows]
-    B = np.empty((len(rows), len(rows)), dtype=E.dtype)
-    for s in range(h):
-        cols = np.flatnonzero(shift == s)
-        if cols.size:
-            back = turns[(shift - s) % h, orbit]
-            B[:, cols] = E[back[:, None], orbit[cols]]
-    B.flags.writeable = False
-    return B
+@lru_cache(maxsize=_MAX_FAMILIES)
+def _family(circles: frozenset) -> _Family:
+    """The memo entry of the circle family whose members read circles
+    around the circle, its rows numbered in sorted order."""
+    rows = sorted(circles)
+    sizes, turns = _orbits(rows)
+    exponents = _exponents(rows, [rows[i] for i in turns[0]])[turns]
+    exponents.flags.writeable = False
+    return _Family(sizes, exponents)
 
 
 def gram_exponents(parts: list[Partition]) -> np.ndarray:
@@ -381,23 +350,18 @@ def gram_exponents(parts: list[Partition]) -> np.ndarray:
 
     Reading the points around the circle of a frame is a bijection of
     the points, and a bijection of the points maps the join of p and q
-    to the join of their images, block for block.  So two families whose
-    members read the same around the circle have the same matrix up to
-    one permutation of its rows and columns, which leaves the rank of the
-    Gram matrix unchanged, and a rotation of the circle that maps the
-    family to itself leaves the matrix invariant.  The memo keeps the
-    columns of one member per rotation orbit of each circle family and
-    gathers the others from their rotated rows, in the order of parts;
-    gram_rank ranks the Gram matrix off the same columns, one rotation
-    character at a time.  Members of different frames raise
+    to the join of their images, block for block, so the matrix is that
+    of the members' circle readings, in the order of parts.  It is
+    computed afresh and not memoized: gram_rank keeps only the columns
+    of one member per rotation orbit.  Members of different frames raise
     ShapeMismatch."""
     if not parts:
         # no member, no point: the type of a point count of 0
         B = np.zeros((0, 0), dtype=np.min_scalar_type(0))
         B.flags.writeable = False
         return B
-    family, circles = _family(parts)
-    return _gathered(family, [family.row[c] for c in circles])
+    circles = _circles(parts)
+    return _exponents(circles, circles)
 
 
 def _rank_mod_p(A: np.ndarray) -> int:
@@ -471,10 +435,10 @@ def _rank_bareiss(M: list[list[int]]) -> int:
 def gram_rank(parts: list[Partition], N: int) -> int:
     """Exact rank over the rationals of {T_p : p in parts} at dimension N.
 
-    The rank is certified once per circle family and N, on the family's
-    stored exponents: the matrix of parts is that one with its rows and
-    columns permuted together, and a member listed twice only repeats a
-    row and a column, so the rank is the same.
+    The rank is certified once per circle family and N: the Gram matrix
+    of parts is the family's with its rows and columns permuted
+    together, and a member listed twice only repeats a row and a column,
+    so the rank is the same.
 
     The certificate is the rank of the Gram residue modulo the prime,
     one rotation character at a time.  The family's rotation group of
@@ -497,9 +461,10 @@ def gram_rank(parts: list[Partition], N: int) -> int:
     and one block, its full residue."""
     if not parts:
         return 0
-    family, _ = _family(parts)
+    circles = frozenset(_circles(parts))
+    family = _family(circles)
     if N not in family.ranks:
-        family.ranks[N] = _certified_rank(family, N)
+        family.ranks[N] = _certified_rank(circles, family, N)
     return family.ranks[N]
 
 
@@ -521,26 +486,28 @@ def _block(A: np.ndarray, sizes: np.ndarray, j: int) -> np.ndarray:
 
 def _residue_rank(family: _Family, N: int) -> int:
     """Rank over F_p of the Gram residue, the sum over the rotation
-    characters j <= h/2 of the rank of M_j, doubled when 0 < 2j < h.
-    A family with h = 1 has one block, its residue, ranked as it is."""
-    E, turns = family.exponents, family.turns
-    h = len(turns)
+    characters j <= h/2 of the rank of M_j, doubled when 0 < 2j < h; a
+    character that meets no orbit has an empty block and is skipped.  A
+    family with h = 1 has one block, its residue, ranked as it is."""
+    E, sizes = family.exponents, family.sizes
+    h = len(E)
     # table holds N^e reduced modulo the prime, so table[E] is the exact
     # residue of the Gram matrix however large N^e grows
     table = np.array([pow(N, e, _PRIME) for e in range(int(E.max()) + 1)], dtype=np.int64)
-    A = table[E[turns]]
+    A = table[E]
     if h == 1:
         return _rank_mod_p(A[0])
-    sizes = np.bincount(family.orbit)
     return sum(
         (1 if 2 * j % h == 0 else 2) * _rank_mod_p(_block(A, sizes, j))
         for j in range(h // 2 + 1)
+        if (j * sizes % h == 0).any()
     )
 
 
-def _certified_rank(family: _Family, N: int) -> int:
-    """Exact rational rank of the family's Gram matrix N^B."""
-    n = len(family.row)
+def _certified_rank(circles: frozenset, family: _Family, N: int) -> int:
+    """Exact rational rank of the Gram matrix N^B of the family whose
+    members read circles around the circle."""
+    n = len(circles)
     # a full-rank residue modulo a prime certifies full rational rank
     if _residue_rank(family, N) == n:
         return n
@@ -551,7 +518,8 @@ def _certified_rank(family: _Family, N: int) -> int:
             f"rank defect suspected on a {n}x{n} Gram matrix; "
             "exact elimination at this size is out of budget"
         )
-    B = _gathered(family, range(n))
+    rows = sorted(circles)
+    B = _exponents(rows, rows)
     return _rank_bareiss([[N ** int(e) for e in row] for row in B])
 
 

@@ -470,52 +470,52 @@ def test_gram_exponents_of_no_members_is_an_empty_read_only_matrix():
     assert not B.flags.writeable
 
 
-def test_gram_exponents_memo_follows_the_family(monkeypatch):
-    monkeypatch.setattr(linreal, "_families", {})
+# -- the circle-family memo of gram_rank --------------------------------------
+
+
+def family_of(parts):
+    """The memo entry of the circle family of parts, made if not held."""
+    return linreal._family(frozenset(linreal._circles(parts)))
+
+
+def memo_families(lists):
+    """The memo entries of the circle families of the non-empty member
+    lists, one per family."""
+    return [linreal._family(key) for key in {frozenset(linreal._circles(ps)) for ps in lists if ps}]
+
+
+def one_residue(family):
+    """The size of the block M_j of each rotation character j <= h/2 of a
+    memo entry, j = 0 first, that meets an orbit: the number of orbits
+    whose size times j the group order h divides, when not 0.  The sizes
+    are checked to make up the whole residue: each j with 0 < 2j < h
+    stands for j and h - j."""
+    h, sizes = len(family.exponents), family.sizes
+    counts = [int(np.count_nonzero(j * sizes % h == 0)) for j in range(h // 2 + 1)]
+    assert sum((1 if 2 * j % h == 0 else 2) * k for j, k in enumerate(counts)) == sizes.sum()
+    return [k for k in counts if k]
+
+
+def test_gram_rank_memo_follows_the_family():
+    linreal._family.cache_clear()
     a = all_parts(4)
     b = list(reversed(a))
     c = all_parts(5)[: len(a)]
     for family in (a, b, c, a):
+        assert gram_rank(family, 2) == linreal.rank([realize(p, 2) for p in family])
         B = gram_exponents(family)
         assert np.array_equal(B, join_matrix(family))
         assert not B.flags.writeable
         with pytest.raises(ValueError):
             B[0, 0] = 0
-    # a and its reversal are one family, stored once in the order of a,
-    # as one column per rotation orbit from which the rest is gathered
-    families = list(linreal._families.values())
-    assert len(families) == 2
-    assert np.array_equal(full_exponents(families[0]), join_matrix(a))
-    for f in families:
+    # a and its reversal are one family, stored once with its rank at
+    # N = 2; gram_exponents neither reads nor fills the memo
+    info = linreal._family.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+    for f in (family_of(a), family_of(c)):
         E = f.exponents
-        assert E.shape == (len(f.row), f.turns.shape[1])
+        assert E.shape == (len(E), len(f.sizes), len(f.sizes)) and f.ranks.keys() == {2}
         assert E.dtype == np.uint8 and not E.flags.writeable
-
-
-# -- the circle-family memo of gram_exponents and gram_rank ------------------
-
-
-def full_exponents(family):
-    """The whole exponent matrix of a memo entry, in its row order."""
-    return linreal._gathered(family, range(len(family.row)))
-
-
-def character_blocks(family):
-    """The size of the block M_j of each rotation character j <= h/2 of a
-    memo entry, j = 0 first: the number of orbits whose size times j the
-    group order h divides."""
-    h = len(family.turns)
-    sizes = np.bincount(family.orbit)
-    return [int(np.count_nonzero(j * sizes % h == 0)) for j in range(h // 2 + 1)]
-
-
-def one_residue(family):
-    """character_blocks of a memo entry, checked to make up its whole
-    residue: each j with 0 < 2j < h stands for j and h - j."""
-    blocks = character_blocks(family)
-    h = len(family.turns)
-    assert sum((1 if 2 * j % h == 0 else 2) * k for j, k in enumerate(blocks)) == len(family.row)
-    return blocks
 
 
 def memo_frames():
@@ -532,32 +532,32 @@ def memo_frames():
                 yield CU, upper, lower, (2, 3, 4, 5)
 
 
-def memo_pass(monkeypatch, cleared: bool) -> list[int]:
+def memo_pass(cleared: bool) -> list[int]:
     """Rank every memo frame with a fresh memo, cleared before every rank
     when asked, and check the exponents after each frame."""
-    monkeypatch.setattr(linreal, "_families", {})
+    linreal._family.cache_clear()
     ranks = []
     for cat, upper, lower, Ns in memo_frames():
         parts = enumerate_members(cat, upper, lower)
         for N in Ns:
             if cleared:
-                linreal._families.clear()
+                linreal._family.cache_clear()
             ranks.append(gram_rank(parts, N))
         assert np.array_equal(gram_exponents(parts), frame_join_matrix(cat, upper, lower))
     return ranks
 
 
-def test_shared_memo_ranks_match_a_cleared_memo(monkeypatch):
-    shared = memo_pass(monkeypatch, cleared=False)
+def test_shared_memo_ranks_match_a_cleared_memo():
+    shared = memo_pass(cleared=False)
     # the NCall frames of one point count are one family, and so are the
     # CU frames of one circular color word whatever the split: the 36
     # NCall and 177 CU frames make 22 families
-    assert len(linreal._families) == 22
-    assert shared == memo_pass(monkeypatch, cleared=True)
+    assert linreal._family.cache_info().currsize == 22
+    assert shared == memo_pass(cleared=True)
 
 
 def test_each_circle_family_is_eliminated_once_per_N(monkeypatch):
-    monkeypatch.setattr(linreal, "_families", {})
+    linreal._family.cache_clear()
     eliminated = []
     real = linreal._rank_mod_p
 
@@ -572,8 +572,9 @@ def test_each_circle_family_is_eliminated_once_per_N(monkeypatch):
             assert gram_rank(parts, N) == 1430
     # one residue per N, one block per rotation character j <= 4 of the
     # 8 turns of NC(8)
-    (family,) = linreal._families.values()
-    assert len(family.turns) == 8
+    assert linreal._family.cache_info().currsize == 1
+    family = family_of(parts)
+    assert len(family.exponents) == 8
     assert eliminated == one_residue(family) * 2
 
 
@@ -581,7 +582,7 @@ def counted_certification(monkeypatch, residue_rank=None):
     """A fresh memo, with the row count of every modular and every Bareiss
     elimination recorded; residue_rank, if given, replaces the modular
     rank of each character block the certification sees."""
-    monkeypatch.setattr(linreal, "_families", {})
+    linreal._family.cache_clear()
     calls = {"mod_p": [], "bareiss": []}
     mod_p, bareiss = linreal._rank_mod_p, linreal._rank_bareiss
 
@@ -603,16 +604,16 @@ def test_a_full_rank_family_is_certified_by_one_residue(monkeypatch):
     calls = counted_certification(monkeypatch)
     parts = enumerate_members(NAMED["NCall"], "oo", "oo")
     assert gram_rank(parts, 4) == 14
-    (family,) = linreal._families.values()
-    assert calls == {"mod_p": one_residue(family), "bareiss": []}
+    assert linreal._family.cache_info().currsize == 1
+    assert calls == {"mod_p": one_residue(family_of(parts)), "bareiss": []}
 
 
 def test_a_deficient_family_runs_one_residue_then_bareiss(monkeypatch):
     calls = counted_certification(monkeypatch)
     parts = all_parts(4)
     assert gram_rank(parts, 2) == sum(stirling2(4, j) for j in range(1, 3)) == 8
-    (family,) = linreal._families.values()
-    assert calls == {"mod_p": one_residue(family), "bareiss": [15]}
+    assert linreal._family.cache_info().currsize == 1
+    assert calls == {"mod_p": one_residue(family_of(parts)), "bareiss": [15]}
 
 
 def test_a_deficient_residue_of_a_full_rank_family_is_settled_by_bareiss(monkeypatch):
@@ -623,8 +624,8 @@ def test_a_deficient_residue_of_a_full_rank_family_is_settled_by_bareiss(monkeyp
     calls = counted_certification(monkeypatch, residue_rank=lambda r: r - next(short, 0))
     parts = enumerate_members(NAMED["NCall"], "oo", "oo")
     assert gram_rank(parts, 4) == 14
-    (family,) = linreal._families.values()
-    assert calls == {"mod_p": one_residue(family), "bareiss": [14]}
+    assert linreal._family.cache_info().currsize == 1
+    assert calls == {"mod_p": one_residue(family_of(parts)), "bareiss": [14]}
 
 
 def test_at_N_1_every_unitary_word_spans_at_most_one_dimension(monkeypatch):
@@ -635,8 +636,9 @@ def test_at_N_1_every_unitary_word_spans_at_most_one_dimension(monkeypatch):
     calls = counted_certification(monkeypatch)
     for w in all_words(10):
         assert fixed_points_dim(w, 1) == (1 if enumerate_members(CU, "", w) else 0), w
-    families = list(linreal._families.values())
-    sizes = [len(family.row) for family in families]
+    assert linreal._family.cache_info().currsize == 176
+    families = memo_families(enumerate_members(CU, "", w) for w in all_words(10))
+    sizes = [int(family.sizes.sum()) for family in families]
     blocks = [k for family in families for k in one_residue(family)]
     assert sorted(calls["mod_p"]) == sorted(blocks) and len(sizes) == 176
     assert sorted(calls["bareiss"]) == sorted(n for n in sizes if n >= 2)
@@ -653,52 +655,83 @@ def test_at_N_equal_to_the_prime_every_family_is_settled_by_bareiss(monkeypatch)
         if w:
             parts = enumerate_members(CU, "", w)
             assert gram_rank(parts, linreal._PRIME) == len(parts), w
-    families = list(linreal._families.values())
+    assert linreal._family.cache_info().currsize == 14
+    families = memo_families(enumerate_members(CU, "", w) for w in all_words(6) if w)
     blocks = [k for family in families for k in one_residue(family)]
     assert sorted(calls["mod_p"]) == sorted(blocks) and set(residues) == {0}
-    assert sorted(calls["bareiss"]) == sorted(len(family.row) for family in families)
+    assert sorted(calls["bareiss"]) == sorted(int(family.sizes.sum()) for family in families)
     assert len(families) == 14
 
 
-def test_a_capped_memo_evicts_the_oldest_family_and_stays_exact(monkeypatch):
-    monkeypatch.setattr(linreal, "_families", {})
-    monkeypatch.setattr(linreal, "_MAX_FAMILIES", 2)
-    families = [all_parts(n) for n in (2, 3, 4)]
-    for _ in range(2):
-        for parts in families:
-            n = parts[0].n_points
-            for N in (2, 3):
-                assert gram_rank(parts, N) == sum(stirling2(n, j) for j in range(N + 1))
-            assert np.array_equal(gram_exponents(parts), join_matrix(parts))
-            assert len(linreal._families) <= 2
-    # the last two families stay, the oldest went
-    kept = {len(f.row) for f in linreal._families.values()}
-    assert kept == {len(families[1]), len(families[2])}
+@pytest.mark.parametrize(
+    "name,points,want",
+    [("NCeven", 6, 10), ("NCeven", 8, 35), ("NC12sharp", 6, 20), ("NC12sharp", 8, 70)],
+)
+def test_named_deficient_families_are_settled_by_one_bareiss_call(monkeypatch, name, points, want):
+    # at N = 2 these families are rank-deficient, and below the count of
+    # set partitions into at most two blocks that bounds every family of
+    # their frame, so neither their residue nor that bound settles the
+    # rank: the exact elimination runs once, on the distinct members
+    calls = counted_certification(monkeypatch)
+    half = "o" * (points // 2)
+    parts = enumerate_members(NAMED[name], half, half)
+    assert gram_rank(parts, 2) == want < len(parts)
+    assert want < sum(stirling2(points, j) for j in (1, 2))
+    assert calls["bareiss"] == [len(parts)]
+    assert linreal.rank([realize(p, 2) for p in parts]) == want
 
 
-def test_an_out_of_budget_rank_is_not_stored(monkeypatch):
-    monkeypatch.setattr(linreal, "_families", {})
+def test_a_full_memo_evicts_the_least_recently_used_family_and_stays_exact():
+    linreal._family.cache_clear()
+    # each 7-point set partition alone is a family of its own
+    singles = [[p] for p in all_parts(7)[: linreal._MAX_FAMILIES - 1]]
+    old, used = all_parts(3), all_parts(4)
+
+    def exact(parts):
+        n = parts[0].n_points
+        return [gram_rank(parts, N) for N in (2, 3)] == [
+            sum(stirling2(n, j) for j in range(N + 1)) for N in (2, 3)
+        ]
+
+    assert exact(old) and exact(used)
+    for parts in singles[:-1]:
+        assert gram_rank(parts, 2) == 1
+    assert linreal._family.cache_info().currsize == linreal._MAX_FAMILIES
+    # a hit makes the oldest family the most recently used, so the next
+    # family evicts the second oldest
+    assert exact(old)
+    assert gram_rank(singles[-1], 2) == 1
+    assert linreal._family.cache_info().currsize == linreal._MAX_FAMILIES
+    assert family_of(old).ranks == {2: 4, 3: 5}
+    misses = linreal._family.cache_info().misses
+    assert family_of(used).ranks == {}
+    assert linreal._family.cache_info().misses == misses + 1
+    assert exact(used)
+
+
+def test_an_out_of_budget_rank_is_not_stored():
+    linreal._family.cache_clear()
     parts = enumerate_members(NAMED["NCall"], "o" * 7, "")
     for _ in range(2):
         with pytest.raises(TooLarge, match="rank defect"):
             gram_rank(parts, 2)
-    (family,) = linreal._families.values()
-    assert family.ranks == {}
+    assert linreal._family.cache_info().currsize == 1
+    assert family_of(parts).ranks == {}
 
 
 @pytest.mark.parametrize("first", ["repeated", "distinct"])
-def test_a_family_with_repeated_members_ranks_its_distinct_members(monkeypatch, first):
+def test_a_family_with_repeated_members_ranks_its_distinct_members(first):
     # the memo keeps one row per circle reading, so a member listed twice
     # must neither count twice in the rank nor lose its own row and column
     parts = all_parts(4)
     repeated = parts + parts[::3] + parts[:1]
     for N in (1, 2, 3, 4):
-        monkeypatch.setattr(linreal, "_families", {})
+        linreal._family.cache_clear()
         want = linreal.rank([realize(p, N) for p in parts])
         lists = [repeated, parts] if first == "repeated" else [parts, repeated]
         assert [gram_rank(ps, N) for ps in lists] == [want, want]
         assert np.array_equal(gram_exponents(repeated), join_matrix(repeated))
-        assert len(linreal._families) == 1
+        assert linreal._family.cache_info().currsize == 1
 
 
 MIXED_FRAMES = {
@@ -713,11 +746,11 @@ MIXED_FRAMES = {
 @pytest.mark.parametrize(
     "compute", [gram_exponents, lambda parts: gram_rank(parts, 3)], ids=["exponents", "rank"]
 )
-def test_members_of_different_frames_raise_before_the_memo(monkeypatch, parts, compute):
-    monkeypatch.setattr(linreal, "_families", {})
+def test_members_of_different_frames_raise_before_the_memo(parts, compute):
+    linreal._family.cache_clear()
     with pytest.raises(ShapeMismatch, match="mixed frames"):
         compute(parts)
-    assert linreal._families == {}
+    assert linreal._family.cache_info() == (0, 0, linreal._MAX_FAMILIES, 0)
 
 
 # -- closed-form oracles: the meander determinant and S_N^+ = S_N -------------
@@ -764,8 +797,8 @@ def bareiss_determinant(M):
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_noncrossing_gram_determinants_match_the_meander_formula(k, monkeypatch):
-    monkeypatch.setattr(linreal, "_families", {})
+def test_noncrossing_gram_determinants_match_the_meander_formula(k):
+    linreal._family.cache_clear()
     parts = enumerate_members(NAMED["NCall"], "o" * k, "")
     B = gram_exponents(parts)
     zeros = 0
@@ -779,8 +812,8 @@ def test_noncrossing_gram_determinants_match_the_meander_formula(k, monkeypatch)
 
 
 @pytest.mark.parametrize("N", (1, 2, 3))
-def test_noncrossing_ranks_below_4_count_the_set_partitions(N, monkeypatch):
-    monkeypatch.setattr(linreal, "_families", {})
+def test_noncrossing_ranks_below_4_count_the_set_partitions(N):
+    linreal._family.cache_clear()
     for k in range(7):
         parts = enumerate_members(NAMED["NCall"], "o" * k, "")
         assert gram_rank(parts, N) == sum(stirling2(k, j) for j in range(N + 1))
@@ -991,8 +1024,8 @@ def test_every_full_rank_family_above_the_bareiss_budget_is_certified_by_one_res
             if len(parts) > 400 and copying_rank(i, N) == len(parts):
                 calls = counted_certification(monkeypatch)
                 assert gram_rank(parts, N) == len(parts), (name, N)
-                (family,) = linreal._families.values()
-                assert calls == {"mod_p": one_residue(family), "bareiss": []}, (name, N)
+                assert linreal._family.cache_info().currsize == 1
+                assert calls == {"mod_p": one_residue(family_of(parts)), "bareiss": []}, (name, N)
                 checked.append((len(parts), N))
     assert checked == [(429, 4), (429, 5), (1430, 4), (1430, 5)]
 
@@ -1023,21 +1056,52 @@ def rotation_families():
     return [(name, parts, sorted(Ns)) for name, parts, Ns in families.values()]
 
 
-def test_character_blocks_rank_the_full_residue(monkeypatch):
+def turned_reading(c, d):
+    """The circle reading c with its points moved d places back around
+    the circle, its blocks numbered by first appearance."""
+    first = {}
+    return tuple(first.setdefault(b, len(first)) for b in c[d:] + c[:d])
+
+
+def test_stored_blocks_match_union_find_on_every_rotation_family():
+    # a memo entry's exponents [r, O, O'] are the join block counts of the
+    # member r turns from orbit O's first against orbit O''s first; the
+    # turns move the points n / h places, the orbits cover the family
+    # once, and their sizes add up to its distinct members
+    entries = 0
+    for name, parts, _ in rotation_families():
+        circles = linreal._circles(parts)
+        rows = sorted(set(circles))
+        family = linreal._family(frozenset(circles))
+        sizes, turns = linreal._orbits(rows)
+        h, n = len(turns), len(rows[0])
+        assert np.array_equal(family.sizes, sizes) and sizes.sum() == len(rows), name
+        orbits = [[turned_reading(rows[i], r * n // h) for r in range(h)] for i in turns[0]]
+        assert [[rows[i] for i in col] for col in turns.T] == orbits, name
+        assert [len(set(orbit)) for orbit in orbits] == sizes.tolist(), name
+        assert set().union(*orbits) == set(rows), name
+        # the union-find joins of every row against each orbit's first
+        members = [Partition("", "o" * n, c) for c in rows]
+        joins = np.array([[join_block_count(p, members[i]) for i in turns[0]] for p in members])
+        assert np.array_equal(family.exponents, joins[turns]), name
+        entries += family.exponents.size
+    assert entries == 328496
+
+
+def test_character_blocks_rank_the_full_residue():
     # the blocks of the rotation characters, the conjugate ones counted
     # twice, have the rank of the whole Gram residue modulo the prime
-    monkeypatch.setattr(linreal, "_families", {})
     orders, pairs = {}, 0
     for name, parts, Ns in rotation_families():
-        family, _ = linreal._family(parts)
-        B = full_exponents(family)
+        family = family_of(parts)
+        B = gram_exponents(parts)
         for N in Ns:
             want = _rank_mod_p(residue(B, N, linreal._PRIME))
             assert linreal._residue_rank(family, N) == want, (name, N)
             pairs += 1
-        h = len(family.turns)
+        h = len(family.exponents)
         orders.setdefault(h, [0, 0])[0] += 1
-        orders[h][1] += bool((np.bincount(family.orbit) < h).any())
+        orders[h][1] += bool((family.sizes < h).any())
     # the turn orders met, with the families of each that have an orbit
     # smaller than the group
     assert orders == {
@@ -1047,18 +1111,17 @@ def test_character_blocks_rank_the_full_residue(monkeypatch):
     assert (len(rotation_families()), pairs) == (186, 748)
 
 
-def test_conjugate_character_blocks_are_transposed_by_the_orbit_sizes(monkeypatch):
+def test_conjugate_character_blocks_are_transposed_by_the_orbit_sizes():
     # G symmetric and invariant under the turn give M_(h-j) = D M_j^T D^-1,
     # D the diagonal of the orbit sizes, which is why the certification
     # ranks only j <= h/2
-    monkeypatch.setattr(linreal, "_families", {})
     p = linreal._PRIME
     blocks = 0
     for name, parts, Ns in rotation_families():
-        family, _ = linreal._family(parts)
-        h, sizes = len(family.turns), np.bincount(family.orbit)
+        family = family_of(parts)
+        h, sizes = len(family.exponents), family.sizes
         for N in Ns:
-            A = residue(family.exponents[family.turns], N, p)
+            A = residue(family.exponents, N, p)
             for j in range(h):
                 M = linreal._block(A, sizes, j)
                 D = sizes[j * sizes % h == 0].astype(np.int64)
@@ -1075,17 +1138,18 @@ def test_modular_rank_matches_the_in_place_reducing_kernel_on_character_blocks(
 ):
     # every block M_j, j <= h/2, that the certification of a circle family
     # of up to 8 points eliminates at N = 2..5, which _residue_rank hands
-    # over whole when h = 1
-    monkeypatch.setattr(linreal, "_families", {})
+    # over whole when h = 1 and skips when j meets no orbit
     monkeypatch.setattr(linreal, "_ROW_CHUNK", row_chunk)
     p = linreal._PRIME
     blocks, rows, ranks = 0, 0, set()
     for name, parts, _, _ in circle_families():
-        family, _ = linreal._family(parts)
-        h, sizes = len(family.turns), np.bincount(family.orbit)
+        family = family_of(parts)
+        h, sizes = len(family.exponents), family.sizes
         for N in (2, 3, 4, 5):
-            A = residue(family.exponents[family.turns], N, p)
+            A = residue(family.exponents, N, p)
             for j in range(h // 2 + 1):
+                if not (j * sizes % h == 0).any():
+                    continue
                 M = A[0] if h == 1 else linreal._block(A, sizes, j)
                 want = rank_mod_p_reducing_in_place(M.copy())
                 assert _rank_mod_p(M.copy()) == want, (name, N, j)
@@ -1093,8 +1157,9 @@ def test_modular_rank_matches_the_in_place_reducing_kernel_on_character_blocks(
                 ranks.add((len(M), want))
     # blocks that run out of pivots are met as well as full ones
     assert any(r < m for m, r in ranks) and any(0 < r == m for m, r in ranks)
-    # 9 NCall and 50 CU families at four N each
-    assert (blocks, rows) == (408, 5676)
+    # 9 NCall and 50 CU families at four N each; 15 characters of them
+    # meet no orbit
+    assert (blocks, rows) == (408 - 4 * 15, 5676)
 
 
 def test_the_prime_has_every_root_of_unity_up_to_12_and_lazy_headroom():
@@ -1124,7 +1189,6 @@ def test_a_turn_order_that_does_not_divide_p_minus_1_is_not_used(monkeypatch):
     # the 13 turns of a 13-point partition form one orbit of order 13,
     # which does not divide p - 1, so the family is ranked whole; the 14
     # turns of a 14-point one have order 14 = 2 * 7, which does
-    monkeypatch.setattr(linreal, "_families", {})
     blocks, block = [], linreal._block
 
     def counted(A, sizes, j):
@@ -1136,14 +1200,38 @@ def test_a_turn_order_that_does_not_divide_p_minus_1_is_not_used(monkeypatch):
         labels = [0, 1, 0, 2, 2] + list(range(3, n - 2))
         shapes = {tuple(labels[r:] + labels[:r]) for r in range(n)}
         parts = [Partition("", "o" * n, c) for c in shapes]
-        family, _ = linreal._family(parts)
-        assert len(family.turns) == h
-        want = _rank_mod_p(residue(full_exponents(family), 3, linreal._PRIME))
+        family = family_of(parts)
+        assert len(family.exponents) == h
+        want = _rank_mod_p(residue(gram_exponents(parts), 3, linreal._PRIME))
         blocks.clear()
         assert linreal._residue_rank(family, 3) == want
         # a family ranked whole hands its residue over without a block
         assert len(blocks) == (0 if h == 1 else h // 2 + 1), n
         assert np.array_equal(gram_exponents(parts), join_matrix(parts))
+
+
+def test_a_character_that_meets_no_orbit_is_not_blocked(monkeypatch):
+    # six points turned one place at a time, h = 6: the all-singleton and
+    # the one-block member are orbits of one, the pairings (01)(23)(45) and
+    # (12)(34)(50) an orbit of two; no orbit size times j = 1 or 2 is a
+    # multiple of 6, so only j = 0 and j = 3 have a block
+    blocks, block = [], linreal._block
+
+    def counted(A, sizes, j):
+        blocks.append(j)
+        return block(A, sizes, j)
+
+    monkeypatch.setattr(linreal, "_block", counted)
+    shapes = [(0, 1, 2, 3, 4, 5), (0,) * 6, (0, 0, 1, 1, 2, 2), (0, 1, 1, 2, 2, 0)]
+    parts = [Partition("", "o" * 6, c) for c in shapes]
+    family = family_of(parts)
+    assert len(family.exponents) == 6 and sorted(family.sizes.tolist()) == [1, 1, 2]
+    for N in (1, 2, 3):
+        blocks.clear()
+        want = _rank_mod_p(residue(gram_exponents(parts), N, linreal._PRIME))
+        assert linreal._residue_rank(family, N) == want, N
+        assert want == linreal.rank([realize(p, N) for p in parts]), N
+        assert blocks == [0, 3], N
 
 
 def test_modular_elimination_stays_within_a_bounded_working_set():
@@ -1169,7 +1257,7 @@ def test_exponents_stay_within_a_bounded_working_set():
     # most 9 label matrices of 11 KiB each
     parts = enumerate_members(NAMED["NCall"], "o" * 8, "")
     circles = list(dict.fromkeys(linreal._circles(parts)))
-    _, _, turns = linreal._orbits(circles, {c: i for i, c in enumerate(circles)})
+    _, turns = linreal._orbits(circles)
     firsts = [circles[i] for i in turns[0]]
     tracemalloc.start()
     try:
