@@ -13,36 +13,41 @@ groups", and Weber, "On the classification of easy quantum groups"):
   the points), of NC12sharp, and of NCprime (an even number of odd
   blocks: the block sizes add up to the point count), decided once per
   frame;
-* `rule`: at most one extra condition on the whole partition that reads
-  only positions on the circle, namely an even number of singletons
+* `rule`: at most one extra condition, read on the circle reading
+  (`partitions.circle_reading`: the labels in circular order, blocks
+  numbered by first appearance), namely an even number of singletons
   between any two connected points (NC12sharp);
 * `colored`: whether the unitary color rule applies, so that connected
   points have the same color in different rows and different colors in
-  the same row (only CU; the other categories ignore the coloring).
+  the same row (only CU; the other categories ignore the coloring).  On
+  the circle, with the lower colors flipped, each pair joins two
+  different colors, which `partitions._alternates` checks.
 
 Every category is noncrossing.  The pair-and-color rule alone admits the
 crossing swap, which the corresponding quantum group excludes, so CU is
 noncrossing too.
 
-`contains` checks the four fields and noncrossing.  `enumerate_members`
-builds the members of a frame from the same fields rather than filtering
-every partition: a frame of the wrong parity has none, and otherwise they
-are the noncrossing partitions in the circular order, pruned by the block
-sizes and, for CU, by the color rule, then kept by the rule, decided once
-per circle shape since it reads only circular positions, and sorted by
-labels.
+`contains` checks the four fields and noncrossing, the rule and the color
+rule on the partition's circle reading.  `enumerate_members` builds the
+members of a frame from the same fields rather than filtering every
+partition: a frame of the wrong parity has none, and otherwise they are
+the noncrossing partitions in the circular order, pruned by the block
+sizes and, for CU, filtered by the same color rule, then kept by the same
+rule, each decided once per circle shape, which is a circle reading, and
+sorted by labels.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from typing import Callable
 
 from .errors import TooLarge
-from .partitions import Partition, circular_order, enumerate_noncrossing
-from .words import BLACK, WHITE, all_words
+from .partitions import Partition, _alternates, circle_reading, enumerate_noncrossing
+from .words import BLACK, WHITE, all_words, conjugate
 
 MAX_FRAME_POINTS = 12
 
@@ -51,45 +56,29 @@ MAX_FRAME_POINTS = 12
 # The rules
 
 
-def _sharp_ok(p: Partition) -> bool:
-    """Even number of singletons between any two connected points, in the
-    circular order."""
-    order = circular_order(p.n_upper, p.n_lower)
-    single = [len(p.blocks[p.labels[pt]]) == 1 for pt in order]
-    prefix = [0]
-    for s in single:
-        prefix.append(prefix[-1] + (1 if s else 0))
-    for blk in p.blocks:
-        if len(blk) != 2:
-            continue
-        a, b = sorted(order[pt] for pt in blk)
-        if (prefix[b] - prefix[a + 1]) % 2:
+def _sharp_ok(circle: tuple[int, ...]) -> bool:
+    """Even number of singletons between the two points of each pair of a
+    circle reading: the singleton parity is the same at both points."""
+    size = Counter(circle)
+    parity, opened = 0, {}
+    for b in circle:
+        if size[b] == 1:
+            parity ^= 1
+        elif size[b] == 2 and opened.setdefault(b, parity) != parity:
             return False
     return True
-
-
-def _unitary_colors_ok(p: Partition) -> bool:
-    """Connected points have the same color in different rows and
-    different colors in the same row."""
-    k = p.n_upper
-    return all(
-        (p.color(a) == p.color(b)) != ((a < k) == (b < k))
-        for blk in p.blocks
-        for a, b in zip(blk, blk[1:])
-    )
 
 
 @dataclass(frozen=True)
 class CategorySpec:
     """A named noncrossing category: allowed block sizes, whether frames
     need an even number of points (checked once per frame), one optional
-    rule on the positions around the circle (decided once per circle
-    shape, on the one-row partition whose point order is circular order),
-    and whether colors matter."""
+    rule on circle readings (decided once per circle shape), and whether
+    colors matter."""
 
     name: str
     block_size: Callable[[int], bool]
-    rule: Callable[[Partition], bool] | None = None
+    rule: Callable[[tuple[int, ...]], bool] | None = None
     colored: bool = False
     even_points: bool = False
 
@@ -114,8 +103,8 @@ def contains(cat: CategorySpec, p: Partition) -> bool:
         (not cat.even_points or p.n_points % 2 == 0)
         and all(cat.block_size(len(b)) for b in p.blocks)
         and p.is_noncrossing()
-        and (not cat.colored or _unitary_colors_ok(p))
-        and (cat.rule is None or cat.rule(p))
+        and (not cat.colored or _alternates(circle_reading(p), p.upper + conjugate(p.lower)))
+        and (cat.rule is None or cat.rule(circle_reading(p)))
     )
 
 

@@ -75,10 +75,12 @@ label matrices are held for n points.
 
 One memo, an lru_cache of at most _MAX_FAMILIES entries, holds the
 circle families met so far.  A family's key is the set of its members'
-labels read around the circle of their frame (circular_order), so all
-frames with the same points around one circle share an entry: the NCall
-frames (a, n-a) of one n, or the CU frames of one circular color word,
-whatever the split.  An entry holds what the certificate reads: the
+circle readings (partitions.circle_reading: the labels in circular
+order, blocks numbered by first appearance), so all frames with the
+same points around one circle share an entry: the NCall frames (a, n-a)
+of one n, or the CU frames of one circular color word, whatever the
+split.  A turn of a reading is the same relabel, _canonical_labels, read
+from another starting point.  An entry holds what the certificate reads: the
 sizes of the rotation orbits, the join block counts of every turn of
 each orbit's first member against every orbit's first member, stored as
 the smallest unsigned integer type that holds the point count (uint8 on
@@ -243,17 +245,12 @@ class _Family:
 
 
 def _circles(parts: list[Partition]) -> list[tuple[int, ...]]:
-    """Each member's labels read around the circle of their common frame."""
+    """Each member's circle reading (circle_reading), the circular order
+    of their common frame looked up once."""
     if len({(p.upper, p.lower) for p in parts}) > 1:
         raise ShapeMismatch("mixed frames")
     order = circular_order(parts[0].n_upper, parts[0].n_lower)
-    out = []
-    for p in parts:
-        # blocks numbered by first appearance in the circular order
-        first: dict[int, int] = {}
-        labels = p.labels
-        out.append(tuple([first.setdefault(labels[i], len(first)) for i in order]))
-    return out
+    return [_canonical_labels(p.labels, order) for p in parts]
 
 
 def _exponents(circles: list[tuple[int, ...]], qs: list[tuple[int, ...]]) -> np.ndarray:
@@ -292,9 +289,10 @@ def _exponents(circles: list[tuple[int, ...]], qs: list[tuple[int, ...]]) -> np.
 def _turned(circles: list[tuple[int, ...]], row: dict, d: int) -> list[int] | None:
     """The row of each reading with its points moved d places back around
     the circle, or None if one leaves the family."""
+    order = [*range(d, len(circles[0])), *range(d)]
     out = []
     for c in circles:
-        i = row.get(_canonical_labels(c[d:] + c[:d]))
+        i = row.get(_canonical_labels(c, order))
         if i is None:
             return None
         out.append(i)

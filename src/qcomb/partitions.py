@@ -47,15 +47,35 @@ class UnionFind:
             self.parent[ri] = rj
 
 
-def _canonical_labels(blocks_of: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """Relabel block ids by first appearance, 0-based."""
-    seen: dict[int, int] = {}
+def _canonical_labels(labels, order) -> tuple[int, ...]:
+    """The labels of the points in order, blocks renumbered 0, 1, ... by
+    first appearance: the one relabel of the package.  With order the
+    points in their own order it canonicalizes; with circular_order it
+    gives the circle reading."""
+    first: dict[int, int] = {}
     out = []
-    for b in blocks_of:
-        if b not in seen:
-            seen[b] = len(seen)
-        out.append(seen[b])
+    for i in order:
+        b = labels[i]
+        if b not in first:
+            first[b] = len(first)
+        out.append(first[b])
     return tuple(out)
+
+
+def circle_reading(p: Partition) -> tuple[int, ...]:
+    """p's labels read around the circle of its frame (circular_order),
+    blocks numbered by first appearance: what the category rules read."""
+    return _canonical_labels(p.labels, circular_order(p.n_upper, p.n_lower))
+
+
+def _alternates(circle: tuple[int, ...], colors: str) -> bool:
+    """The unitary color rule on a circle reading of pairs: with colors
+    the circular color word (upper + conjugate(lower), the lower colors
+    flipped), each pair joins a white and a black position.  That holds
+    exactly when half the positions are white and no two white positions
+    share a label."""
+    whites = {b for b, c in zip(circle, colors) if c == WHITE}
+    return 2 * len(whites) == len(circle) == 2 * colors.count(WHITE)
 
 
 @dataclass(frozen=True)
@@ -65,12 +85,11 @@ class Partition:
     labels: tuple[int, ...]  # canonical block label of each point
 
     def __post_init__(self):
-        # the one place labels are canonicalized: any sequence of block
-        # ids is stored as a tuple numbered by first appearance
+        # any sequence of block ids is stored numbered by first appearance
         n = len(self.upper) + len(self.lower)
         if len(self.labels) != n:
             raise ShapeMismatch("label count does not match point count")
-        canonical = _canonical_labels(self.labels)
+        canonical = _canonical_labels(self.labels, range(n))
         if canonical != self.labels:
             object.__setattr__(self, "labels", canonical)
 
@@ -107,10 +126,6 @@ class Partition:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def color(self, i: int) -> str:
-        k = self.n_upper
-        return self.upper[i] if i < k else self.lower[i - k]
-
     @cached_property
     def through_blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks meeting both rows, ordered by smallest upper point."""
@@ -124,22 +139,19 @@ class Partition:
     # -- structural properties -----------------------------------------
 
     def is_noncrossing(self) -> bool:
-        """Noncrossing on the circular order.  Checked with a stack on that
-        linearization."""
-        order = circular_order(self.n_upper, self.n_lower)
-        remaining = {b: len(blk) for b, blk in enumerate(self.blocks)}
+        """Noncrossing on the circle: read around it (circle_reading) with
+        a stack of open blocks, a block met again closes every block opened
+        since, and a closed block met again crosses it."""
         stack: list[int] = []
-        for i in order:
-            b = self.labels[i]
-            if stack and stack[-1] == b:
-                pass
-            elif b in stack:
+        closed = set()
+        for b in circle_reading(self):
+            if b in closed:
                 return False
+            if b in stack:
+                while stack[-1] != b:
+                    closed.add(stack.pop())
             else:
                 stack.append(b)
-            remaining[b] -= 1
-            if remaining[b] == 0:
-                stack.pop()
         return True
 
     # -- category operations --------------------------------------------
@@ -184,19 +196,11 @@ class Partition:
         for blk in self.blocks:
             for a, b in zip(blk, blk[1:]):
                 uf.union(a + k, b + k)
-        roots_outer: dict[int, int] = {}
-        lab = []
-        outer = list(range(k)) + list(range(k + l, k + l + m))
-        for i in outer:
-            r = uf.find(i)
-            if r not in roots_outer:
-                roots_outer[r] = len(roots_outer)
-            lab.append(roots_outer[r])
-        loops = len({uf.find(i) for i in range(k, k + l)} - set(roots_outer))
-        return (
-            Partition(other.upper, self.lower, lab),
-            loops,
-        )
+        roots = [uf.find(i) for i in range(k + l + m)]
+        outer = roots[:k] + roots[k + l :]
+        loops = len(set(roots[k : k + l]).difference(outer))
+        # the constructor numbers the outer roots by first appearance
+        return Partition(other.upper, self.lower, outer), loops
 
     def reverse(self) -> "Partition":
         """Mirror left-right and invert every color."""
@@ -220,19 +224,10 @@ def _trusted_partition(upper: str, lower: str, labels: tuple[int, ...]) -> Parti
 def _row_square(row: tuple[int, ...], through: set[int]) -> tuple[int, ...]:
     """Labels of r*r, given the labels of r's upper row and the labels of
     r's through-blocks (of rr*, given r's lower row).  The row's blocks sit
-    on top and again below; a through-block joins its two copies, any
-    other block gets a fresh label below."""
-    top: dict[int, int] = {}
-    for b in row:
-        if b not in top:
-            top[b] = len(top)
-    below = top.copy()
-    fresh = len(top)
-    for b in top:
-        if b not in through:
-            below[b] = fresh
-            fresh += 1
-    return tuple([top[b] for b in row] + [below[b] for b in row])
+    on top and again below, where a block not in through is its own
+    complement ~b and so a fresh block; the one relabel numbers both."""
+    doubled = row + tuple([b if b in through else ~b for b in row])
+    return _canonical_labels(doubled, range(len(doubled)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,33 +280,25 @@ def enumerate_partitions(upper: str, lower: str):
 
 @lru_cache(maxsize=None)
 def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None, rule=None):
-    """Noncrossing partitions of n positions on a circle as label tuples
-    indexed by position, blocks numbered by first appearance.
+    """Noncrossing partitions of n positions on a circle as circle
+    readings: label tuples indexed by position, blocks numbered by first
+    appearance.
 
     Positions are visited in order with a stack of open blocks.  Each
     position opens a block or joins one on the stack; joining closes
     every block above it, since a later point of those would cross.  A
     block is pruned once it outgrows max(sizes) or closes with a size not
     in sizes.  With colors (the circular color word), the pair shapes of
-    n positions whose two colors differ in every pair: those whose white
-    positions hold distinct labels, filtered from the uncolored pair
-    shapes.  With rule, only the shapes it accepts on the one-row
-    partition whose labels are the shape, colored by the circular color
-    word: there point order is circular order.
+    n positions that obey the unitary color rule (_alternates), filtered
+    from the uncolored pair shapes.  With rule, only the shapes the rule
+    accepts: a shape is a circle reading, which is what a rule reads.
     """
     if rule is not None:
-        row = colors or WHITE * n
         # the rule-free shapes under the key enumerate_noncrossing gives them
-        shapes = _noncrossing_shapes(n, sizes, colors, None)
-        return tuple(s for s in shapes if rule(_trusted_partition(row, "", s)))
+        return tuple(filter(rule, _noncrossing_shapes(n, sizes, colors, None)))
     if colors is not None:
-        whites = [i for i, c in enumerate(colors) if c == WHITE]
-        if 2 * len(whites) != n:
-            return ()
-        # each pair holds one white position exactly when no two white
-        # positions share a label
         pairs = _noncrossing_shapes(n, frozenset({2}), None, None)
-        return tuple(s for s in pairs if len({s[i] for i in whites}) == len(whites))
+        return tuple(s for s in pairs if _alternates(s, colors))
     top = max(sizes, default=0)
     labels = [0] * n
     out = []
@@ -340,9 +327,9 @@ def enumerate_noncrossing(
     """The noncrossing partitions of the frame whose block sizes lie in
     block_sizes, sorted by labels.  With colored, the pair partitions
     obeying the unitary color rule: same color across the rows, different
-    colors within a row.  With rule, only those whose reading around the
-    circle it accepts: it must read positions on the circle only, as it
-    is decided once per circle shape.
+    colors within a row.  With rule, only those whose circle reading
+    (circle_reading) it accepts, decided once per circle shape, since the
+    shape is that reading.
 
     Built directly in the circular order rather than filtered from all
     set partitions.  Shapes are shared between frames with the same
@@ -350,17 +337,14 @@ def enumerate_noncrossing(
     filtered by the color rule once per circular color word, and the
     frames of one word share the result.
     This is the one cut of a circle shape into a frame: each shape is
-    read in the frame's point order and its blocks numbered by first
-    appearance in the same pass, so the labels are canonical and the
-    Partitions are built by _trusted_partition.
+    read in the frame's point order by the one relabel, _canonical_labels,
+    so the labels are canonical and the Partitions are built by
+    _trusted_partition.
     """
     order = circular_order(len(upper), len(lower))
     # read in circular order with lower colors flipped, a pair obeys the
     # color rule exactly when its two colors differ
     colors = upper + conjugate(lower) if colored else None
-    cuts = []
-    for shape in _noncrossing_shapes(len(order), frozenset(block_sizes), colors, rule):
-        first: dict[int, int] = {}
-        cuts.append(tuple([first.setdefault(shape[i], len(first)) for i in order]))
-    cuts.sort()
+    shapes = _noncrossing_shapes(len(order), frozenset(block_sizes), colors, rule)
+    cuts = sorted([_canonical_labels(shape, order) for shape in shapes])
     return [_trusted_partition(upper, lower, labels) for labels in cuts]

@@ -258,19 +258,17 @@ def catalog_generators(cat: CategorySpec) -> dict[str, list[Partition]]:
     p4 = one_block(WHITE * 2, WHITE * 2)
     if cat in (NC2, NC12):
         return {"proj0": [EMPTY], "proj2": [two], "proj": [bar]}
-    if cat in (NC12_PRIME, NC12_SHARP):
+    if cat in (NC12_PRIME, NC12_SHARP, NC_PRIME):
+        # in NCprime, proj2 (the closure of the doubled strand) is a
+        # genuine fourth module: every partition in this category has an
+        # even total number of points, so no operation can produce an
+        # odd-row projective from even-row generators and the doubled
+        # strand can never reach the single strand.
         return {"cap": [EMPTY], "proj0": [ss], "proj2": [two], "proj": [bar]}
     if cat is NC_EVEN:
         return {"proj0": [EMPTY], "proj_half": [p4], "proj2": [two], "proj": [bar]}
     if cat is NC:
         return {"proj0": [EMPTY], "proj": [bar]}
-    if cat is NC_PRIME:
-        # proj2 (the closure of the doubled strand) is a genuine fourth
-        # module here: every partition in this category has an even total
-        # number of points, so no operation can produce an odd-row
-        # projective from even-row generators and the doubled strand can
-        # never reach the single strand.
-        return {"cap": [EMPTY], "proj0": [ss], "proj2": [two], "proj": [bar]}
     if cat is CU:
         raise NoCatalogMatch("the CU catalog is indexed by admissible word sets; use word_module")
     raise NoCatalogMatch(f"no catalog for {cat}")

@@ -11,7 +11,8 @@ singletons, and every noncrossing partition of an even frame has an even
 number of odd blocks.
 
 The categories are data; the differential oracle is one membership
-predicate per category, written out by hand rather than read from it.
+predicate per category, written out by hand rather than read from it,
+with its own crossing test rather than Partition.is_noncrossing.
 `contains` must agree with it on every partition of the frames checked,
 and the enumeration must equal its filter over every set partition (every
 pair partition, for CU on the largest colored frames).
@@ -24,7 +25,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -42,6 +43,7 @@ from qcomb.categories import (
 )
 from qcomb.partitions import (
     Partition,
+    circle_reading,
     circular_order,
     duality,
     enumerate_noncrossing,
@@ -82,12 +84,27 @@ def sharp_ok(p):
     return True
 
 
+@lru_cache(maxsize=None)
+def noncrossing_circle(circle):
+    return not any(
+        circle[a] == circle[c] != circle[b] == circle[d] for a, b, c, d in combinations(range(len(circle)), 4)
+    )
+
+
+def noncrossing(p):
+    """No a < b < c < d around the circle (the upper row left to right,
+    then the lower row right to left) with a, c in one block and b, d in
+    another: the definition, independent of Partition.is_noncrossing."""
+    k = p.n_upper
+    return noncrossing_circle(p.labels[:k] + p.labels[k:][::-1])
+
+
 def in_nc2(p):
-    return p.is_noncrossing() and all(s == 2 for s in sizes(p))
+    return noncrossing(p) and all(s == 2 for s in sizes(p))
 
 
 def in_nc12(p):
-    return p.is_noncrossing() and all(s <= 2 for s in sizes(p))
+    return noncrossing(p) and all(s <= 2 for s in sizes(p))
 
 
 def in_nc12_prime(p):
@@ -99,30 +116,31 @@ def in_nc12_sharp(p):
 
 
 def in_nc_even(p):
-    return p.is_noncrossing() and all(s % 2 == 0 for s in sizes(p))
+    return noncrossing(p) and all(s % 2 == 0 for s in sizes(p))
 
 
 def in_nc_prime(p):
-    return p.is_noncrossing() and odd_block_parity_ok(p)
+    return noncrossing(p) and odd_block_parity_ok(p)
 
 
 def in_nc(p):
-    return p.is_noncrossing()
+    return noncrossing(p)
 
 
 def in_cu(p):
     """Noncrossing pairs; same color across rows, different color within."""
-    if not p.is_noncrossing():
+    if not noncrossing(p):
         return False
     k = p.n_upper
+    colors = p.upper + p.lower
     for blk in p.blocks:
         if len(blk) != 2:
             return False
         a, b = blk
         same_row = (a < k) == (b < k)
-        if same_row and p.color(a) == p.color(b):
+        if same_row and colors[a] == colors[b]:
             return False
-        if not same_row and p.color(a) != p.color(b):
+        if not same_row and colors[a] != colors[b]:
             return False
     return True
 
@@ -204,16 +222,16 @@ def test_singleton_parity_is_point_count_parity_with_blocks_of_at_most_two():
 
 
 def test_the_sharp_rule_reads_only_the_circle():
-    # the enumeration decides it once per circle shape, on the one-row
-    # partition whose point order is the circular order
+    # the enumeration decides it once per circle shape, which is the
+    # circle reading of each member cut from it
     verdicts = Counter()
     for n in range(9):
         for upper, lower in frames(n, ["o" * n]):
             order = circular_order(len(upper), len(lower))
             for p in enumerate_members(NAMED["NC12"], upper, lower):
                 circle = Partition("o" * n, "", [p.labels[i] for i in order])
-                verdicts[_sharp_ok(p)] += 1
-                assert _sharp_ok(circle) == _sharp_ok(p), str(p)
+                verdicts[sharp_ok(p)] += 1
+                assert _sharp_ok(circle.labels) == _sharp_ok(circle_reading(p)) == sharp_ok(p), str(p)
     assert sum(verdicts.values()) == sum((n + 1) * motzkin(n) for n in range(9))
     assert verdicts[False] > 0
 

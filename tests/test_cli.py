@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from itertools import product
@@ -25,6 +27,23 @@ def run_json(capsys, argv):
     payload = json.loads(out)
     assert set(payload) == {"config", "results", "verdict"}
     return code, payload
+
+
+# the stdout and exit code of each README invocation, pinned from a run
+# through cli.main
+README = Path(__file__).parent.parent / "README.md"
+PINNED = json.loads((Path(__file__).parent / "data" / "readme_invocations.json").read_text())
+
+
+def test_the_pins_are_the_readme_invocations():
+    assert [r["invocation"] for r in PINNED] == re.findall(r"^qcomb (.+)$", README.read_text(), re.M)
+
+
+@pytest.mark.parametrize("pinned", PINNED, ids=lambda r: r["invocation"])
+def test_each_readme_invocation_prints_its_pinned_output(capsys, pinned):
+    code, out = run(capsys, shlex.split(pinned["invocation"]))
+    assert out == pinned["stdout"]
+    assert code == pinned["exit_code"]
 
 
 def test_classify_words_reports_the_matched_set(capsys):

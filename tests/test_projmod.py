@@ -12,6 +12,7 @@ from qcomb.partitions import (
     Partition,
     UnionFind,
     _row_square,
+    circle_reading,
     duality,
     enumerate_noncrossing,
     enumerate_partitions,
@@ -166,7 +167,7 @@ def even_singleton_count(p):
 # the rules as written, each read on every member of every frame
 LITERAL_RULES = {
     "NC12prime": even_singleton_count,
-    "NC12sharp": lambda p: even_singleton_count(p) and categories._sharp_ok(p),
+    "NC12sharp": lambda p: even_singleton_count(p) and categories._sharp_ok(circle_reading(p)),
     "NCprime": even_odd_block_count,
 }
 
