@@ -1,6 +1,6 @@
 """Combinatorics of two-colored partition categories: word calculus,
-partition categories, projective modules, fusion rings, sparse linear
-realizations, and rooted quantum trees."""
+partition categories, projective modules, fusion rings, exact linear
+realizations and their laws, and rooted quantum trees."""
 
 __all__ = [
     "words",
@@ -8,6 +8,7 @@ __all__ = [
     "categories",
     "projmod",
     "fusion",
+    "laws",
     "linreal",
     "qgraph",
     "errors",

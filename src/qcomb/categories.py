@@ -46,7 +46,8 @@ from itertools import groupby
 from typing import Callable
 
 from .errors import TooLarge
-from .partitions import Partition, _alternates, circle_reading, enumerate_noncrossing
+from .partitions import Partition, _alternates, _noncrossing, _whites, circle_reading
+from .partitions import enumerate_noncrossing
 from .words import BLACK, WHITE, all_words, conjugate
 
 MAX_FRAME_POINTS = 12
@@ -99,12 +100,13 @@ NAMED = {c.name: c for c in (CU, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_
 
 
 def contains(cat: CategorySpec, p: Partition) -> bool:
+    if (cat.even_points and p.n_points % 2) or not all(cat.block_size(len(b)) for b in p.blocks):
+        return False
+    circle = circle_reading(p)  # the one relabel, read by the three circle rules
     return (
-        (not cat.even_points or p.n_points % 2 == 0)
-        and all(cat.block_size(len(b)) for b in p.blocks)
-        and p.is_noncrossing()
-        and (not cat.colored or _alternates(circle_reading(p), p.upper + conjugate(p.lower)))
-        and (cat.rule is None or cat.rule(circle_reading(p)))
+        _noncrossing(circle)
+        and (not cat.colored or _alternates(circle, _whites(p.upper + conjugate(p.lower))))
+        and (cat.rule is None or cat.rule(circle))
     )
 
 

@@ -34,7 +34,7 @@ NUMERIC = {
     "classify-words": {"--bound": (8, 0, MAX_WORD_BOUND)},
     "table": {"--bound": (8, 0, MAX_TABLE_BOUND)},
     # N is capped too: at --points 0 the entry budget does not bound it,
-    # and realize computes powers of N in int64
+    # and a realization takes N - 1 shifts per block
     "laws": {"--points": (6, 0, MAX_LAW_POINTS), "--N": (None, 1, MAX_LAW_ENTRIES)},
     # the rank equals the fold multiplicity only from N = 2; at N = 1 every
     # realization is the same 1x1 matrix

@@ -1,16 +1,6 @@
-"""Exact linear realizations of partitions on (C^N)^(tensor k).
+"""Exact ranks of the linear realizations of partitions on (C^N)^(tensor k).
 
-T_p sends a source multi-index to the sum of target multi-indices such
-that the joint assignment is constant on every block of p.  realize
-builds it as a dense int64 matrix of shape N^l x N^k, multi-indices read
-big-endian, so the category operations become matrix operations: the
-adjoint is the transpose, the tensor product is the Kronecker product
-and composition is the matrix product.  Entries are 0/1 and a product of
-two realizations has entries at most N^loops, so everything here is
-exact integer arithmetic; no floating point.
-
-check_laws realizes each distinct partition once per N and checks the
-adjoint law once per partition, the tensor and loop laws once per pair.
+The realizations T_p and their laws are the bit vectors of laws.py.
 
 Ranks are certified exactly through the Gram matrix: for 0/1 vectors
 indexed by joint assignments, <T_p, T_q> = N^(number of blocks of the
@@ -88,136 +78,26 @@ every frame a suite ranks), and the ranks certified so far at each N.
 A rank found out of budget raises and is not stored.
 
 This is the package's numpy module, and nothing on the import path of
-the command line imports it: only the `verify laws` and `verify
-fusion-rank` suites, which realize and rank, load it when they run.
+the command line imports it: only the `verify fusion-rank` suite, which
+ranks, loads it when it runs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .categories import CU, enumerate_members
-from .errors import LawViolation, ShapeMismatch, TooLarge
-from .partitions import WHITE, Partition, _canonical_labels, circular_order, enumerate_partitions
+from .errors import ShapeMismatch, TooLarge
+from .laws import check_laws, realize, small_partitions  # the realization API, re-exported
+from .partitions import Partition, _canonical_labels, circular_order
 
 
-MAX_POINTS = 10
-MAX_ENTRIES = 2**20  # N^points, the largest dense realization
 _PRIME = 4158001  # 150 * 27720 + 1, below 2^22; 27720 = lcm(1, ..., 12)
 _ROOT = 17  # a primitive root modulo _PRIME
 _LAZY = (2**63 - _PRIME) // (_PRIME - 1) ** 2  # rows _rank_mod_p never reduces again
-
-
-def realize(p: Partition, N: int) -> np.ndarray:
-    """The dense 0/1 matrix delta_p of shape N^l x N^k, int64.
-
-    Rows index the lower multi-index and columns the upper one, both
-    big-endian; the entry is 1 exactly where the joint assignment is
-    constant on every block, so N^b(p) entries are nonzero."""
-    k, l = p.n_upper, p.n_lower
-    if k + l > MAX_POINTS:
-        raise TooLarge(f"{k + l} points exceeds the {MAX_POINTS}-point budget")
-    if N ** (k + l) > MAX_ENTRIES:
-        raise TooLarge(f"N^points = {N ** (k + l)} exceeds the {MAX_ENTRIES}-entry budget")
-    nb = p.n_blocks
-    # one column per assignment of values to the blocks, gathered to points
-    joint = np.indices((N,) * nb).reshape(nb, N**nb)[list(p.labels)]
-    rows = N ** np.arange(l - 1, -1, -1, dtype=np.int64) @ joint[k:]
-    cols = N ** np.arange(k - 1, -1, -1, dtype=np.int64) @ joint[:k]
-    T = np.zeros((N**l, N**k), dtype=np.int64)
-    T[rows, cols] = 1
-    return T
-
-
-# ---------------------------------------------------------------------------
-# Composition laws
-
-
-def small_partitions(max_points: int) -> list[Partition]:
-    """All partitions over all frames with at most max_points points,
-    one representative (all-white) coloring each: the matrix entries
-    depend only on the uncolored block structure."""
-    out: list[Partition] = []
-    for total in range(max_points + 1):
-        for k in range(total + 1):
-            out.extend(enumerate_partitions(WHITE * k, WHITE * (total - k)))
-    return out
-
-
-def law_pairs(max_points: int):
-    """Pairs (q, p) with combined point count within max_points, for the
-    composition-law suite.  small_partitions is sorted by point count, so
-    each p is paired with the prefix of partners that fit."""
-    parts = small_partitions(max_points)
-    counts = [p.n_points for p in parts]
-    for p in parts:
-        for q in parts[: bisect_right(counts, max_points - p.n_points)]:
-            yield q, p
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker product of two matrices by broadcasting."""
-    (r1, c1), (r2, c2) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
-
-
-def check_laws(pairs, N: int) -> dict:
-    """Verify the adjoint, tensor and loop laws on composable pairs.
-
-    Each distinct partition is realized once and kept as uint8, since its
-    entries are 0/1; the adjoint law depends on p alone, so it is checked
-    once per distinct p.  The loop law is oriented empirically: for each
-    composable pair the matrix product T_q . T_p, formed in int64, is
-    compared with both N^rl * T_{qp} and T_{qp} scaled the other way; a
-    single orientation must fit all pairs.  Returns a report dict with the
-    orientation and the number of pairs checked.  Raises LawViolation on
-    any failure.
-    """
-    memo: dict[Partition, np.ndarray] = {}
-
-    def T(p: Partition) -> np.ndarray:
-        m = memo.get(p)
-        if m is None:
-            m = memo[p] = realize(p, N).astype(np.uint8)
-        return m
-
-    adjoint_checked: set[Partition] = set()
-    checked = 0
-    orientation = None
-    for q, p in pairs:
-        tp, tq = T(p), T(q)
-        if p not in adjoint_checked:
-            if not np.array_equal(T(p.adjoint()), tp.T):
-                raise LawViolation(f"adjoint law fails for {p}")
-            adjoint_checked.add(p)
-        if not np.array_equal(T(p.tensor(q)), _outer(tp, tq)):
-            raise LawViolation(f"tensor law fails for {p} (x) {q}")
-        if p.lower != q.upper:
-            continue
-        comp, rl = q.compose(p)
-        lhs = np.matmul(tq, tp, dtype=np.int64)
-        rhs = T(comp).astype(np.int64)
-        scale = N**rl
-        if np.array_equal(lhs, scale * rhs):
-            fit = "maps_scale_composite"  # T_q . T_p = N^rl T_{qp}
-        elif np.array_equal(rhs, scale * lhs):
-            fit = "composite_scales_maps"  # T_{qp} = N^rl T_q . T_p
-        else:
-            raise LawViolation(f"loop law fails for {q} after {p}")
-        if rl > 0:
-            if orientation is None:
-                orientation = fit
-            elif orientation != fit:
-                raise LawViolation(
-                    f"loop-law orientation flips at {q} after {p}: "
-                    f"{orientation} vs {fit}"
-                )
-        checked += 1
-    return {"orientation": orientation, "pairs_checked": checked, "N": N}
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +401,14 @@ def _certified_rank(circles: frozenset, family: _Family, N: int) -> int:
     return _rank_bareiss([[N ** int(e) for e in row] for row in B])
 
 
-def rank(maps: list[np.ndarray]) -> int:
-    """Exact rank of explicit realizations (small inputs)."""
-    if not maps:
-        return 0
-    if len({m.shape for m in maps}) > 1:
-        raise ShapeMismatch("mixed shapes")
-    M = np.stack([m.ravel() for m in maps])
-    # the all-zero columns do not change the rank
-    return _rank_bareiss(M[:, M.any(axis=0)].tolist())
+def rank(parts: list[Partition], N: int) -> int:
+    """Exact rank of the realizations of parts at dimension N, on their bit
+    vectors (small inputs).  Members of different frames raise ShapeMismatch."""
+    if len({(p.upper, p.lower) for p in parts}) > 1:
+        raise ShapeMismatch("mixed frames")
+    vectors = [realize(p, N) for p in parts]
+    width = max((v.bit_length() for v in vectors), default=0)
+    return _rank_bareiss([[v >> i & 1 for i in range(width)] for v in vectors])
 
 
 def fixed_points_dim(w: str, N: int) -> int:

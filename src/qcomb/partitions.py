@@ -68,14 +68,34 @@ def circle_reading(p: Partition) -> tuple[int, ...]:
     return _canonical_labels(p.labels, circular_order(p.n_upper, p.n_lower))
 
 
-def _alternates(circle: tuple[int, ...], colors: str) -> bool:
-    """The unitary color rule on a circle reading of pairs: with colors
-    the circular color word (upper + conjugate(lower), the lower colors
-    flipped), each pair joins a white and a black position.  That holds
-    exactly when half the positions are white and no two white positions
-    share a label."""
-    whites = {b for b, c in zip(circle, colors) if c == WHITE}
-    return 2 * len(whites) == len(circle) == 2 * colors.count(WHITE)
+def _whites(colors: str) -> tuple[int, ...]:
+    """The positions of the white letters of a color word."""
+    return tuple(i for i, c in enumerate(colors) if c == WHITE)
+
+
+def _alternates(circle: tuple[int, ...], whites: tuple[int, ...]) -> bool:
+    """The unitary color rule on a circle reading of pairs: each pair joins
+    a white and a black position of the circular color word (upper +
+    conjugate(lower)), whose white positions are whites (_whites).  That
+    holds when half the positions are white and no two share a label."""
+    return 2 * len(whites) == len(circle) == 2 * len({circle[i] for i in whites})
+
+
+def _noncrossing(circle: tuple[int, ...]) -> bool:
+    """Whether a circle reading (circle_reading) is noncrossing: read with
+    a stack of open blocks, a block met again closes every block opened
+    since, and a closed block met again crosses it."""
+    stack: list[int] = []
+    closed = set()
+    for b in circle:
+        if b in closed:
+            return False
+        if b in stack:
+            while stack[-1] != b:
+                closed.add(stack.pop())
+        else:
+            stack.append(b)
+    return True
 
 
 @dataclass(frozen=True)
@@ -135,24 +155,6 @@ class Partition:
     @property
     def n_through(self) -> int:
         return len(self.through_blocks)
-
-    # -- structural properties -----------------------------------------
-
-    def is_noncrossing(self) -> bool:
-        """Noncrossing on the circle: read around it (circle_reading) with
-        a stack of open blocks, a block met again closes every block opened
-        since, and a closed block met again crosses it."""
-        stack: list[int] = []
-        closed = set()
-        for b in circle_reading(self):
-            if b in closed:
-                return False
-            if b in stack:
-                while stack[-1] != b:
-                    closed.add(stack.pop())
-            else:
-                stack.append(b)
-        return True
 
     # -- category operations --------------------------------------------
 
@@ -298,7 +300,8 @@ def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None, rule=None)
         return tuple(filter(rule, _noncrossing_shapes(n, sizes, colors, None)))
     if colors is not None:
         pairs = _noncrossing_shapes(n, frozenset({2}), None, None)
-        return tuple(s for s in pairs if _alternates(s, colors))
+        whites = _whites(colors)
+        return tuple(s for s in pairs if _alternates(s, whites))
     top = max(sizes, default=0)
     labels = [0] * n
     out = []

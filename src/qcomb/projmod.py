@@ -33,7 +33,8 @@ from itertools import product
 from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, CategorySpec
 from .categories import all_members, contains
 from .errors import NoCatalogMatch, NotInCategory, TooLarge
-from .partitions import Partition, _row_square, enumerate_noncrossing, identity, one_block, singleton
+from .partitions import Partition, _row_square, _trusted_partition, enumerate_noncrossing
+from .partitions import identity, one_block, singleton
 from .words import WHITE, all_words
 
 EMPTY = Partition("", "", ())
@@ -170,7 +171,7 @@ def _row_projectives(cat: CategorySpec, row: str) -> list[Partition]:
         kinds = [[t for t in (False, True) if cat.block_size(len(blk) * (1 + t))] for blk in part.blocks]
         for choice in product(*kinds):
             through = {b for b, t in enumerate(choice) if t}
-            p = Partition(row, row, _row_square(part.labels, through))
+            p = _trusted_partition(row, row, _row_square(part.labels, through))
             if contains(cat, p):
                 out.append(p)
     out.sort(key=lambda p: p.labels)

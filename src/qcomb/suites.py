@@ -1,9 +1,9 @@
 """The module table and the `verify` suites, run by the command line and
 by the acceptance tests with their own parameters.  Each returns the
 verdict, the lines the command line prints and the data tests check.
-The command line checks its arguments before it calls a suite.  laws
-and fusion_rank import linreal, and with it numpy, when they are called,
-so the other suites run without numpy."""
+The command line checks its arguments before it calls a suite.  Only
+fusion_rank imports linreal, and with it numpy, when it is called: the
+realization laws that laws checks are identities of Python ints."""
 
 from __future__ import annotations
 
@@ -81,9 +81,9 @@ def table(names, bound: int) -> Outcome:
 def laws(points: int, Ns) -> Outcome:
     """The realization laws on all pairs up to `points` points together, at
     each N; a failing law raises.  data is the check_laws report per N."""
-    from . import linreal
+    from .laws import check_laws, law_pairs
 
-    reports = [linreal.check_laws(linreal.law_pairs(points), N) for N in Ns]
+    reports = [check_laws(law_pairs(points), N) for N in Ns]
     lines = [
         f"laws N={r['N']}: {r['pairs_checked']} pairs, loop orientation {r['orientation']}"
         for r in reports

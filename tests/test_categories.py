@@ -12,7 +12,7 @@ number of odd blocks.
 
 The categories are data; the differential oracle is one membership
 predicate per category, written out by hand rather than read from it,
-with its own crossing test rather than Partition.is_noncrossing.
+with its own crossing test rather than partitions._noncrossing.
 `contains` must agree with it on every partition of the frames checked,
 and the enumeration must equal its filter over every set partition (every
 pair partition, for CU on the largest colored frames).
@@ -43,6 +43,7 @@ from qcomb.categories import (
 )
 from qcomb.partitions import (
     Partition,
+    _noncrossing,
     circle_reading,
     circular_order,
     duality,
@@ -94,7 +95,7 @@ def noncrossing_circle(circle):
 def noncrossing(p):
     """No a < b < c < d around the circle (the upper row left to right,
     then the lower row right to left) with a, c in one block and b, d in
-    another: the definition, independent of Partition.is_noncrossing."""
+    another: the definition, independent of partitions._noncrossing."""
     k = p.n_upper
     return noncrossing_circle(p.labels[:k] + p.labels[k:][::-1])
 
@@ -270,7 +271,7 @@ def test_unitary_pairing_counts_follow_the_color_pattern():
 
 def test_unitary_pairings_are_noncrossing():
     for p in enumerate_members(CU, "", "ox" * 3):
-        assert p.is_noncrossing()
+        assert _noncrossing(circle_reading(p))
         assert all(len(b) == 2 for b in p.blocks)
 
 

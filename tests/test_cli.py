@@ -450,9 +450,11 @@ NUMPY_RUNS = [
     (["verify", "psi"], 0, False),
     (["verify", "reduce"], 0, False),
     (["verify", "trees"], 0, False),
+    # the realization laws are identities of Python integers
+    (["verify", "laws", "--points", "4"], 0, False),
     # a rejected length is rejected before the suite loads numpy
     (["verify", "fusion-rank", "--length", "11"], 2, False),
-    # a suite that realizes loads numpy, so the probe is seen to work
+    # the suite that ranks loads numpy, so the probe is seen to work
     (["verify", "fusion-rank", "--length", "2"], 0, True),
 ]
 

@@ -4,7 +4,6 @@ arithmetic protocol) that says what is wrong, and nothing more general."""
 
 import random
 
-import numpy as np
 import pytest
 
 from qcomb import errors, linreal, projmod, qgraph, words
@@ -21,7 +20,7 @@ BAD_INPUTS = {
     "generators-of-white-inf": (lambda: words.canonical_generators(words.white(words.INF)), errors.InputError),
     "generator-over-the-bound": (lambda: words.generate(["oxox"], 2), errors.InputError),
     "peak-word-k-0": (lambda: words.sample_peak_word(0, 4, random.Random(0)), errors.InputError),
-    "rank-mixed-shapes": (lambda: linreal.rank([np.zeros((1, 2)), np.zeros((2, 1))]), errors.ShapeMismatch),
+    "rank-mixed-shapes": (lambda: linreal.rank([identity("o"), duality("o", "x")], 2), errors.ShapeMismatch),
     "quad-mixed-radicands": (lambda: qgraph.Quad.sqrt(2) + qgraph.Quad.sqrt(3), errors.InputError),
     "quad-zero-inverse": (lambda: qgraph.Quad.of(0).inverse(), ZeroDivisionError),
     "tree-over-the-level-budget": (lambda: qgraph.QuantumTree(qgraph.classical(2), 13), errors.TooLarge),
@@ -39,4 +38,4 @@ def test_a_bad_input_raises_its_own_error_class(case):
 
 
 def test_the_rank_of_no_realization_is_0():
-    assert linreal.rank([]) == 0
+    assert linreal.rank([], 2) == 0

@@ -6,13 +6,14 @@ diagonal symmetric group S_N, whose dimension is the number of index
 orbits, i.e. the sum of Stirling numbers S(n, j) for j <= N.
 
 Differential oracles: the sparse PartitionMap realization, the per-pair
-law check built on it, the all-pairs law pairing, the union-find
-join_block_count, the min-label propagation along successor maps, the
-modular elimination that cleared and reduced all rows below a pivot at
-once on a copy and the lazy one that reduced each column in place and
-searched it twice are the code the dense, merge-walk and lazily reducing
-kernels replaced, and the modular rank of the whole Gram residue is the
-certificate that the rotation-character blocks replaced.
+law check built on it, the dense numpy law kernel that replaced it, the
+all-pairs law pairing, the union-find join_block_count, the min-label
+propagation along successor maps, the modular elimination that cleared
+and reduced all rows below a pivot at once on a copy and the lazy one
+that reduced each column in place and searched it twice are the code the
+bit-vector, merge-walk and lazily reducing kernels replaced, and the
+modular rank of the whole Gram residue is the certificate that the
+rotation-character blocks replaced.
 
 Closed-form oracles for the Gram matrices of NC(k), the noncrossing
 partitions of k points: Di Francesco's meander determinant (Commun. Math.
@@ -34,20 +35,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcomb import linreal
+from qcomb import laws, linreal
 from qcomb.categories import CU, NAMED, enumerate_members
 from qcomb.errors import LawViolation, ShapeMismatch, TooLarge
-from qcomb.linreal import (
-    _rank_bareiss,
-    _rank_mod_p,
-    check_laws,
-    fixed_points_dim,
-    gram_exponents,
-    gram_rank,
-    law_pairs,
-    realize,
-    small_partitions,
-)
+from qcomb.laws import check_laws, law_pairs, realize, small_partitions
+from qcomb.linreal import _rank_bareiss, _rank_mod_p, fixed_points_dim, gram_exponents, gram_rank
 from qcomb.partitions import (
     Partition,
     UnionFind,
@@ -156,6 +148,69 @@ def check_laws_oracle(pairs, N):
     return {"orientation": orientation, "pairs_checked": checked, "N": N}
 
 
+def realize_dense(p, N):
+    """The dense 0/1 int64 matrix of shape N^l x N^k that realize built
+    before the bit vectors, multi-indices read big-endian."""
+    k, l = p.n_upper, p.n_lower
+    nb = p.n_blocks
+    # one column per assignment of values to the blocks, gathered to points
+    joint = np.indices((N,) * nb).reshape(nb, N**nb)[list(p.labels)]
+    rows = N ** np.arange(l - 1, -1, -1, dtype=np.int64) @ joint[k:]
+    cols = N ** np.arange(k - 1, -1, -1, dtype=np.int64) @ joint[:k]
+    T = np.zeros((N**l, N**k), dtype=np.int64)
+    T[rows, cols] = 1
+    return T
+
+
+def check_laws_dense(pairs, N):
+    """check_laws before the bit vectors: the dense kernel, each distinct
+    partition realized once, the tensor law on the Kronecker product by
+    broadcasting and the loop law on the matrix product."""
+    memo = {}
+
+    def T(p):
+        m = memo.get(p)
+        if m is None:
+            m = memo[p] = realize_dense(p, N).astype(np.uint8)
+        return m
+
+    def outer(a, b):
+        (r1, c1), (r2, c2) = a.shape, b.shape
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
+
+    adjoint_checked = set()
+    checked = 0
+    orientation = None
+    for q, p in pairs:
+        tp, tq = T(p), T(q)
+        if p not in adjoint_checked:
+            if not np.array_equal(T(p.adjoint()), tp.T):
+                raise LawViolation(f"adjoint law fails for {p}")
+            adjoint_checked.add(p)
+        if not np.array_equal(T(p.tensor(q)), outer(tp, tq)):
+            raise LawViolation(f"tensor law fails for {p} (x) {q}")
+        if p.lower != q.upper:
+            continue
+        comp, rl = q.compose(p)
+        lhs = np.matmul(tq, tp, dtype=np.int64)
+        rhs = T(comp).astype(np.int64)
+        if np.array_equal(lhs, N**rl * rhs):
+            fit = "maps_scale_composite"
+        elif np.array_equal(rhs, N**rl * lhs):
+            fit = "composite_scales_maps"
+        else:
+            raise LawViolation(f"loop law fails for {q} after {p}")
+        if rl > 0:
+            if orientation is None:
+                orientation = fit
+            elif orientation != fit:
+                raise LawViolation(
+                    f"loop-law orientation flips at {q} after {p}: {orientation} vs {fit}"
+                )
+        checked += 1
+    return {"orientation": orientation, "pairs_checked": checked, "N": N}
+
+
 def law_pairs_oracle(max_points):
     """Every pair of small partitions, filtered by combined point count."""
     parts = small_partitions(max_points)
@@ -223,13 +278,15 @@ def exponents_by_min_labels(circles):
     return B
 
 
-def dense(m):
-    """A PartitionMap as a dense matrix, multi-indices read big-endian."""
-    out = np.zeros((m.N**m.l, m.N**m.k), dtype=np.int64)
+def bits(m):
+    """A PartitionMap as a bit vector: bit col * N^l + row for the entry at
+    the lower multi-index row and the upper one col, read big-endian."""
+    out = 0
     for (t, s), v in m.entries.items():
+        assert v == 1, "a realization has 0/1 entries"
         row = sum(x * m.N ** (m.l - 1 - i) for i, x in enumerate(t))
         col = sum(x * m.N ** (m.k - 1 - i) for i, x in enumerate(s))
-        out[row, col] = v
+        out |= 1 << (col * m.N**m.l + row)
     return out
 
 
@@ -266,8 +323,7 @@ def test_noncrossing_families_have_full_rank_for_large_N():
 
 def test_rank_agrees_between_gram_and_explicit_vectors():
     parts = all_parts(3)
-    maps = [realize(p, 2) for p in parts]
-    assert linreal.rank(maps) == gram_rank(parts, 2)
+    assert linreal.rank(parts, 2) == gram_rank(parts, 2)
 
 
 def test_fixed_point_dimensions_count_unitary_pairings():
@@ -278,18 +334,14 @@ def test_fixed_point_dimensions_count_unitary_pairings():
 
 
 def test_realized_identity_has_diagonal_entries():
-    m = realize(identity("o"), 3)
-    assert m.shape == (3, 3)  # one upper and one lower point
-    assert m.dtype == np.int64
-    assert np.array_equal(m, np.eye(3, dtype=np.int64))
+    # one upper and one lower point: bit col * 3 + row for row == col
+    assert realize(identity("o"), 3) == 1 << 0 | 1 << 4 | 1 << 8
 
 
 def test_realized_cup_pairs_equal_indices():
     d = duality("o", "x").adjoint()  # no upper points, two lower points
-    m = realize(d, 2)
-    assert m.shape == (4, 1)
-    # rows are the lower multi-indices 00, 01, 10, 11
-    assert m[:, 0].tolist() == [1, 0, 0, 1]
+    # bits are the lower multi-indices 00, 01, 10, 11
+    assert realize(d, 2) == 0b1001
 
 
 def test_realization_budgets_are_checked_before_allocating():
@@ -297,7 +349,9 @@ def test_realization_budgets_are_checked_before_allocating():
         realize(one_block("o" * 6, "o" * 5), 2)
     with pytest.raises(TooLarge, match="entry budget"):
         realize(one_block("o" * 5, "o" * 5), 5)  # 5^10 entries
-    assert realize(one_block("o" * 5, "o" * 5), 4).shape == (4**5, 4**5)
+    # one block: the N constant assignments, the last at index 4^10 - 1
+    T = realize(one_block("o" * 5, "o" * 5), 4)
+    assert (T.bit_length(), bin(T).count("1")) == (4**10, 4)
 
 
 def test_laws_hold_exactly_on_small_diagrams():
@@ -313,13 +367,14 @@ def test_law_pairs_stay_within_the_point_bound():
         assert len(q.upper) + len(q.lower) <= 4
 
 
-# -- differential and negative tests of the dense law kernel -----------------
+# -- differential and negative tests of the bit-vector law kernel ------------
 
 
-@pytest.mark.parametrize("N,max_points", [(2, 6), (3, 5), (4, 5)])
+@pytest.mark.parametrize("N,max_points", [(2, 6), (3, 6), (4, 6)])
 def test_dense_realization_matches_the_sparse_oracle(N, max_points):
+    # the bit vector is dense: one bit per entry of T_p
     for p in small_partitions(max_points):
-        assert np.array_equal(realize(p, N), dense(realize_oracle(p, N))), p
+        assert realize(p, N) == bits(realize_oracle(p, N)), p
 
 
 @pytest.mark.parametrize("N", (2, 3, 4))
@@ -328,6 +383,11 @@ def test_law_report_matches_the_per_pair_oracle(max_points, N):
     assert check_laws(law_pairs(max_points), N) == check_laws_oracle(
         law_pairs_oracle(max_points), N
     )
+
+
+@pytest.mark.parametrize("N", (2, 3))
+def test_law_report_matches_the_dense_kernel_at_6_points(N):
+    assert check_laws(law_pairs(6), N) == check_laws_dense(law_pairs(6), N)
 
 
 @pytest.mark.parametrize("max_points", range(7))
@@ -344,13 +404,14 @@ STRAND_CUP = Partition("o", "ooo", (0, 0, 1, 1))
 STRAND_CAP = STRAND_CUP.adjoint()
 
 
-def realize_but(target, change):
-    """realize with one partition's matrix replaced by change(matrix, N)."""
-    real = linreal.realize
+def but(owner, name, target, change):
+    """owner.name with its result at target, its first argument, replaced by
+    change(result)."""
+    real = getattr(owner, name)
 
-    def fake(p, N):
-        m = real(p, N)
-        return change(m, N) if p == target else m
+    def fake(x, *args):
+        out = real(x, *args)
+        return change(out) if x == target else out
 
     return fake
 
@@ -359,7 +420,8 @@ def test_transposed_realization_breaks_the_adjoint_law(monkeypatch):
     # both upper points in one block, the lower points apart
     p = Partition("oo", "oo", (0, 0, 1, 2))
     assert p.adjoint() != p
-    monkeypatch.setattr(linreal, "realize", realize_but(p, lambda m, N: m.T))
+    # an adjoint that does not reflect p reads T_p transposed
+    monkeypatch.setattr(Partition, "adjoint", but(Partition, "adjoint", p, lambda a: p))
     with pytest.raises(LawViolation, match="adjoint law fails"):
         check_laws([(EMPTY, p)], 2)
     with pytest.raises(LawViolation):
@@ -367,38 +429,42 @@ def test_transposed_realization_breaks_the_adjoint_law(monkeypatch):
 
 
 def test_flipped_tensor_entry_breaks_the_tensor_law(monkeypatch):
-    def flip(m, N):
-        m = m.copy()
-        m[0, 0] = 1 - m[0, 0]
-        return m
-
-    monkeypatch.setattr(linreal, "realize", realize_but(CUP.tensor(CAP), flip))
+    # one bit flipped in every vector built on the labels of CUP (x) CAP,
+    # which only its reading has in this pair
+    labels = CUP.tensor(CAP).labels
+    monkeypatch.setattr(laws, "_vector", but(laws, "_vector", labels, lambda v: v ^ 1 << 1))
     with pytest.raises(LawViolation, match="tensor law fails"):
         check_laws([(CAP, CUP)], 3)
     with pytest.raises(LawViolation):
         check_laws(law_pairs(4), 3)
 
 
+def test_swapped_tensor_factors_break_the_tensor_law(monkeypatch):
+    p, q = CUP, identity("o")
+    monkeypatch.setattr(Partition, "tensor", but(Partition, "tensor", p, lambda t: q.tensor(p)))
+    with pytest.raises(LawViolation, match="tensor law fails"):
+        check_laws([(q, p)], 2)
+
+
 def test_composite_scaled_by_the_wrong_power_breaks_the_loop_law(monkeypatch):
     comp, loops = STRAND_CAP.compose(STRAND_CUP)
     assert (comp, loops) == (identity("o"), 1)
-    monkeypatch.setattr(linreal, "realize", realize_but(comp, lambda m, N: N * m))
+    # one loop too many scales the composite by N^2 instead of N
+    monkeypatch.setattr(
+        Partition, "compose", but(Partition, "compose", STRAND_CAP, lambda c: (c[0], c[1] + 1))
+    )
     with pytest.raises(LawViolation, match="loop law fails"):
         check_laws([(STRAND_CAP, STRAND_CUP)], 2)
 
 
-def test_one_pair_in_the_other_orientation_is_a_flip(monkeypatch):
-    # T_{qp} = N^rl T_q . T_p on the second pair only: its realization
-    # carries N^(2 rl) instead of 1
-    assert CAP.compose(CUP) == (EMPTY, 1)
-    comp, loops = STRAND_CAP.compose(STRAND_CUP)
+def test_a_wrong_composite_breaks_the_loop_law(monkeypatch):
+    # the strand cut into an upper and a lower singleton
+    cut = Partition("o", "o", (0, 1))
     monkeypatch.setattr(
-        linreal, "realize", realize_but(comp, lambda m, N: N ** (2 * loops) * m)
+        Partition, "compose", but(Partition, "compose", STRAND_CAP, lambda c: (cut, c[1]))
     )
-    pairs = [(CAP, CUP), (STRAND_CAP, STRAND_CUP)]
-    with pytest.raises(LawViolation, match="orientation flips"):
-        check_laws(pairs, 2)
-    assert check_laws(pairs[1:], 2)["orientation"] == "composite_scales_maps"
+    with pytest.raises(LawViolation, match="loop law fails"):
+        check_laws([(STRAND_CAP, STRAND_CUP)], 2)
 
 
 # -- differential tests of the Gram exponent kernel --------------------------
@@ -502,7 +568,7 @@ def test_gram_rank_memo_follows_the_family():
     b = list(reversed(a))
     c = all_parts(5)[: len(a)]
     for family in (a, b, c, a):
-        assert gram_rank(family, 2) == linreal.rank([realize(p, 2) for p in family])
+        assert gram_rank(family, 2) == linreal.rank(family, 2)
         B = gram_exponents(family)
         assert np.array_equal(B, join_matrix(family))
         assert not B.flags.writeable
@@ -678,7 +744,7 @@ def test_named_deficient_families_are_settled_by_one_bareiss_call(monkeypatch, n
     assert gram_rank(parts, 2) == want < len(parts)
     assert want < sum(stirling2(points, j) for j in (1, 2))
     assert calls["bareiss"] == [len(parts)]
-    assert linreal.rank([realize(p, 2) for p in parts]) == want
+    assert linreal.rank(parts, 2) == want
 
 
 def test_a_full_memo_evicts_the_least_recently_used_family_and_stays_exact():
@@ -727,7 +793,7 @@ def test_a_family_with_repeated_members_ranks_its_distinct_members(first):
     repeated = parts + parts[::3] + parts[:1]
     for N in (1, 2, 3, 4):
         linreal._family.cache_clear()
-        want = linreal.rank([realize(p, N) for p in parts])
+        want = linreal.rank(parts, N)
         lists = [repeated, parts] if first == "repeated" else [parts, repeated]
         assert [gram_rank(ps, N) for ps in lists] == [want, want]
         assert np.array_equal(gram_exponents(repeated), join_matrix(repeated))
@@ -1230,7 +1296,7 @@ def test_a_character_that_meets_no_orbit_is_not_blocked(monkeypatch):
         blocks.clear()
         want = _rank_mod_p(residue(gram_exponents(parts), N, linreal._PRIME))
         assert linreal._residue_rank(family, N) == want, N
-        assert want == linreal.rank([realize(p, N) for p in parts]), N
+        assert want == linreal.rank(parts, N), N
         assert blocks == [0, 3], N
 
 
@@ -1274,4 +1340,4 @@ def test_exponents_stay_within_a_bounded_working_set():
 @pytest.mark.parametrize("n,k", list(frames(5)))
 def test_gram_rank_matches_explicit_rank_on_deficient_families(n, k, N):
     parts = list(enumerate_partitions("o" * k, "o" * (n - k)))
-    assert gram_rank(parts, N) == linreal.rank([realize(p, N) for p in parts])
+    assert gram_rank(parts, N) == linreal.rank(parts, N)

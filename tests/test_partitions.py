@@ -9,13 +9,16 @@ shapes, which are filtered from the uncolored pair shapes.
 
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcomb.partitions import (
     Partition,
+    _noncrossing,
     _noncrossing_shapes,
+    circle_reading,
     circular_order,
     duality,
     enumerate_noncrossing,
@@ -108,6 +111,27 @@ def test_colored_shapes_match_the_colored_recursion_on_every_word_up_to_12_point
     assert per_length == [CATALAN[n // 2] * 2 ** (n // 2) if n % 2 == 0 else 0 for n in range(13)]
 
 
+def alternates_by_word(circle, colors):
+    """The color rule as it read the color word again at every shape."""
+    whites = {b for b, c in zip(circle, colors) if c == "o"}
+    return 2 * len(whites) == len(circle) == 2 * colors.count("o")
+
+
+def test_colored_shapes_match_the_rule_read_on_the_word_at_every_balanced_word():
+    # the white positions are found once per word, not once per shape
+    shapes = _noncrossing_shapes.__wrapped__
+    for n in range(0, 11, 2):
+        pairs = shapes(n, frozenset({2}), None, None)
+        words = 0
+        for colors in product("ox", repeat=n):
+            colors = "".join(colors)
+            if 2 * colors.count("o") == n:
+                want = tuple(s for s in pairs if alternates_by_word(s, colors))
+                assert shapes(n, frozenset({2}), colors, None) == want, colors
+                words += 1
+        assert words == comb(n, n // 2)
+
+
 def first_appearance_canonical(labels):
     """Each label is at most one more than the largest label before it."""
     top = -1
@@ -160,9 +184,9 @@ def test_circular_order_is_its_own_inverse():
 
 
 def test_noncrossing_predicate():
-    assert not Partition("ox", "xo", (0, 1, 1, 0)).is_noncrossing()
-    assert identity("oo").is_noncrossing()
-    assert duality("o", "x").is_noncrossing()
+    assert not _noncrossing(circle_reading(Partition("ox", "xo", (0, 1, 1, 0))))
+    assert _noncrossing(circle_reading(identity("oo")))
+    assert _noncrossing(circle_reading(duality("o", "x")))
 
 
 @given(small_partitions())
