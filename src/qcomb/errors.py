@@ -27,10 +27,6 @@ class ClosureViolation(Violation):
     """A restricted fusion product escapes its admissible set."""
 
 
-class NonBinaryEntry(Violation):
-    """An adjacency entry of a classical tree is not 0 or 1."""
-
-
 class TooLarge(InputError):
     """A frame, tree, matrix or run is over its size budget."""
 
@@ -61,4 +57,4 @@ class NotInCategory(InputError):
 
 
 class NotUnitary(InputError):
-    """A matrix that must be unitary is not, within the tolerance."""
+    """A matrix that must be unitary is not: V V* differs from the identity."""

@@ -7,9 +7,8 @@ psi_k = (1/delta_k) sum delta^i psi^i and adjacency Id + sum (x -> x o 1).
 
 All scalar arithmetic is exact in the field Q(sqrt(N)) (rational when
 sqrt(N) or delta is rational), so the reported Schur constants are exact
-values, not approximations.  Only the numerical conjugation check
-(haar_unitary, action_commutes) uses numpy, imported when it runs, so
-the tree suite and the command line start without it.
+values, not approximations.  The conjugation check works over Q(i), with
+i = Quad.sqrt(-1), and compares its matrices with ==.
 """
 
 from __future__ import annotations
@@ -18,13 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import TYPE_CHECKING
+from itertools import combinations, product
+from random import Random
 
-from .errors import InputError, NonBinaryEntry, NotUnitary, TooLarge, Violation
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import InputError, NotUnitary, TooLarge, Violation
 
 # the largest dimension of a tree level, B^i for i <= depth
 MAX_LEVEL_DIM = 5000
@@ -46,7 +42,7 @@ class Quad:
 
     @staticmethod
     def sqrt(n: int) -> "Quad":
-        r = math.isqrt(n)
+        r = math.isqrt(abs(n))
         if r * r == n:
             return Quad.of(r)
         return Quad(Fraction(0), Fraction(1), n)
@@ -318,69 +314,69 @@ def embedding_scalars(tree: QuantumTree) -> list[Quad]:
 
 def classical_graph(N: int, k: int) -> dict[tuple, list[tuple]]:
     """Parent -> children adjacency of A_k - Id on the delta basis of the
-    classical base; entries are checked to be 0/1."""
+    classical base: x o 1 is the sum of the x (x) j over the support of 1."""
     tree = QuantumTree(classical(N), k)
-    adj: dict[tuple, list[tuple]] = {}
-    for i in range(k + 1):
-        for t in tree.level_basis(i):
-            if i < k:
-                # x o 1 = sum over j of the child (t, j), coefficient 1 each
-                children = [t + (j,) for j in range(N)]
-                if len(set(children)) != len(children):
-                    raise NonBinaryEntry("repeated child index")
-                adj[t] = children
-            else:
-                adj[t] = []
-    return adj
-
-
-def tree_counts(N: int, k: int) -> tuple[int, int]:
-    """Vertices and edges of the N-ary tree of depth k: N^i vertices at
-    level i, and one edge into each vertex below the root."""
-    vertices = sum(N**i for i in range(k + 1))
-    return vertices, vertices - 1
+    ones = tree.base.unit_support()
+    adj = {t: [t + (j,) for j in ones] for i in range(k) for t in tree.level_basis(i)}
+    return adj | {t: [] for t in tree.level_basis(k)}
 
 
 # ---------------------------------------------------------------------------
-# Conjugation action (numerical)
+# Conjugation action over Q(i)
 
 
-def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-random N x N unitary: the QR factor of a complex Gaussian
-    matrix, its phases fixed by the diagonal of R."""
-    import numpy as np
-
-    z = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _kron(A: list[list[Quad]], B: list[list[Quad]]) -> list[list[Quad]]:
+    return [[x * y for x in ra for y in rb] for ra in A for rb in B]
 
 
-def action_commutes(N: int, k: int, V: np.ndarray, tol: float) -> bool:
-    """For the matrix-trace base with a scalar unitary V, check on matrix
-    units that conjugation at level i+1 of T o 1 equals the embedding of
-    the conjugation at level i, and that each level's normalized trace is
-    preserved."""
-    import numpy as np
+def _matmul(A: list[list[Quad]], B: list[list[Quad]]) -> list[list[Quad]]:
+    return [[sum(map(Quad.__mul__, row, col), ZERO) for col in zip(*B)] for row in A]
 
-    if np.linalg.norm(V @ V.conj().T - np.eye(N)) > max(tol, 1e-12):
-        raise NotUnitary("V is not unitary within tolerance")
 
-    def conj_level(T: np.ndarray, i: int) -> np.ndarray:
-        Vi = np.eye(1, dtype=complex)
-        for _ in range(i):
-            Vi = np.kron(Vi, V)
-        return Vi @ T @ Vi.conj().T
+def _adjoint(A: list[list[Quad]]) -> list[list[Quad]]:
+    """The conjugate transpose; a + b i has conjugate a - b i."""
+    return [[Quad(x.a, -x.b, x.d) for x in col] for col in zip(*A)]
 
+
+def _circle_point(rng: Random) -> tuple[Fraction, Fraction]:
+    """(cos, sin) = (m^2 - n^2, 2mn) / (m^2 + n^2), a rational point of the unit circle."""
+    m, n = rng.randint(1, 9), rng.randint(1, 9)
+    return Fraction(m * m - n * n, m * m + n * n), Fraction(2 * m * n, m * m + n * n)
+
+
+def exact_unitary(N: int, rng: Random) -> list[list[Quad]]:
+    """An N x N unitary over Q(i): a diagonal of phases (a + bi) / (a - bi),
+    that is cos + i sin, then a plane rotation of each pair of rows.  Such
+    phases and rotations generate a dense subgroup of U(N)."""
+    phases = [Quad(*_circle_point(rng), -1) for _ in range(N)]
+    V = [[phases[r] if r == c else ZERO for c in range(N)] for r in range(N)]
+    for p, q in combinations(range(N), 2):
+        c, s = map(Quad.of, _circle_point(rng))
+        rows = V[p], V[q]
+        V[p] = [c * x - s * y for x, y in zip(*rows)]
+        V[q] = [s * x + c * y for x, y in zip(*rows)]
+    return V
+
+
+def action_commutes(N: int, k: int, V: list[list[Quad]]) -> bool:
+    """For the matrix-trace base with a scalar unitary V over Q(i), check
+    on matrix units that conjugation at level i+1 of T o 1 equals the
+    embedding of the conjugation at level i, and that each level's trace
+    is preserved."""
+    one = [[Quad.of(r == c) for c in range(N)] for r in range(N)]
+    if _matmul(V, _adjoint(V)) != one:
+        raise NotUnitary("V V* is not the identity")
+    Vi = [[ONE]]  # V tensored i times
     for i in range(k):
+        Vnext = _kron(Vi, V)
         dim = N**i
-        for a in range(dim):
-            for b in range(dim):
-                T = np.zeros((dim, dim), dtype=complex)
-                T[a, b] = 1.0
-                lhs = conj_level(np.kron(T, np.eye(N)), i + 1)
-                rhs = np.kron(conj_level(T, i), np.eye(N))
-                if np.abs(lhs - rhs).max() > tol:
-                    return False
-                if abs(np.trace(conj_level(T, i)) - np.trace(T)) > tol:
-                    return False
+        for a, b in product(range(dim), repeat=2):
+            T = [[Quad.of((r, c) == (a, b)) for c in range(dim)] for r in range(dim)]
+            inner = _matmul(_matmul(Vi, T), _adjoint(Vi))
+            if _matmul(_matmul(Vnext, _kron(T, one)), _adjoint(Vnext)) != _kron(inner, one):
+                return False
+            # the trace of E_ab is [a == b]
+            if sum((inner[r][r] for r in range(dim)), ZERO) != Quad.of(a == b):
+                return False
+        Vi = Vnext
     return True

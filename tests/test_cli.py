@@ -46,6 +46,26 @@ def test_each_readme_invocation_prints_its_pinned_output(capsys, pinned):
     assert code == pinned["exit_code"]
 
 
+# the outputs at the caps, which CI also diffs against the same files:
+# argv, pinned stdout, exit code
+CAPPED = [
+    (["table", "--bound", "10"], "table_bound10.txt", 1),
+    (["verify", "laws", "--points", "7"], "laws_points7.txt", 0),
+    (["verify", "fusion-rank", "--length", "10"], "fusion_rank_length10.txt", 0),
+]
+
+
+@pytest.mark.parametrize("argv, name, exit_code", CAPPED, ids=[name for _, name, _ in CAPPED])
+def test_each_capped_run_prints_its_pinned_file_as_text_and_json(capsys, argv, name, exit_code):
+    pinned = (Path(__file__).parent / "data" / name).read_text()
+    assert run(capsys, argv) == (exit_code, pinned)
+    code, payload = run_json(capsys, argv)
+    *results, verdict = pinned.splitlines()
+    assert code == exit_code
+    assert payload["results"] == results
+    assert verdict == f"verdict: {payload['verdict']}"
+
+
 def test_classify_words_reports_the_matched_set(capsys):
     code, payload = run_json(capsys, ["classify-words", "--gens", "ooxx"])
     assert code == 0

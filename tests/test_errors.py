@@ -22,6 +22,7 @@ BAD_INPUTS = {
     "peak-word-k-0": (lambda: words.sample_peak_word(0, 4, random.Random(0)), errors.InputError),
     "rank-mixed-shapes": (lambda: linreal.rank([identity("o"), duality("o", "x")], 2), errors.ShapeMismatch),
     "quad-mixed-radicands": (lambda: qgraph.Quad.sqrt(2) + qgraph.Quad.sqrt(3), errors.InputError),
+    "quad-i-times-sqrt-2": (lambda: qgraph.Quad.sqrt(-1) * qgraph.Quad.sqrt(2), errors.InputError),
     "quad-zero-inverse": (lambda: qgraph.Quad.of(0).inverse(), ZeroDivisionError),
     "tree-over-the-level-budget": (lambda: qgraph.QuantumTree(qgraph.classical(2), 13), errors.TooLarge),
     "through-word-outside-cu": (lambda: projmod.through_word(one_block("o", "x")), errors.NotInCategory),

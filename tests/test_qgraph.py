@@ -7,9 +7,10 @@ where delta is the square root of the base dimension and delta_k is the
 truncated geometric sum 1 + delta + ... + delta^k.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,10 +24,9 @@ from qcomb.qgraph import (
     classical,
     classical_graph,
     embedding_scalars,
-    haar_unitary,
+    exact_unitary,
     matrix_trace,
     schur_constants,
-    tree_counts,
 )
 
 rationals = st.fractions(
@@ -54,6 +54,15 @@ def test_square_roots_of_integers():
     assert s2 * s2 == Quad.of(2)
     assert Quad.sqrt(4) == Quad.of(2)
     assert Quad.of(3) + s2 == quad(3, 1)
+
+
+def test_square_roots_of_negative_integers_are_imaginary():
+    i = Quad.sqrt(-1)
+    assert i == Quad(Fraction(0), Fraction(1), -1)
+    assert i * i == Quad.of(-1)
+    assert Quad.sqrt(-4) * Quad.sqrt(-4) == Quad.of(-4)
+    assert (ONE + i) * (ONE - i) == Quad.of(2)
+    assert (ONE + i).inverse() == quad(Fraction(1, 2), Fraction(-1, 2), -1)
 
 
 def test_delta_form_axiom_holds_for_both_base_kinds():
@@ -123,12 +132,10 @@ def test_embedding_scalars_are_the_square_root_of_the_dimension():
 def test_tree_counts_match_the_geometric_series():
     for N in (1, 2, 3):
         for k in (0, 1, 2, 3):
-            total, non_root = tree_counts(N, k)
-            # at N = 1 the series is k + 1 ones, and its closed form divides by 0
-            assert total == (k + 1 if N == 1 else (N ** (k + 1) - 1) // (N - 1))
-            assert non_root == total - 1
             g = classical_graph(N, k)
-            assert (len(g), sum(len(children) for children in g.values())) == (total, non_root)
+            # at N = 1 the series is k + 1 ones, and its closed form divides by 0
+            total = k + 1 if N == 1 else (N ** (k + 1) - 1) // (N - 1)
+            assert (len(g), sum(len(children) for children in g.values())) == (total, total - 1)
 
 
 def test_classical_graph_is_a_rooted_regular_tree():
@@ -143,14 +150,24 @@ def test_classical_graph_is_a_rooted_regular_tree():
     assert set(children) | {()} == set(g)
 
 
-def test_haar_unitaries_are_unitary_and_commute_with_the_action():
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        V = haar_unitary(3, rng)
-        assert np.allclose(V @ V.conj().T, np.eye(3), atol=1e-12)
-        assert action_commutes(3, 1, V, 1e-9)
+def test_sampled_unitaries_are_exact_and_commute_with_the_action():
+    rng = random.Random(7)
+    for N, k in [(1, 2), (2, 2), (3, 1)]:
+        V = exact_unitary(N, rng)
+        # row r of V times the conjugate of row c of V is entry (r, c) of V V*
+        for r, c in itertools.product(range(N), repeat=2):
+            entry = sum((x * Quad(y.a, -y.b, y.d) for x, y in zip(V[r], V[c])), Quad.of(0))
+            assert entry == Quad.of(r == c)
+        # the phases leave Q: some entry has a nonzero imaginary part
+        assert any(x.b != 0 and x.d == -1 for row in V for x in row)
+        assert action_commutes(N, k, V)
 
 
 def test_action_rejects_non_unitaries():
+    zero = Quad.of(0)
     with pytest.raises(qgraph.NotUnitary):
-        action_commutes(2, 1, np.diag([1.0, 2.0]), 1e-9)
+        action_commutes(2, 1, [[ONE, zero], [zero, Quad.of(2)]])
+    V = exact_unitary(3, random.Random(1))
+    V[0][0] = V[0][0] + Quad.of(Fraction(1, 10**12))
+    with pytest.raises(qgraph.NotUnitary):
+        action_commutes(3, 1, V)
