@@ -4,9 +4,10 @@ The realizations T_p and their laws are the bit vectors of laws.py.
 
 Ranks are certified exactly through the Gram matrix: for 0/1 vectors
 indexed by joint assignments, <T_p, T_q> = N^(number of blocks of the
-join of p and q on all k+l points).  A full-rank residue of the Gram
-matrix modulo a prime certifies full rank over the rationals; otherwise
-a fraction-free elimination over the integers settles the rank exactly.
+join of p and q on all k+l points); laws.gram_rank hands over the
+families above laws._SMALL_FAMILY members.  A full-rank residue of the
+Gram matrix modulo a prime certifies full rank over the rationals;
+otherwise a fraction-free elimination over the integers settles it.
 The prime is 4,158,001 = 150 * 27720 + 1, below 2^22; 27720 is the
 least common multiple of 1..12, so F_p holds a primitive h-th root of
 unity, a power of the primitive root 17, for every h up to 12.  A
@@ -28,7 +29,7 @@ programs, and sums of squares", JPAA 2004; on NC(n) this is the
 rotation symmetry of Di Francesco's meander Gram matrix, "Meander
 determinants", CMP 1998).  The Gram matrix is symmetric, so the blocks
 of conjugate characters have the same rank and only the characters up
-to half the group order are eliminated (gram_rank gives the blocks).
+to half the group order are eliminated (_family_rank gives the blocks).
 NC(8), whose 1,430 members make 190 orbits of 8 turns, is certified by
 five eliminations of 170 to 190 rows instead of one of 1,430, and each
 elimination pays numpy's per-pivot overhead on fewer pivots.  A family
@@ -64,7 +65,7 @@ share leading merges share the labels after them, and at most n + 1
 label matrices are held for n points.
 
 One memo, an lru_cache of at most _MAX_FAMILIES entries, holds the
-circle families met so far.  A family's key is the set of its members'
+circle families ranked here.  A family's key is the set of its members'
 circle readings (partitions.circle_reading: the labels in circular
 order, blocks numbered by first appearance), so all frames with the
 same points around one circle share an entry: the NCall frames (a, n-a)
@@ -78,8 +79,8 @@ every frame a suite ranks), and the ranks certified so far at each N.
 A rank found out of budget raises and is not stored.
 
 This is the package's numpy module, and nothing on the import path of
-the command line imports it: only the `verify fusion-rank` suite, which
-ranks, loads it when it runs.
+the command line imports it: `verify fusion-rank` loads it only on a
+family above laws._SMALL_FAMILY members, from length 8 on.
 """
 
 from __future__ import annotations
@@ -89,10 +90,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .categories import CU, enumerate_members
-from .errors import ShapeMismatch, TooLarge
-from .laws import check_laws, realize, small_partitions  # the realization API, re-exported
-from .partitions import Partition, _canonical_labels, circular_order
+from . import laws
+from .errors import TooLarge
+# the realization and rank API, re-exported
+from .laws import _circles, check_laws, fixed_points_dim, gram_rank, rank, realize, small_partitions
+from .partitions import Partition, _canonical_labels
 
 
 _PRIME = 4158001  # 150 * 27720 + 1, below 2^22; 27720 = lcm(1, ..., 12)
@@ -122,15 +124,6 @@ class _Family:
     sizes: np.ndarray
     exponents: np.ndarray
     ranks: dict[int, int] = field(default_factory=dict)
-
-
-def _circles(parts: list[Partition]) -> list[tuple[int, ...]]:
-    """Each member's circle reading (circle_reading), the circular order
-    of their common frame looked up once."""
-    if len({(p.upper, p.lower) for p in parts}) > 1:
-        raise ShapeMismatch("mixed frames")
-    order = circular_order(parts[0].n_upper, parts[0].n_lower)
-    return [_canonical_labels(p.labels, order) for p in parts]
 
 
 def _exponents(circles: list[tuple[int, ...]], qs: list[tuple[int, ...]]) -> np.ndarray:
@@ -287,36 +280,9 @@ def _rank_mod_p(A: np.ndarray) -> int:
     return rank
 
 
-def _rank_bareiss(M: list[list[int]]) -> int:
-    """Fraction-free elimination over the integers; exact, no floats."""
-    A = [row[:] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if A[r][c]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        for r in range(rank + 1, rows):
-            for cc in range(c + 1, cols):
-                A[r][cc] = (A[rank][c] * A[r][cc] - A[r][c] * A[rank][cc]) // prev
-            A[r][c] = 0
-        prev = A[rank][c]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def gram_rank(parts: list[Partition], N: int) -> int:
-    """Exact rank over the rationals of {T_p : p in parts} at dimension N.
-
-    The rank is certified once per circle family and N: the Gram matrix
-    of parts is the family's with its rows and columns permuted
-    together, and a member listed twice only repeats a row and a column,
-    so the rank is the same.
+def _family_rank(circles: frozenset, N: int) -> int:
+    """Exact rank over the rationals at N of a circle family above
+    laws._SMALL_FAMILY members, certified once per family and N.
 
     The certificate is the rank of the Gram residue modulo the prime,
     one rotation character at a time.  The family's rotation group of
@@ -324,9 +290,7 @@ def gram_rank(parts: list[Partition], N: int) -> int:
     F_p, which holds a primitive h-th root of unity w and in which h is
     invertible, F_p^m splits into the eigenspaces of the rotation, one
     per character j = 0..h-1, each mapped to itself by G (Gatermann and
-    Parrilo, "Symmetry groups, semidefinite programs, and sums of
-    squares", JPAA 2004; on NC(n) this is the rotation symmetry of Di
-    Francesco's meander Gram matrix, CMP 1998).  Character j meets orbit
+    Parrilo, JPAA 2004; see the module docstring).  Character j meets orbit
     O when h divides j|O|, and on those orbits G acts by
 
         M_j[O, O'] = sum over r < |O| of w^(jr) G[s^r p_O, p_O'],
@@ -337,12 +301,21 @@ def gram_rank(parts: list[Partition], N: int) -> int:
     have the same rank: the sum counts twice each j with 0 < 2j < h and
     once j = 0 and 2j = h.  A family without rotation symmetry has h = 1
     and one block, its full residue."""
-    if not parts:
-        return 0
-    circles = frozenset(_circles(parts))
-    family = _family(circles)
+    family, n = _family(circles), len(circles)
+    # a full-rank residue modulo a prime certifies full rational rank
+    if N not in family.ranks and _residue_rank(family, N) == n:
+        family.ranks[N] = n
     if N not in family.ranks:
-        family.ranks[N] = _certified_rank(circles, family, N)
+        # modular rank only bounds the rational rank from below, so a
+        # deficient family needs the integer elimination to settle the value
+        if n > 400:
+            raise TooLarge(
+                f"rank defect suspected on a {n}x{n} Gram matrix; "
+                "exact elimination at this size is out of budget"
+            )
+        rows = sorted(circles)
+        B = _exponents(rows, rows)
+        family.ranks[N] = laws._rank_bareiss([[N ** int(e) for e in row] for row in B])
     return family.ranks[N]
 
 
@@ -380,38 +353,3 @@ def _residue_rank(family: _Family, N: int) -> int:
         for j in range(h // 2 + 1)
         if (j * sizes % h == 0).any()
     )
-
-
-def _certified_rank(circles: frozenset, family: _Family, N: int) -> int:
-    """Exact rational rank of the Gram matrix N^B of the family whose
-    members read circles around the circle."""
-    n = len(circles)
-    # a full-rank residue modulo a prime certifies full rational rank
-    if _residue_rank(family, N) == n:
-        return n
-    # modular rank only bounds the rational rank from below, so a
-    # deficient family needs the integer elimination to settle the value
-    if n > 400:
-        raise TooLarge(
-            f"rank defect suspected on a {n}x{n} Gram matrix; "
-            "exact elimination at this size is out of budget"
-        )
-    rows = sorted(circles)
-    B = _exponents(rows, rows)
-    return _rank_bareiss([[N ** int(e) for e in row] for row in B])
-
-
-def rank(parts: list[Partition], N: int) -> int:
-    """Exact rank of the realizations of parts at dimension N, on their bit
-    vectors (small inputs).  Members of different frames raise ShapeMismatch."""
-    if len({(p.upper, p.lower) for p in parts}) > 1:
-        raise ShapeMismatch("mixed frames")
-    vectors = [realize(p, N) for p in parts]
-    width = max((v.bit_length() for v in vectors), default=0)
-    return _rank_bareiss([[v >> i & 1 for i in range(width)] for v in vectors])
-
-
-def fixed_points_dim(w: str, N: int) -> int:
-    """Dimension of the span of {T_p : p in CU(empty, w)}."""
-    parts = enumerate_members(CU, "", w)
-    return gram_rank(parts, N)

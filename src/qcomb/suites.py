@@ -1,9 +1,9 @@
 """The module table and the `verify` suites, run by the command line and
 by the acceptance tests with their own parameters.  Each returns the
 verdict, the lines the command line prints and the data tests check.
-The command line checks its arguments before it calls a suite.  Only
-fusion_rank imports linreal, and with it numpy, when it is called: the
-realization laws that laws checks are identities of Python ints."""
+The command line checks its arguments before it calls a suite.  No suite
+imports numpy: fusion_rank ranks through laws, which loads linreal and
+numpy only for a family above laws._SMALL_FAMILY members."""
 
 from __future__ import annotations
 
@@ -94,13 +94,13 @@ def laws(points: int, Ns) -> Outcome:
 def fusion_rank(length: int, N: int) -> Outcome:
     """Fold multiplicity of the unit = invariant dimension at N = pairing
     count, for every word up to `length`."""
-    from . import linreal
+    from .laws import fixed_points_dim
 
     ok = True
     lines = []
     for w in words.all_words(length):
         mult = fusion.fold_product(list(w))[""]
-        dim = linreal.fixed_points_dim(w, N)
+        dim = fixed_points_dim(w, N)
         count = len(categories.enumerate_members(categories.CU, "", w))
         good = mult == dim == count
         ok = ok and good

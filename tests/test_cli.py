@@ -474,8 +474,12 @@ NUMPY_RUNS = [
     (["verify", "laws", "--points", "4"], 0, False),
     # a rejected length is rejected before the suite loads numpy
     (["verify", "fusion-rank", "--length", "11"], 2, False),
-    # the suite that ranks loads numpy, so the probe is seen to work
-    (["verify", "fusion-rank", "--length", "2"], 0, True),
+    # a family of at most laws._SMALL_FAMILY members ranks without numpy:
+    # the largest at length 6 has 5
+    (["verify", "fusion-rank", "--length", "4", "--N", "4"], 0, False),
+    (["verify", "fusion-rank", "--length", "6"], 0, False),
+    # one of 14 at length 8 loads it, so the probe is seen to work
+    (["verify", "fusion-rank", "--length", "8"], 0, True),
 ]
 
 

@@ -38,8 +38,8 @@ from hypothesis import strategies as st
 from qcomb import laws, linreal
 from qcomb.categories import CU, NAMED, enumerate_members
 from qcomb.errors import LawViolation, ShapeMismatch, TooLarge
-from qcomb.laws import check_laws, law_pairs, realize, small_partitions
-from qcomb.linreal import _rank_bareiss, _rank_mod_p, fixed_points_dim, gram_exponents, gram_rank
+from qcomb.laws import _rank_bareiss, check_laws, law_pairs, realize, small_partitions
+from qcomb.linreal import _rank_mod_p, fixed_points_dim, gram_exponents, gram_rank
 from qcomb.partitions import (
     Partition,
     UnionFind,
@@ -539,15 +539,15 @@ def test_gram_exponents_of_no_members_is_an_empty_read_only_matrix():
 # -- the circle-family memo of gram_rank --------------------------------------
 
 
+def clear_memos():
+    """Empty both rank memos: the small families' and the residue's."""
+    laws._small_rank.cache_clear()
+    linreal._family.cache_clear()
+
+
 def family_of(parts):
     """The memo entry of the circle family of parts, made if not held."""
     return linreal._family(frozenset(linreal._circles(parts)))
-
-
-def memo_families(lists):
-    """The memo entries of the circle families of the non-empty member
-    lists, one per family."""
-    return [linreal._family(key) for key in {frozenset(linreal._circles(ps)) for ps in lists if ps}]
 
 
 def one_residue(family):
@@ -599,15 +599,15 @@ def memo_frames():
 
 
 def memo_pass(cleared: bool) -> list[int]:
-    """Rank every memo frame with a fresh memo, cleared before every rank
+    """Rank every memo frame with fresh memos, cleared before every rank
     when asked, and check the exponents after each frame."""
-    linreal._family.cache_clear()
+    clear_memos()
     ranks = []
     for cat, upper, lower, Ns in memo_frames():
         parts = enumerate_members(cat, upper, lower)
         for N in Ns:
             if cleared:
-                linreal._family.cache_clear()
+                clear_memos()
             ranks.append(gram_rank(parts, N))
         assert np.array_equal(gram_exponents(parts), frame_join_matrix(cat, upper, lower))
     return ranks
@@ -617,8 +617,12 @@ def test_shared_memo_ranks_match_a_cleared_memo():
     shared = memo_pass(cleared=False)
     # the NCall frames of one point count are one family, and so are the
     # CU frames of one circular color word whatever the split: the 36
-    # NCall and 177 CU frames make 22 families
-    assert linreal._family.cache_info().currsize == 22
+    # NCall and 177 CU frames make 22 families.  The 4 above
+    # _SMALL_FAMILY members, NC(4) to NC(7), hold one residue memo entry
+    # each, and the other 18 one small-family entry per N they are
+    # ranked at, 72 in all
+    assert linreal._family.cache_info().currsize == 4
+    assert laws._small_rank.cache_info().currsize == 72
     assert shared == memo_pass(cleared=True)
 
 
@@ -645,12 +649,12 @@ def test_each_circle_family_is_eliminated_once_per_N(monkeypatch):
 
 
 def counted_certification(monkeypatch, residue_rank=None):
-    """A fresh memo, with the row count of every modular and every Bareiss
+    """Fresh memos, with the row count of every modular and every Bareiss
     elimination recorded; residue_rank, if given, replaces the modular
     rank of each character block the certification sees."""
-    linreal._family.cache_clear()
+    clear_memos()
     calls = {"mod_p": [], "bareiss": []}
-    mod_p, bareiss = linreal._rank_mod_p, linreal._rank_bareiss
+    mod_p, bareiss = linreal._rank_mod_p, laws._rank_bareiss
 
     def counted_mod_p(M):
         calls["mod_p"].append(len(M))
@@ -662,7 +666,7 @@ def counted_certification(monkeypatch, residue_rank=None):
         return bareiss(M)
 
     monkeypatch.setattr(linreal, "_rank_mod_p", counted_mod_p)
-    monkeypatch.setattr(linreal, "_rank_bareiss", counted_bareiss)
+    monkeypatch.setattr(laws, "_rank_bareiss", counted_bareiss)
     return calls
 
 
@@ -694,39 +698,52 @@ def test_a_deficient_residue_of_a_full_rank_family_is_settled_by_bareiss(monkeyp
     assert calls == {"mod_p": one_residue(family_of(parts)), "bareiss": [14]}
 
 
+def word_families(length):
+    """The circle families of CU(empty, w), one per family, over the
+    words w up to length that have a pairing."""
+    lists = (enumerate_members(CU, "", w) for w in all_words(length))
+    return list({frozenset(linreal._circles(ps)) for ps in lists if ps})
+
+
 def test_at_N_1_every_unitary_word_spans_at_most_one_dimension(monkeypatch):
     # at N = 1 every realization is the same 1x1 matrix [1], so the span of
     # CU(empty, w) is one-dimensional when w has a pairing and zero when
-    # not; each family of two or more members is deficient, and Bareiss
-    # settles it once
+    # not.  Each of the 176 families is settled by Bareiss once: the 22
+    # above _SMALL_FAMILY members after a residue that falls short, since
+    # each is deficient, and the 154 others with no residue
     calls = counted_certification(monkeypatch)
     for w in all_words(10):
         assert fixed_points_dim(w, 1) == (1 if enumerate_members(CU, "", w) else 0), w
-    assert linreal._family.cache_info().currsize == 176
-    families = memo_families(enumerate_members(CU, "", w) for w in all_words(10))
-    sizes = [int(family.sizes.sum()) for family in families]
-    blocks = [k for family in families for k in one_residue(family)]
-    assert sorted(calls["mod_p"]) == sorted(blocks) and len(sizes) == 176
-    assert sorted(calls["bareiss"]) == sorted(n for n in sizes if n >= 2)
-    assert len(calls["bareiss"]) == 160
+    circles = word_families(10)
+    large = [c for c in circles if len(c) > laws._SMALL_FAMILY]
+    assert (len(circles), len(large)) == (176, 22)
+    assert linreal._family.cache_info().currsize == 22
+    assert laws._small_rank.cache_info().currsize == 154
+    blocks = [k for c in large for k in one_residue(linreal._family(c))]
+    assert sorted(calls["mod_p"]) == sorted(blocks)
+    assert sorted(calls["bareiss"]) == sorted(map(len, circles))
 
 
 def test_at_N_equal_to_the_prime_every_family_is_settled_by_bareiss(monkeypatch):
     # at N = p every entry N^e of a residue with a point is 0 modulo p, so
-    # each family reads rank 0 there and goes to the exact elimination
-    # once, which finds the unitary pairings independent
+    # each of the 22 families above _SMALL_FAMILY members reads rank 0
+    # there and goes to the exact elimination once, which finds the
+    # unitary pairings independent; the 153 others with a point are
+    # settled by that elimination alone
     residues = []
     calls = counted_certification(monkeypatch, residue_rank=lambda r: residues.append(r) or r)
-    for w in all_words(6):
+    for w in all_words(10):
         if w:
             parts = enumerate_members(CU, "", w)
             assert gram_rank(parts, linreal._PRIME) == len(parts), w
-    assert linreal._family.cache_info().currsize == 14
-    families = memo_families(enumerate_members(CU, "", w) for w in all_words(6) if w)
-    blocks = [k for family in families for k in one_residue(family)]
+    circles = [c for c in word_families(10) if c != {()}]
+    large = [c for c in circles if len(c) > laws._SMALL_FAMILY]
+    assert (len(circles), len(large)) == (175, 22)
+    assert linreal._family.cache_info().currsize == 22
+    assert laws._small_rank.cache_info().currsize == 153
+    blocks = [k for c in large for k in one_residue(linreal._family(c))]
     assert sorted(calls["mod_p"]) == sorted(blocks) and set(residues) == {0}
-    assert sorted(calls["bareiss"]) == sorted(int(family.sizes.sum()) for family in families)
-    assert len(families) == 14
+    assert sorted(calls["bareiss"]) == sorted(map(len, circles))
 
 
 @pytest.mark.parametrize(
@@ -748,10 +765,13 @@ def test_named_deficient_families_are_settled_by_one_bareiss_call(monkeypatch, n
 
 
 def test_a_full_memo_evicts_the_least_recently_used_family_and_stays_exact():
-    linreal._family.cache_clear()
-    # each 7-point set partition alone is a family of its own
-    singles = [[p] for p in all_parts(7)[: linreal._MAX_FAMILIES - 1]]
-    old, used = all_parts(3), all_parts(4)
+    clear_memos()
+    # each run of _SMALL_FAMILY + 1 consecutive 7-point set partitions is
+    # a family of its own, just above the small families
+    runs = [
+        all_parts(7)[i : i + laws._SMALL_FAMILY + 1] for i in range(linreal._MAX_FAMILIES - 1)
+    ]
+    old, used = all_parts(4), all_parts(5)
 
     def exact(parts):
         n = parts[0].n_points
@@ -760,15 +780,16 @@ def test_a_full_memo_evicts_the_least_recently_used_family_and_stays_exact():
         ]
 
     assert exact(old) and exact(used)
-    for parts in singles[:-1]:
-        assert gram_rank(parts, 2) == 1
+    for parts in runs[:-1]:
+        assert gram_rank(parts, 2) == linreal.rank(parts, 2)
     assert linreal._family.cache_info().currsize == linreal._MAX_FAMILIES
     # a hit makes the oldest family the most recently used, so the next
     # family evicts the second oldest
     assert exact(old)
-    assert gram_rank(singles[-1], 2) == 1
+    assert gram_rank(runs[-1], 2) == linreal.rank(runs[-1], 2)
     assert linreal._family.cache_info().currsize == linreal._MAX_FAMILIES
-    assert family_of(old).ranks == {2: 4, 3: 5}
+    assert family_of(old).ranks == {2: 8, 3: 14}
+    assert laws._small_rank.cache_info().currsize == 0
     misses = linreal._family.cache_info().misses
     assert family_of(used).ranks == {}
     assert linreal._family.cache_info().misses == misses + 1
@@ -813,10 +834,68 @@ MIXED_FRAMES = {
     "compute", [gram_exponents, lambda parts: gram_rank(parts, 3)], ids=["exponents", "rank"]
 )
 def test_members_of_different_frames_raise_before_the_memo(parts, compute):
-    linreal._family.cache_clear()
+    clear_memos()
     with pytest.raises(ShapeMismatch, match="mixed frames"):
         compute(parts)
     assert linreal._family.cache_info() == (0, 0, linreal._MAX_FAMILIES, 0)
+    assert laws._small_rank.cache_info().currsize == 0
+
+
+# -- small families, ranked by Bareiss without the residue ---------------------
+
+
+@lru_cache(maxsize=None)
+def small_families():
+    """The circle families of at most _SMALL_FAMILY members, one member
+    list each: of every frame up to 8 points of each named category, white
+    points only where the category has one color, of every CU coloring up
+    to 8 points, and of the first m set partitions of 4 and of 5 points,
+    which make the sizes no category frame has."""
+    lists = [all_parts(n)[:m] for n in (4, 5) for m in range(1, laws._SMALL_FAMILY + 1)]
+    for cat in NAMED.values():
+        for n, k in frames(8):
+            colorings = itertools.product("ox", repeat=n) if cat.colored else ["o" * n]
+            for colors in colorings:
+                lists.append(enumerate_members(cat, "".join(colors[:k]), "".join(colors[k:])))
+    families = {}
+    for parts in lists:
+        circles = frozenset(linreal._circles(parts)) if parts else frozenset()
+        if 0 < len(circles) <= laws._SMALL_FAMILY:
+            families.setdefault(circles, parts)
+    return list(families.items())
+
+
+def test_small_families_cover_every_size_up_to_the_bound():
+    sizes = {len(circles) for circles, _ in small_families()}
+    assert sizes == set(range(1, laws._SMALL_FAMILY + 1))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, linreal._PRIME])
+def test_small_family_ranks_match_the_residue_certificate(N):
+    # the residue path, called directly, on the families it no longer sees
+    clear_memos()
+    for circles, _ in small_families():
+        assert laws._small_rank(circles, N) == linreal._family_rank(circles, N), (sorted(circles), N)
+
+
+def test_small_family_join_counts_match_gram_exponents():
+    for circles, parts in small_families():
+        readings = linreal._circles(parts)
+        counts = [[laws._join_count(p, q) for q in readings] for p in readings]
+        assert np.array_equal(gram_exponents(parts), np.array(counts)), readings
+
+
+def test_a_family_of_the_small_bound_skips_the_residue_and_one_above_it_does_not(monkeypatch):
+    K = laws._SMALL_FAMILY
+    at, above = all_parts(4)[:K], all_parts(4)[: K + 1]
+    want = [linreal.rank(at, 3), linreal.rank(above, 3)]
+    calls = counted_certification(monkeypatch)
+    assert gram_rank(at, 3) == want[0]
+    assert calls == {"mod_p": [], "bareiss": [K]}
+    assert linreal._family.cache_info().currsize == 0
+    assert gram_rank(above, 3) == want[1]
+    assert calls["mod_p"] == one_residue(family_of(above)) != []
+    assert linreal._family.cache_info().currsize == 1
 
 
 # -- closed-form oracles: the meander determinant and S_N^+ = S_N -------------
