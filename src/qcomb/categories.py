@@ -40,10 +40,9 @@ sorted by labels.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import TooLarge
 from .partitions import Partition, _alternates, _noncrossing, _whites, circle_reading
@@ -70,8 +69,7 @@ def _sharp_ok(circle: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CategorySpec:
+class CategorySpec(NamedTuple):
     """A named noncrossing category: allowed block sizes, whether frames
     need an even number of points (checked once per frame), one optional
     rule on circle readings (decided once per circle shape), and whether

@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from . import errors, qgraph, suites, words
+from . import errors, suites, words
 
 # work budgets, checked before a command starts (README "Command line")
 MAX_WORD_BOUND = 16
@@ -106,6 +106,7 @@ def _trees(args) -> suites.Outcome:
     m = re.fullmatch(r"([cm])([1-9][0-9]*)", args.base)
     if m is None:
         raise errors.InputError(f"--base must be c<N> or m<N> with N >= 1, got {args.base!r}")
+    from . import qgraph  # and fractions, which only this suite needs
     n = int(m[2])
     base = qgraph.classical(n) if m[1] == "c" else qgraph.matrix_trace(n)
     if base.dim > qgraph.MAX_LEVEL_DIM:

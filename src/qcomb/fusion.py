@@ -13,7 +13,7 @@ factor-tagged letters are built on top of it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ClosureViolation, MalformedWord, NotInSet
 from .words import AdmissibleSetSpec, conjugate, member, white, word_to_str
@@ -61,8 +61,7 @@ def restricted_product(spec: AdmissibleSetSpec, w: str, w2: str) -> Counter:
 # Wreath semi-ring
 
 
-@dataclass(frozen=True)
-class WreathWord:
+class WreathWord(NamedTuple):
     """A word whose letters are irreducible labels of the base ring."""
 
     letters: tuple[str, ...]
@@ -134,19 +133,27 @@ def psi_vector(v: Counter, k: int) -> Counter:
 # Free-product fusion
 
 
-@dataclass(frozen=True)
 class FreeWord:
     """Alternating word of (factor, label) letters; labels are non-trivial
     irreducibles of their factor (empty words are not allowed as letters)."""
 
-    letters: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        for (f1, l1), (f2, _) in zip(self.letters, self.letters[1:]):
-            if f1 == f2:
-                raise MalformedWord("consecutive letters from the same factor")
-        if any(not l for _, l in self.letters):
+    def __init__(self, letters: tuple[tuple[str, str], ...]):
+        if any(f1 == f2 for (f1, _), (f2, _) in zip(letters, letters[1:])):
+            raise MalformedWord("consecutive letters from the same factor")
+        if any(not l for _, l in letters):
             raise MalformedWord("trivial letter in a free-product word")
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __str__(self) -> str:
         return "".join(f"[{f}:{l}]" for f, l in self.letters) if self.letters else "1"

@@ -85,8 +85,8 @@ family above laws._SMALL_FAMILY members, from length 8 on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,8 +114,7 @@ _ROW_CHUNK = 2**14
 _MAX_FAMILIES = 256
 
 
-@dataclass
-class _Family:
+class _Family(NamedTuple):
     """A memo entry, over the rotation orbits of a circle family: the
     orbit sizes; the exponents, whose entry [r, O, O'] is the join block
     count of the member r turns from orbit O's first against orbit O''s
@@ -123,7 +122,7 @@ class _Family:
 
     sizes: np.ndarray
     exponents: np.ndarray
-    ranks: dict[int, int] = field(default_factory=dict)
+    ranks: dict[int, int]
 
 
 def _exponents(circles: list[tuple[int, ...]], qs: list[tuple[int, ...]]) -> np.ndarray:
@@ -212,7 +211,7 @@ def _family(circles: frozenset) -> _Family:
     sizes, turns = _orbits(rows)
     exponents = _exponents(rows, [rows[i] for i in turns[0]])[turns]
     exponents.flags.writeable = False
-    return _Family(sizes, exponents)
+    return _Family(sizes, exponents, {})
 
 
 def gram_exponents(parts: list[Partition]) -> np.ndarray:

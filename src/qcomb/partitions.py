@@ -14,7 +14,6 @@ as ``ox;ox;1,2,1,2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import InputError, ShapeMismatch
@@ -98,11 +97,12 @@ def _noncrossing(circle: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Partition:
-    upper: str
-    lower: str
-    labels: tuple[int, ...]  # canonical block label of each point
+    def __init__(self, upper: str, lower: str, labels: tuple[int, ...]):
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "labels", labels)  # canonical block label of each point
+        self.__post_init__()
 
     def __post_init__(self):
         # any sequence of block ids is stored numbered by first appearance
@@ -112,6 +112,17 @@ class Partition:
         canonical = _canonical_labels(self.labels, range(n))
         if canonical != self.labels:
             object.__setattr__(self, "labels", canonical)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.upper, self.lower, self.labels) == (other.upper, other.lower, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.upper, self.lower, self.labels))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __str__(self) -> str:
         return "{};{};{}".format(
@@ -214,8 +225,8 @@ class Partition:
 
 def _trusted_partition(upper: str, lower: str, labels: tuple[int, ...]) -> Partition:
     """A Partition from labels already canonical and of the right length,
-    without __post_init__.  Attributes are set as the frozen dataclass
-    sets them, so instances keep the shared-key attribute dict."""
+    without __post_init__, its attributes set in __init__'s order so that
+    instances keep the shared-key attribute dict."""
     p = object.__new__(Partition)
     object.__setattr__(p, "upper", upper)
     object.__setattr__(p, "lower", lower)

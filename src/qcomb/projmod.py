@@ -26,9 +26,9 @@ bound, is built only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, CategorySpec
 from .categories import all_members, contains
@@ -187,8 +187,7 @@ def glue(p: Partition, q: Partition) -> Partition:
     return Partition(p.upper, q.upper, p.labels[: p.n_upper] + tuple(lower))
 
 
-@dataclass(frozen=True)
-class ProjectiveModule:
+class ProjectiveModule(NamedTuple):
     members: frozenset[Partition]
 
 

@@ -14,11 +14,11 @@ i = Quad.sqrt(-1), and compares its matrices with ==.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from random import Random
+from typing import NamedTuple
 
 from .errors import InputError, NotUnitary, TooLarge, Violation
 
@@ -30,11 +30,16 @@ MAX_LEVEL_DIM = 5000
 # Exact scalars a + b sqrt(d)
 
 
-@dataclass(frozen=True)
 class Quad:
-    a: Fraction
-    b: Fraction
-    d: int  # radicand; ignored when b == 0
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)  # radicand; ignored when b == 0
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @staticmethod
     def of(x) -> "Quad":
@@ -47,24 +52,30 @@ class Quad:
             return Quad.of(r)
         return Quad(Fraction(0), Fraction(1), n)
 
-    def _join(self, other: "Quad") -> int:
+    def _squarefree(self) -> "Quad":
+        """The same number with the largest square dividing d moved into b."""
+        s = max(f for f in range(1, math.isqrt(abs(self.d)) + 1) if self.d % (f * f) == 0)
+        return Quad(self.a, self.b * s, self.d // (s * s))
+
+    def _join(self, other: "Quad") -> tuple["Quad", "Quad", int]:
+        """Both operands over one radicand, square factors taken out only where two differ."""
         if self.b and other.b and self.d != other.d:
-            raise InputError("mixed radicands")
-        return self.d if self.b else other.d
+            self, other = self._squarefree(), other._squarefree()
+            if self.d != other.d:
+                raise InputError("mixed radicands")
+        return self, other, self.d if self.b else other.d
 
     def __add__(self, other: "Quad") -> "Quad":
-        return Quad(self.a + other.a, self.b + other.b, self._join(other))
+        x, y, d = self._join(other)
+        return Quad(x.a + y.a, x.b + y.b, d)
 
     def __sub__(self, other: "Quad") -> "Quad":
-        return Quad(self.a - other.a, self.b - other.b, self._join(other))
+        x, y, d = self._join(other)
+        return Quad(x.a - y.a, x.b - y.b, d)
 
     def __mul__(self, other: "Quad") -> "Quad":
-        d = self._join(other)
-        return Quad(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        x, y, d = self._join(other)
+        return Quad(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d)
 
     def inverse(self) -> "Quad":
         norm = self.a * self.a - self.b * self.b * self.d
@@ -101,8 +112,7 @@ ONE = Quad.of(1)
 # Base quantum spaces
 
 
-@dataclass(frozen=True)
-class QuantumSpace:
+class QuantumSpace(NamedTuple):
     """C^N with the uniform state or M_N(C) with the normalized trace."""
 
     kind: str  # "classical" | "matrix"
@@ -239,8 +249,7 @@ class QuantumTree:
         return total / self.delta_k == ONE
 
 
-@dataclass
-class SchurReport:
+class SchurReport(NamedTuple):
     base: str
     N: int
     depth: int

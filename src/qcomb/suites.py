@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Any, NamedTuple
 
-from . import categories, errors, fusion, projmod, qgraph, words
+from . import categories, errors, fusion, projmod, words
 
 REFERENCE_MODULE_COUNTS = {
     "NC2": 3,
@@ -156,9 +156,11 @@ def psi(k: int, word_len: int, letter_len: int) -> Outcome:
     return Outcome(ok, lines, (len(seen), pairs))
 
 
-def trees(base: qgraph.QuantumSpace, depth: int) -> Outcome:
-    """The delta-form axiom, the unital weighted state, and the exact Schur
-    constants and embedding scalars of the tree."""
+def trees(base, depth: int) -> Outcome:
+    """The delta-form axiom of base, a qgraph.QuantumSpace, the unital weighted
+    state, and the exact Schur constants and embedding scalars of the tree."""
+    from . import qgraph
+
     if not qgraph.check_delta_form(base):
         return Outcome(False, ["delta-form axiom FAILS"])
     tree = qgraph.QuantumTree(base, depth)

@@ -14,9 +14,8 @@ canonical reduction of a balanced word to ``o^k x^k``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError, MalformedWord, NoCatalogMatch, PreconditionViolated
 from .errors import TooLarge, Violation
@@ -93,8 +92,7 @@ def all_words(max_len: int) -> Iterator[str]:
 # Catalog of admissible sets
 
 
-@dataclass(frozen=True)
-class AdmissibleSetSpec:
+class AdmissibleSetSpec(NamedTuple):
     """One entry of the admissible-set catalog.
 
     kinds:
@@ -225,8 +223,7 @@ def _least_superset(gens: frozenset[str]) -> AdmissibleSetSpec:
     return pair(max(balances), -min(balances))
 
 
-@dataclass(frozen=True)
-class GeneratedWordSet:
+class GeneratedWordSet(NamedTuple):
     members: frozenset[str]
 
 
@@ -343,8 +340,7 @@ def truncation(spec: AdmissibleSetSpec, length_bound: int) -> frozenset[str]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     spec: AdmissibleSetSpec
     flags: tuple[str, ...] = ()
 

@@ -23,7 +23,6 @@ noncrossing partitions of 2m points into blocks of even size.
 
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -305,7 +304,7 @@ RULED = [c for c in NAMED.values() if c.rule is not None or c.even_points]
 def test_ruled_members_are_the_candidates_the_rule_keeps(cat):
     # the members of the same category without its parity and rule, kept
     # by the hand-written predicate
-    candidates_of = replace(cat, rule=None, even_points=False)
+    candidates_of = cat._replace(rule=None, even_points=False)
     for n in range(9):
         for upper, lower in frames(n, ["o" * n]):
             kept = [p for p in enumerate_members(candidates_of, upper, lower) if ORACLE[cat.name](p)]

@@ -449,50 +449,57 @@ def test_a_builtin_error_is_a_bug_not_an_input_error(capsys, monkeypatch, cls):
     assert capsys.readouterr().err == ""
 
 
-# Runs in a fresh interpreter, because this one has numpy loaded already.
-# Prints, as JSON, whether numpy is loaded after `import qcomb.cli` and
-# after each argv, with each exit code.
-NUMPY_PROBE = """
+# Runs in a fresh interpreter, because this one has these modules loaded
+# already.  Prints, as JSON, which of STARTUP_MODULES are loaded after
+# `import qcomb.cli` and after each argv, with each exit code.  A module
+# stays loaded once loaded, so the runs that load one come last.
+STARTUP_MODULES = ["dataclasses", "fractions", "inspect", "numpy"]
+STARTUP_PROBE = """
 import contextlib, io, json, sys
+modules = json.loads(sys.argv[2])
 import qcomb.cli
-seen = [["import", None, "numpy" in sys.modules]]
+seen = [["import", None, [m for m in modules if m in sys.modules]]]
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = qcomb.cli.main(argv)
-    seen.append([" ".join(argv), code, "numpy" in sys.modules])
+    seen.append([" ".join(argv), code, [m for m in modules if m in sys.modules]])
 print(json.dumps(seen))
 """
 
-# argv, exit code, numpy loaded after it
-NUMPY_RUNS = [
-    (["classify-words", "--gens", "ooxx"], 0, False),
-    (["table", "--bound", "2"], 1, False),
-    (["verify", "psi"], 0, False),
-    (["verify", "reduce"], 0, False),
-    (["verify", "trees"], 0, False),
+# argv, exit code, the STARTUP_MODULES loaded after it
+STARTUP_RUNS = [
+    (["classify-words", "--gens", "ooxx"], 0, []),
+    (["table", "--bound", "2"], 1, []),
+    (["verify", "psi"], 0, []),
+    (["verify", "reduce"], 0, []),
     # the realization laws are identities of Python integers
-    (["verify", "laws", "--points", "4"], 0, False),
+    (["verify", "laws", "--points", "4"], 0, []),
     # a rejected length is rejected before the suite loads numpy
-    (["verify", "fusion-rank", "--length", "11"], 2, False),
+    (["verify", "fusion-rank", "--length", "11"], 2, []),
     # a family of at most laws._SMALL_FAMILY members ranks without numpy:
     # the largest at length 6 has 5
-    (["verify", "fusion-rank", "--length", "4", "--N", "4"], 0, False),
-    (["verify", "fusion-rank", "--length", "6"], 0, False),
-    # one of 14 at length 8 loads it, so the probe is seen to work
-    (["verify", "fusion-rank", "--length", "8"], 0, True),
+    (["verify", "fusion-rank", "--length", "4", "--N", "4"], 0, []),
+    (["verify", "fusion-rank", "--length", "6"], 0, []),
+    # a rejected base is rejected before the suite loads qgraph
+    (["verify", "trees", "--base", "q3"], 2, []),
+    # qgraph's exact scalars load fractions
+    (["verify", "trees"], 0, ["fractions"]),
+    # one of 14 families at length 8 loads numpy, which loads inspect
+    (["verify", "fusion-rank", "--length", "8"], 0, ["fractions", "inspect", "numpy"]),
 ]
 
 
-def test_only_the_realizing_suites_load_numpy():
+def test_only_the_suites_that_need_them_load_numpy_or_fractions():
     src = str(Path(qcomb.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    argvs = [argv for argv, _, _ in STARTUP_RUNS]
     done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps([argv for argv, _, _ in NUMPY_RUNS])],
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(argvs), json.dumps(STARTUP_MODULES)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         check=True,
     )
-    expected = [["import", None, False]]
-    expected += [[" ".join(argv), code, loaded] for argv, code, loaded in NUMPY_RUNS]
+    expected = [["import", None, []]]
+    expected += [[" ".join(argv), code, loaded] for argv, code, loaded in STARTUP_RUNS]
     assert json.loads(done.stdout) == expected

@@ -32,6 +32,7 @@ from qcomb.qgraph import (
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
+nonzero = rationals.filter(bool)
 
 
 def quad(a, b, d=2):
@@ -63,6 +64,29 @@ def test_square_roots_of_negative_integers_are_imaginary():
     assert Quad.sqrt(-4) * Quad.sqrt(-4) == Quad.of(-4)
     assert (ONE + i) * (ONE - i) == Quad.of(2)
     assert (ONE + i).inverse() == quad(Fraction(1, 2), Fraction(-1, 2), -1)
+
+
+def test_radicands_that_differ_by_a_square_factor_mix():
+    # sqrt(8) = 2 sqrt(2), sqrt(-4) = 2i and sqrt(12) = 2 sqrt(3)
+    assert Quad.sqrt(8) * Quad.sqrt(2) == Quad.sqrt(2) * Quad.sqrt(8) == Quad.of(4)
+    assert Quad.sqrt(-4) * Quad.sqrt(-1) == Quad.of(-2)
+    assert Quad.sqrt(12) + Quad.sqrt(3) == quad(0, 3, 3)
+    assert Quad.sqrt(18) - Quad.sqrt(8) == quad(0, 1, 2)
+    assert Quad.sqrt(-12) * Quad.sqrt(-27) == Quad.of(-18)
+    # a radicand meeting only itself keeps its square factor
+    assert str(Quad.sqrt(8)) == "1*sqrt(8)"
+    assert str(Quad.sqrt(8) + Quad.sqrt(8)) == "2*sqrt(8)"
+    for x, y in [(2, 3), (-2, 2), (8, 3), (-4, 8)]:
+        with pytest.raises(errors.InputError, match="mixed radicands"):
+            Quad.sqrt(x) + Quad.sqrt(y)
+
+
+@given(rationals, nonzero, rationals, nonzero, st.integers(1, 6), st.sampled_from([2, 3, -1, -3, 5]))
+def test_a_square_factor_in_one_radicand_moves_into_its_coefficient(a, b, c, e, s, d):
+    x, y = Quad(a, b, d * s * s), Quad(c, e, d)
+    assert x + y == y + x == Quad(a + c, b * s + e, d)
+    assert x - y == Quad(a - c, b * s - e, d)
+    assert x * y == y * x == Quad(a * c + b * s * e * d, a * e + b * s * c, d)
 
 
 def test_delta_form_axiom_holds_for_both_base_kinds():
