@@ -12,7 +12,10 @@ A PartitionUniverse walks no diagram of the category.  A projective of
 P(w, w) is its row's partition plus a set of through-blocks
 (Freslon-Weber, "On the representation theory of partition (easy)
 quantum groups"), so the universe reads the bounded projectives off the
-rows of at most point_bound // 2 points, and domination off the labels.
+rows of at most point_bound // 2 points.  It lists the projectives below
+each projective p off p's labels: each grouping of p's through-blocks,
+with some groups made through-blocks, names one candidate, and a
+candidate that is no projective of the category is not in the index.
 In a noncrossing category the witness r of p ~ q (r*r = p, rr* = q) is
 unique: `glue(p, q)`, p's row over q's with the through-blocks joined
 left to right, as two of them cannot cross.  Witnesses compose: for
@@ -33,8 +36,8 @@ from typing import NamedTuple
 from .categories import CU, NC, NC2, NC12, NC12_PRIME, NC12_SHARP, NC_EVEN, NC_PRIME, CategorySpec
 from .categories import all_members, contains
 from .errors import NoCatalogMatch, NotInCategory, TooLarge
-from .partitions import Partition, _row_square, _trusted_partition, enumerate_noncrossing
-from .partitions import identity, one_block, singleton
+from .partitions import Partition, _row_square, _set_partitions, _trusted_partition
+from .partitions import enumerate_noncrossing, identity, one_block, singleton
 from .words import WHITE, all_words
 
 EMPTY = Partition("", "", ())
@@ -93,23 +96,29 @@ class PartitionUniverse:
 
     @cached_property
     def dominated_by(self) -> list[tuple[int, ...]]:
-        """For each projective p, the numbers of all projectives q < p."""
-        rows = [_upper_and_through(p) for p in self.projectives]
-        by_frame: dict[str, list[int]] = {}
-        for i, p in enumerate(self.projectives):
-            by_frame.setdefault(p.upper, []).append(i)
-        # p < p.  q = qp has at most p's through-blocks, and as many only
-        # when q = p: distinct comparable idempotents of a finite semigroup
-        # lie in different J-classes, and the J-classes of the partition
-        # monoid are its through-block counts
-        return [
-            tuple(
-                j
-                for j in by_frame[p.upper]
-                if j == i or (len(rows[j][1]) < len(rows[i][1]) and _below(rows[j], rows[i]))
-            )
-            for i, p in enumerate(self.projectives)
-        ]
+        """For each projective p, the numbers of all projectives q < p.
+        As qp = q = pq, q's upper row merges only p's through-blocks into
+        groups, and q's through-blocks are some of those groups: each
+        grouping of p's through-blocks, relabeled to its first block,
+        with each choice of through groups the block sizes allow, is
+        looked up among the projectives."""
+        size, out = self.cat.block_size, []
+        for p in self.projectives:
+            row = p.labels[: p.n_upper]
+            through = sorted(set(row).intersection(p.labels[p.n_upper :]))
+            below = []
+            for grouping in _set_partitions(len(through)):
+                first = {b: through[grouping.index(g)] for b, g in zip(through, grouping)}
+                merged = tuple(first.get(b, b) for b in row)
+                groups = sorted(set(first.values()))
+                kinds = [[t for t in (False, True) if size(merged.count(b) * (1 + t))] for b in groups]
+                for choice in product(*kinds):
+                    chosen = {b for b, t in zip(groups, choice) if t}
+                    j = self._index.get((p.upper, _row_square(merged, chosen)))
+                    if j is not None:
+                        below.append(j)
+            out.append(tuple(sorted(below)))
+        return out
 
     @cached_property
     def _class_of(self) -> list[frozenset[int]]:
@@ -134,30 +143,6 @@ class PartitionUniverse:
 
     def _module(self, ids) -> ProjectiveModule:
         return ProjectiveModule(frozenset(self.projectives[i] for i in ids))
-
-
-def _upper_and_through(p: Partition) -> tuple[tuple[int, ...], frozenset[int]]:
-    """The labels of p's upper row and those of its through-blocks."""
-    upper = p.labels[: p.n_upper]
-    return upper, frozenset(upper).intersection(p.labels[p.n_upper :])
-
-
-def _below(q, p) -> bool:
-    """q < p for projectives of one frame given by `_upper_and_through`:
-    each block of p's upper row lies in one of q's, a block of q's upper
-    row holding two or more of p's holds only through-blocks of p, and
-    each through-block of q contains one of p (qp = q; its adjoint is pq = q)."""
-    (q_upper, q_through), (p_upper, p_through) = q, p
-    block_of: dict[int, int] = {}  # p's upper-row blocks to q's
-    parts: dict[int, set[int]] = {}  # q's upper-row blocks to p's
-    for a, b in zip(q_upper, p_upper):
-        if block_of.setdefault(b, a) != a:
-            return False
-        parts.setdefault(a, set()).add(b)
-    return all(
-        (len(bs) == 1 or bs <= p_through) and (a not in q_through or not p_through.isdisjoint(bs))
-        for a, bs in parts.items()
-    )
 
 
 def _row_projectives(cat: CategorySpec, row: str) -> list[Partition]:

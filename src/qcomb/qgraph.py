@@ -86,15 +86,21 @@ class Quad:
     def __truediv__(self, other: "Quad") -> "Quad":
         return self * other.inverse()
 
+    def _key(self) -> tuple:
+        """The number, not its representation: (a, 0, 0) when b = 0, else
+        over the squarefree radicand, with a radicand of 1 folded into a."""
+        if self.b == 0:
+            return self.a, 0, 0
+        x = self._squarefree()
+        return (x.a + x.b, 0, 0) if x.d == 1 else (x.a, x.b, x.d)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quad):
             return NotImplemented
-        if self.b == other.b == 0:
-            return self.a == other.a
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d if self.b else 0))
+        return hash(self._key())
 
     def __str__(self) -> str:
         if self.b == 0:

@@ -368,20 +368,63 @@ def test_a_dominated_projective_has_fewer_through_blocks(name):
         assert q.n_through < p.n_through
 
 
+def upper_and_through(p):
+    """The labels of p's upper row and those of its through-blocks."""
+    upper = p.labels[: p.n_upper]
+    return upper, frozenset(upper).intersection(p.labels[p.n_upper :])
+
+
+def label_below(q, p) -> bool:
+    """q < p for projectives of one frame given by `upper_and_through`:
+    each block of p's upper row lies in one of q's, a block of q's upper
+    row holding two or more of p's holds only through-blocks of p, and
+    each through-block of q contains one of p (qp = q; its adjoint is pq = q)."""
+    (q_upper, q_through), (p_upper, p_through) = q, p
+    block_of = {}  # p's upper-row blocks to q's
+    parts = {}  # q's upper-row blocks to p's
+    for a, b in zip(q_upper, p_upper):
+        if block_of.setdefault(b, a) != a:
+            return False
+        parts.setdefault(a, set()).add(b)
+    return all(
+        (len(bs) == 1 or bs <= p_through) and (a not in q_through or not p_through.isdisjoint(bs))
+        for a, bs in parts.items()
+    )
+
+
 def test_label_read_domination_matches_composition_on_the_partition_monoid():
     # every projective of P(w, w), crossing ones included: the rule reads
     # only the upper-row labels and the through-blocks
     pairs = dominated = 0
     for w in ["", "o", "oo", "ox", "ooo", "oxo", "oooo", "oxox"]:
         ps = [p for p in enumerate_partitions(w, w) if p.adjoint() == p and p.compose(p)[0] == p]
-        rows = [projmod._upper_and_through(p) for p in ps]
+        rows = [upper_and_through(p) for p in ps]
         for q, q_row in zip(ps, rows):
             for p, p_row in zip(ps, rows):
                 below = oracle_dominated(q, p)
-                assert projmod._below(q_row, p_row) == below, (str(q), str(p))
+                assert label_below(q_row, p_row) == below, (str(q), str(p))
                 pairs += 1
                 dominated += below
     assert (pairs, dominated) == (18717, 1376)
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [(name, bound) for name in NAMED for bound in range(11)] + [("NCall", 12), ("NCprime", 12)],
+)
+def test_generated_domination_matches_the_label_pair_test(name, bound):
+    # every ordered pair of projectives of one frame, with no through-count
+    # prune, against the projectives listed below each one from its labels
+    u = PartitionUniverse(NAMED[name], bound)
+    rows = [upper_and_through(p) for p in u.projectives]
+    by_frame = {}
+    for i, p in enumerate(u.projectives):
+        by_frame.setdefault(p.upper, []).append(i)
+    expected = [
+        tuple(j for j in by_frame[p.upper] if label_below(rows[j], rows[i]))
+        for i, p in enumerate(u.projectives)
+    ]
+    assert u.dominated_by == expected
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,22 @@ def test_radicands_that_differ_by_a_square_factor_mix():
             Quad.sqrt(x) + Quad.sqrt(y)
 
 
+def test_equal_numbers_over_different_radicands_compare_and_hash_alike():
+    # 2 sqrt(2) = sqrt(8), 2i = sqrt(-4), 1 + sqrt(4) = 3 = 3 sqrt(1)
+    for x, y in [
+        (Quad.sqrt(8), Quad.of(2) * Quad.sqrt(2)),
+        (Quad.sqrt(-4), Quad.of(2) * Quad.sqrt(-1)),
+        (quad(1, 1, 4), Quad.of(3)),
+        (quad(0, 3, 1), Quad.of(3)),
+        (quad(Fraction(1, 2), 1, 12), quad(Fraction(1, 2), 2, 3)),
+    ]:
+        assert x == y and y == x and hash(x) == hash(y), (str(x), str(y))
+        assert len({x, y}) == 1
+    assert Quad.sqrt(8) != Quad.sqrt(2)
+    assert quad(1, 1, 4) != Quad.of(2)
+    assert Quad.sqrt(-1) != Quad.of(1)
+
+
 @given(rationals, nonzero, rationals, nonzero, st.integers(1, 6), st.sampled_from([2, 3, -1, -3, 5]))
 def test_a_square_factor_in_one_radicand_moves_into_its_coefficient(a, b, c, e, s, d):
     x, y = Quad(a, b, d * s * s), Quad(c, e, d)

@@ -5,7 +5,9 @@ cannot be assigned, and the same positional and keyword constructors and
 defaults.  Nine records are NamedTuples.  Partition, Quad and FreeWord are
 plain classes that spell those semantics out: Partition and FreeWord
 validate their fields, Partition keeps an instance dict for its cached
-properties, and Quad compares by value however its radicand is written."""
+properties, and Quad compares and hashes by value however its radicand
+is written, which is its field tuple over a squarefree radicand other
+than 1."""
 
 import tracemalloc
 from fractions import Fraction
