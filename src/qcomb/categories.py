@@ -112,7 +112,9 @@ def contains(cat: CategorySpec, p: Partition) -> bool:
 def _candidates(upper: str, lower: str, sizes: tuple, colored: bool, rule) -> tuple[Partition, ...]:
     """The members of a frame of the right parity, shared by the categories
     with the same block sizes and rule (NCall and NCprime; NC12 and
-    NC12prime)."""
+    NC12prime).  A frame with at most one point in a row shares its label
+    tuples with the sorted shape table it reads (enumerate_noncrossing), so
+    caching it holds only its Partitions."""
     return tuple(enumerate_noncrossing(upper, lower, sizes, colored, rule))
 
 

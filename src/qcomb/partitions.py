@@ -295,7 +295,7 @@ def enumerate_partitions(upper: str, lower: str):
 def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None, rule=None):
     """Noncrossing partitions of n positions on a circle as circle
     readings: label tuples indexed by position, blocks numbered by first
-    appearance.
+    appearance, sorted, one table per key.
 
     Positions are visited in order with a stack of open blocks.  Each
     position opens a block or joins one on the stack; joining closes
@@ -332,7 +332,7 @@ def _noncrossing_shapes(n: int, sizes: frozenset, colors: str | None, rule=None)
                 break  # joining further down would close this block
 
     rec(0, 0, ())
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 def enumerate_noncrossing(
@@ -343,22 +343,35 @@ def enumerate_noncrossing(
     obeying the unitary color rule: same color across the rows, different
     colors within a row.  With rule, only those whose circle reading
     (circle_reading) it accepts, decided once per circle shape, since the
-    shape is that reading.
+    shape is that reading.  The rule must accept a shape exactly when it
+    accepts the shape's reflections, as every named rule does on the point
+    counts its category has.
 
     Built directly in the circular order rather than filtered from all
     set partitions.  Shapes are shared between frames with the same
     number of points; when colored, the pair shapes of that number are
     filtered by the color rule once per circular color word, and the
     frames of one word share the result.
-    This is the one cut of a circle shape into a frame: each shape is
-    read in the frame's point order by the one relabel, _canonical_labels,
-    so the labels are canonical and the Partitions are built by
-    _trusted_partition.
+    A frame with at most one lower point lists its points in the circular
+    order, so its members are the sorted table of shapes itself.  One with
+    at most one upper point lists them in a reflection of that order, so
+    its members are the table of the reflected key: the same key when
+    uncolored, else the reflected circular color word.  Either way the
+    members share their label tuples with the table.  Every other frame
+    cuts each shape by the one relabel, _canonical_labels, read in the
+    frame's point order, and sorts the cuts.  The labels are canonical
+    either way, so the Partitions are built by _trusted_partition.
     """
-    order = circular_order(len(upper), len(lower))
+    k, l = len(upper), len(lower)
     # read in circular order with lower colors flipped, a pair obeys the
     # color rule exactly when its two colors differ
     colors = upper + conjugate(lower) if colored else None
-    shapes = _noncrossing_shapes(len(order), frozenset(block_sizes), colors, rule)
-    cuts = sorted([_canonical_labels(shape, order) for shape in shapes])
-    return [_trusted_partition(upper, lower, labels) for labels in cuts]
+    if k <= 1 < l and colored:
+        # the point order reverses the circle (k = 0) or the circle after
+        # its first position (k = 1)
+        colors = colors[::-1] if k == 0 else colors[:1] + colors[:0:-1]
+    shapes = _noncrossing_shapes(k + l, frozenset(block_sizes), colors, rule)
+    if k > 1 and l > 1:
+        order = circular_order(k, l)
+        shapes = sorted([_canonical_labels(shape, order) for shape in shapes])
+    return [_trusted_partition(upper, lower, labels) for labels in shapes]

@@ -21,15 +21,26 @@ unique: `glue(p, q)`, p's row over q's with the through-blocks joined
 left to right, as two of them cannot cross.  Witnesses compose: for
 witnesses r of p ~ q and u of q ~ s, ur is in C with (ur)*(ur) = p and
 (ur)(ur)* = s on a frame within the half bound, so ur = glue(p, s) and
-one representative per class decides.  Closures run on projective
-numbers, forming each tensor pair once per universe; Partitions come
-back only in the returned modules.  `members`, every member within the
-bound, is built only when read.
+one representative per class decides.
+
+Everything but the classes depends only on the block sizes up to the
+bound, the rule and the coloring, since P(w, w) always has an even
+number of points and a parity rule cannot tell its projectives apart.
+So the projectives, their index, domination, reverses, point counts and
+tensors live in one `_Kernel` per such key, cached at module level as
+`categories._candidates` caches frames: NCprime reads NCall's kernel and
+NC12prime reads NC12's.  The classes stay per universe, because a glue
+witness may have an odd number of points.  Closures run on projective
+numbers, forming each tensor pair once per kernel; Partitions come back
+only in the returned modules.  The closure of generators in one class
+is the closure of that class, which each universe computes once, so
+`distinct_generated_modules` reads the closures `catalog` made.
+`members`, every member within the bound, is built only when read.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -46,12 +57,16 @@ EMPTY = Partition("", "", ())
 class PartitionUniverse:
     """The projectives of a category with at most point_bound // 2 points
     in each row, numbered row by row (shortest first, each sorted by
-    labels), and their classes, domination, reverses and tensors."""
+    labels), and their classes, domination, reverses and tensors.  All but
+    the classes live in the category's _Kernel, which the universes of one
+    set of projectives share."""
 
     def __init__(self, cat: CategorySpec, point_bound: int):
         self.cat = cat
         self.point_bound = point_bound
-        self._tensors: dict[tuple[int, int], int] = {}
+        sizes = tuple(s for s in range(1, point_bound + 1) if cat.block_size(s))
+        self._kernel = _kernel(sizes, cat.rule, cat.colored, point_bound)
+        self._closures: dict[frozenset[int], frozenset[int]] = {}
 
     @cached_property
     def members(self) -> list[Partition]:
@@ -61,20 +76,11 @@ class PartitionUniverse:
     def normalize(self, p: Partition) -> Partition:
         """Uncolored categories are materialized on all-white frames, so
         results of color-flipping operations are recolored back."""
-        if self.cat.colored:
-            return p
-        return Partition(WHITE * p.n_upper, WHITE * p.n_lower, p.labels)
+        return _normalize(self.cat, p)
 
-    @cached_property
+    @property
     def projectives(self) -> list[Partition]:
-        half = self.point_bound // 2
-        rows = all_words(half) if self.cat.colored else (WHITE * n for n in range(half + 1))
-        return [p for row in rows for p in _row_projectives(self.cat, row)]
-
-    @cached_property
-    def _index(self) -> dict[tuple[str, tuple[int, ...]], int]:
-        """Projective numbers by frame and labels, for tensors, reverses and generators."""
-        return {(p.upper, p.labels): i for i, p in enumerate(self.projectives)}
+        return self._kernel.projectives
 
     @cached_property
     def equivalence_classes(self) -> list[frozenset[int]]:
@@ -96,6 +102,58 @@ class PartitionUniverse:
 
     @cached_property
     def dominated_by(self) -> list[tuple[int, ...]]:
+        """For each projective p, the numbers of all projectives q < p
+        (_Kernel.dominated_by)."""
+        return self._kernel.dominated_by
+
+    @cached_property
+    def _class_of(self) -> list[frozenset[int]]:
+        of = {i: cls for cls in self.equivalence_classes for i in cls}
+        return [of[i] for i in range(len(of))]
+
+    def _class_closure(self, cls: frozenset[int]) -> frozenset[int]:
+        """The closure of one class, computed once per universe: the
+        closure of any generators in that class."""
+        if cls not in self._closures:
+            self._closures[cls] = _close(self, frozenset(), cls)
+        return self._closures[cls]
+
+    def _module(self, ids) -> ProjectiveModule:
+        return ProjectiveModule(frozenset(self.projectives[i] for i in ids))
+
+
+def _normalize(cat: CategorySpec, p: Partition) -> Partition:
+    if cat.colored:
+        return p
+    return Partition(WHITE * p.n_upper, WHITE * p.n_lower, p.labels)
+
+
+class _Kernel:
+    """What decides the bounded projectives of a category and all but its
+    classes: its block sizes up to the bound, its rule and whether it is
+    colored.  P(w, w) always has an even number of points, so a parity
+    rule makes no difference: NCprime shares NCall's kernel and NC12prime
+    NC12's.  Holds the projectives, their index, domination, reverses,
+    point counts and tensors, each built when first read."""
+
+    def __init__(self, cat: CategorySpec, point_bound: int):
+        self.cat = cat
+        self.point_bound = point_bound
+        self._tensors: dict[tuple[int, int], int] = {}
+
+    @cached_property
+    def projectives(self) -> list[Partition]:
+        half = self.point_bound // 2
+        rows = all_words(half) if self.cat.colored else (WHITE * n for n in range(half + 1))
+        return [p for row in rows for p in _row_projectives(self.cat, row)]
+
+    @cached_property
+    def index(self) -> dict[tuple[str, tuple[int, ...]], int]:
+        """Projective numbers by frame and labels, for tensors, reverses and generators."""
+        return {(p.upper, p.labels): i for i, p in enumerate(self.projectives)}
+
+    @cached_property
+    def dominated_by(self) -> list[tuple[int, ...]]:
         """For each projective p, the numbers of all projectives q < p.
         As qp = q = pq, q's upper row merges only p's through-blocks into
         groups, and q's through-blocks are some of those groups: each
@@ -114,35 +172,34 @@ class PartitionUniverse:
                 kinds = [[t for t in (False, True) if size(merged.count(b) * (1 + t))] for b in groups]
                 for choice in product(*kinds):
                     chosen = {b for b, t in zip(groups, choice) if t}
-                    j = self._index.get((p.upper, _row_square(merged, chosen)))
+                    j = self.index.get((p.upper, _row_square(merged, chosen)))
                     if j is not None:
                         below.append(j)
             out.append(tuple(sorted(below)))
         return out
 
     @cached_property
-    def _class_of(self) -> list[frozenset[int]]:
-        of = {i: cls for cls in self.equivalence_classes for i in cls}
-        return [of[i] for i in range(len(of))]
+    def reverse(self) -> list[int]:
+        reverses = (_normalize(self.cat, p.reverse()) for p in self.projectives)
+        return [self.index[(q.upper, q.labels)] for q in reverses]
 
     @cached_property
-    def _reverse(self) -> list[int]:
-        reverses = (self.normalize(p.reverse()) for p in self.projectives)
-        return [self._index[(q.upper, q.labels)] for q in reverses]
-
-    @cached_property
-    def _points(self) -> list[int]:
+    def points(self) -> list[int]:
         return [p.n_points for p in self.projectives]
 
-    def _tensor(self, i: int, j: int) -> int:
+    def tensor(self, i: int, j: int) -> int:
         """The number of projective i tensor projective j, within the bound."""
         if (i, j) not in self._tensors:
             p = self.projectives[i].tensor(self.projectives[j])
-            self._tensors[i, j] = self._index[(p.upper, p.labels)]
+            self._tensors[i, j] = self.index[(p.upper, p.labels)]
         return self._tensors[i, j]
 
-    def _module(self, ids) -> ProjectiveModule:
-        return ProjectiveModule(frozenset(self.projectives[i] for i in ids))
+
+@lru_cache(maxsize=None)
+def _kernel(sizes: tuple, rule, colored: bool, point_bound: int) -> _Kernel:
+    """The one kernel of the categories with these block sizes up to the
+    bound, rule and coloring, as categories._candidates shares frames."""
+    return _Kernel(CategorySpec("", frozenset(sizes).__contains__, rule, colored), point_bound)
 
 
 def _row_projectives(cat: CategorySpec, row: str) -> list[Partition]:
@@ -181,19 +238,23 @@ def closure(universe: PartitionUniverse, gens) -> ProjectiveModule:
     reverse, equivalence saturation and downward domination.  Generators
     over the bound are dropped."""
     gens = [g for g in map(universe.normalize, gens) if g.n_points <= universe.point_bound]
-    ids = [universe._index.get((g.upper, g.labels)) if g.lower == g.upper else None for g in gens]
+    index = universe._kernel.index
+    ids = [index.get((g.upper, g.labels)) if g.lower == g.upper else None for g in gens]
     if None in ids:
         bad = gens[ids.index(None)]
         raise NotInCategory(f"{bad} is not a bounded projective of {universe.cat}")
+    classes = {universe._class_of[i] for i in ids}
+    if len(classes) == 1:
+        return universe._module(universe._class_closure(classes.pop()))
     return universe._module(_close(universe, frozenset(), ids))
 
 
 def _close(universe: PartitionUniverse, closed: frozenset[int], gens) -> frozenset[int]:
     """The closure of closed | gens, as projective numbers, where closed
     is already closed."""
-    bound = universe.point_bound
-    points, class_of = universe._points, universe._class_of
-    reverse, dominated_by, tensor = universe._reverse, universe.dominated_by, universe._tensor
+    bound, kernel = universe.point_bound, universe._kernel
+    points, class_of = kernel.points, universe._class_of
+    reverse, dominated_by, tensor = kernel.reverse, universe.dominated_by, kernel.tensor
     members = set(closed)
     by_points: list[list[int]] = [[] for _ in range(bound + 1)]
     for i in closed:
@@ -268,15 +329,15 @@ def catalog(universe: PartitionUniverse) -> dict[str, ProjectiveModule]:
 
 def distinct_generated_modules(universe: PartitionUniverse) -> list[ProjectiveModule]:
     """All distinct closures of single projective generators, closed under
-    pairwise joins.  One closure is computed per equivalence class since
-    equivalent generators give the same module.
+    pairwise joins.  Equivalent generators give the same module, so each
+    class's closure is read from the universe's memo, where catalog's
+    closures already are.
 
     Joins go round by round, each new module listed after those before
     it; a round joins only the pairs with a module new in the last round,
     as the joins of earlier pairs are listed already, and skips a pair
     whose smaller module lies in the bigger, which is their join."""
-    classes = universe.equivalence_classes
-    modules = dict.fromkeys(_close(universe, frozenset(), cls) for cls in classes)
+    modules = dict.fromkeys(map(universe._class_closure, universe.equivalence_classes))
     joined = 0  # every pair among the first `joined` modules is joined
     while joined < len(modules):
         mods = list(modules)

@@ -34,6 +34,8 @@ class Quad:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Fraction, b: Fraction, d: int):
+        if d == 0:
+            b = Fraction(0)  # sqrt(0) = 0; _squarefree needs d != 0
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)  # radicand; ignored when b == 0

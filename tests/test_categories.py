@@ -42,7 +42,9 @@ from qcomb.categories import (
 )
 from qcomb.partitions import (
     Partition,
+    _canonical_labels,
     _noncrossing,
+    _noncrossing_shapes,
     circle_reading,
     circular_order,
     duality,
@@ -52,6 +54,7 @@ from qcomb.partitions import (
     one_block,
     singleton,
 )
+from qcomb.words import conjugate
 
 # ---------------------------------------------------------------------------
 # Membership oracle: one predicate per category
@@ -409,3 +412,78 @@ def test_counts_at_ten_and_eleven_points_follow_closed_forms(n):
     assert len(enumerate_members(NAMED["NC2"], upper, lower)) == (catalan(m) if even else 0)
     fuss = comb(3 * m, m) // (2 * m + 1)
     assert len(enumerate_members(NAMED["NCeven"], upper, lower)) == (fuss if even else 0)
+
+
+# ---------------------------------------------------------------------------
+# End frames, with at most one point in a row, read straight off a table
+
+
+def category_key(cat, n, colors):
+    return n, frozenset(s for s in range(1, n + 1) if cat.block_size(s)), colors, cat.rule
+
+
+def cut_and_sort(cat, upper, lower):
+    """The members' labels as every frame once got them: each shape of the
+    frame's table cut in the frame's point order, then sorted."""
+    n = len(upper) + len(lower)
+    if cat.even_points and n % 2:
+        return []
+    colors = upper + conjugate(lower) if cat.colored else None
+    order = circular_order(len(upper), len(lower))
+    return sorted(_canonical_labels(s, order) for s in _noncrossing_shapes(*category_key(cat, n, colors)))
+
+
+def end_frame_table(cat, upper, lower):
+    """The table an end frame reads: its own with at most one lower point;
+    with at most one upper point, that of the circular color word read in
+    the frame's point order, a reflection of the circle."""
+    n = len(upper) + len(lower)
+    colors = upper + conjugate(lower) if cat.colored else None
+    if colors is not None and len(lower) > 1:
+        colors = "".join(colors[i] for i in circular_order(len(upper), len(lower)))
+    return _noncrossing_shapes(*category_key(cat, n, colors))
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_end_frames_read_off_the_table_equal_the_cut_and_sorted_shapes(n):
+    frames_read = 0
+    for cat in NAMED.values():
+        colorings = product("ox", repeat=n) if cat.colored else ["o" * n]
+        for upper, lower in frames(n, colorings):
+            if len(upper) > 1 and len(lower) > 1:
+                continue
+            got = [p.labels for p in enumerate_members(cat, upper, lower)]
+            assert got == cut_and_sort(cat, upper, lower), (cat.name, upper, lower)
+            # the members share the table's label tuples
+            if got:
+                table = end_frame_table(cat, upper, lower)
+                assert all(a is b for a, b in zip(got, table, strict=True)), (cat.name, upper, lower)
+                frames_read += 1
+    assert frames_read > 0
+
+
+def test_every_named_rule_reads_the_same_on_both_reflections():
+    # both reflections of the circle that end frames read: reversed (no
+    # upper point) and reversed after the first position (one upper
+    # point).  At an odd point count the sharp rule is not reflection
+    # invariant ((0, 1, 0) fails, (0, 0, 1) passes), but NC12sharp has
+    # only even frames, so it never reads one
+    ruled = [c for c in NAMED.values() if c.rule is not None]
+    assert ruled
+    for cat in ruled:
+        for n in range(0, 13, 2 if cat.even_points else 1):
+            sizes = frozenset(s for s in range(1, n + 1) if cat.block_size(s))
+            for k in range(min(n, 1) + 1):
+                order = circular_order(k, n - k)
+                for s in _noncrossing_shapes(n, sizes, None, None):
+                    assert cat.rule(s) == cat.rule(_canonical_labels(s, order)), (cat.name, s, k)
+
+
+@pytest.mark.parametrize("cat", [c for c in NAMED.values() if not c.colored], ids=str)
+def test_every_uncolored_table_is_its_own_reflection(cat):
+    # at every point count the category has frames of
+    for n in range(0, 11, 2 if cat.even_points else 1):
+        table = _noncrossing_shapes(*category_key(cat, n, None))
+        for k in range(min(n, 1) + 1):
+            order = circular_order(k, n - k)
+            assert sorted(_canonical_labels(s, order) for s in table) == list(table), (n, k)

@@ -104,11 +104,22 @@ def test_colored_shapes_match_the_colored_recursion_on_every_word_up_to_12_point
         for colors in product("ox", repeat=n):
             colors = "".join(colors)
             got = shapes(n, frozenset({2}), colors, None)
-            assert got == colored_shapes_by_recursion(colors), colors
+            assert got == tuple(sorted(colored_shapes_by_recursion(colors))), colors
             per_length[n] += len(got)
     # a pair shape of 2m points obeys the color rule on the 2^m words that
     # color each of its pairs o and x in either order
     assert per_length == [CATALAN[n // 2] * 2 ** (n // 2) if n % 2 == 0 else 0 for n in range(13)]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_every_shape_table_is_sorted(n):
+    # the end frames of a key are its table, so its order is theirs
+    for sizes in [{1}, {2}, {1, 2}, {2, 4}, {1, 3}, set(range(1, n + 1))]:
+        table = _noncrossing_shapes(n, frozenset(sizes), None, None)
+        assert list(table) == sorted(set(table)), sizes
+    for colors in product("ox", repeat=n):
+        table = _noncrossing_shapes(n, frozenset({2}), "".join(colors), None)
+        assert list(table) == sorted(set(table)), colors
 
 
 def alternates_by_word(circle, colors):

@@ -574,3 +574,97 @@ def test_half_bound_members_are_the_full_list_filtered(name):
         assert half_members(cat, bound) == [
             r for r in all_members(cat, bound) if r.n_upper <= half and r.n_lower <= half
         ]
+
+
+# ---------------------------------------------------------------------------
+# One kernel per set of projectives, one closure per class
+
+
+def kernel_data(k):
+    """Everything a kernel holds, every tensor within the bound included."""
+    n = len(k.projectives)
+    pairs = [(i, j) for i in range(n) for j in range(n) if k.points[i] + k.points[j] <= k.point_bound]
+    tensors = [k.tensor(i, j) for i, j in pairs]
+    return k.projectives, k.index, k.dominated_by, k.reverse, k.points, tensors
+
+
+@pytest.mark.parametrize("bound", range(13))
+@pytest.mark.parametrize("first, second", [("NCall", "NCprime"), ("NC12", "NC12prime")])
+def test_a_shared_kernel_equals_the_one_each_category_builds_alone(first, second, bound):
+    # P(w, w) has an even number of points, so the parity rule of the
+    # second category tells none of its projectives apart; the kernel is
+    # built by whichever category asks first
+    for a, b in [(first, second), (second, first)]:
+        projmod._kernel.cache_clear()
+        shared = PartitionUniverse(NAMED[a], bound)._kernel
+        assert PartitionUniverse(NAMED[b], bound)._kernel is shared
+        assert kernel_data(shared) == kernel_data(projmod._Kernel(NAMED[b], bound)), (a, b)
+
+
+def test_kernels_are_shared_only_by_equal_sizes_rule_coloring_and_bound():
+    kernels, keys = {}, {}
+    for name, cat in NAMED.items():
+        for bound in range(13):
+            kernels[name, bound] = PartitionUniverse(cat, bound)._kernel
+            sizes = tuple(s for s in range(1, bound + 1) if cat.block_size(s))
+            keys[name, bound] = (sizes, cat.rule, cat.colored, bound)
+    for a in kernels:
+        for b in kernels:
+            assert (kernels[a] is kernels[b]) == (keys[a] == keys[b]), (a, b)
+            if a[1] != b[1] or "NC12sharp" in (a[0], b[0]) and a[0] != b[0]:
+                assert kernels[a] is not kernels[b], (a, b)
+    for bound in range(13):
+        assert kernels["NCall", bound] is kernels["NCprime", bound]
+        assert kernels["NC12", bound] is kernels["NC12prime", bound]
+
+
+def scratch_closure(u, gens):
+    """closure's module, closed from the generators with no memo."""
+    index = u._kernel.index
+    gens = [g for g in map(u.normalize, gens) if g.n_points <= u.point_bound]
+    return u._module(projmod._close(u, frozenset(), [index[g.upper, g.labels] for g in gens])).members
+
+
+@pytest.mark.parametrize("bound", range(11))
+@pytest.mark.parametrize("name", NAMED)
+def test_closures_read_through_the_class_memo_equal_closures_from_scratch(name, bound, monkeypatch):
+    u = PartitionUniverse(NAMED[name], bound)
+    fresh = []
+    close = projmod._close
+
+    def counted(universe, closed, gens):
+        if not closed and gens:
+            fresh.append(frozenset(gens))
+        return close(universe, closed, gens)
+
+    monkeypatch.setattr(projmod, "_close", counted)
+    if NAMED[name].colored:
+        gens = {w: [identity(w)] for w in all_words(bound // 2)}
+        made = {w: word_module(u, w) for w in gens}
+    else:
+        gens = catalog_generators(u.cat)
+        made = catalog(u)
+    modules = [m.members for m in distinct_generated_modules(u)]
+    # each class is closed from scratch once, by catalog (or word_module)
+    # or by distinct_generated_modules, and never again
+    classes = u.equivalence_classes
+    assert sorted(fresh, key=sorted) == sorted(classes, key=sorted)
+    monkeypatch.undo()
+    for key, mod in made.items():
+        assert mod.members == scratch_closure(u, gens[key]), key
+    scratch = {cls: close(u, frozenset(), cls) for cls in classes}
+    # the class closures come first, then their joins
+    first = [u._module(m).members for m in dict.fromkeys(scratch.values())]
+    assert modules[: len(first)] == first
+    if not (u.cat.colored and bound > 8):
+        # CU has 458 modules at bound 10, whose all-pairs rounds take
+        # about 10 s; test_unitary_distinct_modules_keep_the_round_by_round_order
+        # covers CU up to bound 8
+        assert modules == round_by_round_modules(u)
+    for cls in classes:
+        some = [u.projectives[i] for i in sorted(cls)[-2:]]
+        assert closure(u, some).members == u._module(scratch[cls]).members
+    # generators in two classes are closed from scratch
+    for a, b in zip(classes, classes[1:]):
+        some = [u.projectives[min(a)], u.projectives[min(b)]]
+        assert closure(u, some).members == scratch_closure(u, some)

@@ -97,6 +97,20 @@ def test_equal_numbers_over_different_radicands_compare_and_hash_alike():
     assert Quad.sqrt(-1) != Quad.of(1)
 
 
+def test_a_zero_radicand_is_a_rational():
+    # sqrt(0) = 0, so b sqrt(0) adds nothing to a, whatever b is
+    zero = Quad(0, 1, 0)
+    assert zero == Quad.of(0) and Quad.of(0) == zero and hash(zero) == hash(Quad.of(0))
+    assert quad(3, 5, 0) == Quad.of(3) and hash(quad(3, 5, 0)) == hash(Quad.of(3))
+    assert str(quad(3, 5, 0)) == "3"
+    for y in [Quad.of(2), Quad.sqrt(2), Quad.sqrt(8), Quad.sqrt(-1), quad(1, 2, 0)]:
+        assert zero + y == y + zero == y
+        assert y - zero == y and zero - y == Quad.of(0) - y
+        assert zero * y == y * zero == Quad.of(0)
+        assert quad(3, 5, 0) * y == Quad.of(3) * y
+    assert len({zero, Quad.of(0), quad(0, -7, 0)}) == 1
+
+
 @given(rationals, nonzero, rationals, nonzero, st.integers(1, 6), st.sampled_from([2, 3, -1, -3, 5]))
 def test_a_square_factor_in_one_radicand_moves_into_its_coefficient(a, b, c, e, s, d):
     x, y = Quad(a, b, d * s * s), Quad(c, e, d)
