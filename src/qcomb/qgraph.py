@@ -4,6 +4,9 @@ The base space is either C^N with the uniform state (delta^2 = N) or
 M_N(C) with the normalized trace (delta^2 = N^2).  The depth-k tree is
 the direct sum of the tensor powers B^0 .. B^k with the weighted state
 psi_k = (1/delta_k) sum delta^i psi^i and adjacency Id + sum (x -> x o 1).
+Level i multiplies componentwise, so each fact about it is the base fact
+to the power i: check_delta_form scans the base once, and no level's
+basis is listed.
 
 All scalar arithmetic is exact in the field Q(sqrt(N)) (rational when
 sqrt(N) or delta is rational), so the reported Schur constants are exact
@@ -15,12 +18,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, product
 from random import Random
 from typing import NamedTuple
 
-from .errors import InputError, NotUnitary, TooLarge, Violation
+from .errors import InputError, NotUnitary, TooLarge
 
 # the largest dimension of a tree level, B^i for i <= depth
 MAX_LEVEL_DIM = 5000
@@ -30,12 +32,19 @@ MAX_LEVEL_DIM = 5000
 # Exact scalars a + b sqrt(d)
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction, so that / stays exact on int input; a float is refused."""
+    if isinstance(x, float):
+        raise InputError(f"a Quad coefficient must be exact, got the float {x!r}")
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class Quad:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Fraction, b: Fraction, d: int):
-        if d == 0:
-            b = Fraction(0)  # sqrt(0) = 0; _squarefree needs d != 0
+        # sqrt(0) = 0; _squarefree needs d != 0
+        a, b = _exact(a), _exact(b) if d else Fraction(0)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)  # radicand; ignored when b == 0
@@ -45,14 +54,14 @@ class Quad:
 
     @staticmethod
     def of(x) -> "Quad":
-        return Quad(Fraction(x), Fraction(0), 1)
+        return Quad(x, 0, 1)
 
     @staticmethod
     def sqrt(n: int) -> "Quad":
         r = math.isqrt(abs(n))
         if r * r == n:
             return Quad.of(r)
-        return Quad(Fraction(0), Fraction(1), n)
+        return Quad(0, 1, n)
 
     def _squarefree(self) -> "Quad":
         """The same number with the largest square dividing d moved into b."""
@@ -180,10 +189,17 @@ def matrix_trace(N: int) -> QuantumSpace:
 def check_delta_form(base: QuantumSpace) -> bool:
     """m m* = delta^2 id on the base, with the GNS adjoint of psi.
 
-    For a basis element z, m*(z) = (1/<b,b>) sum of the pairs multiplying
-    to z, so m m*(z) = (#pairs / <b,b>) z and the check is arithmetic.
+    For a basis element z, m*(z) = (1/<b,b>) sum of the pairs listed for z,
+    so m m*(z) = (#pairs / <b,b>) z when each pair gives z back, and the
+    check is arithmetic.  This is the one scan of the base's pairs; every
+    tree level reads its count off the base (QuantumTree.pair_counts).
     """
-    counts = {len(base.mult_pairs(z)) for z in base.labels}
+    counts = set()
+    for z in base.labels:
+        pairs = base.mult_pairs(z)
+        if any(base.mult(x, y) != z for x, y in pairs):
+            return False
+        counts.add(len(pairs))
     return len(counts) == 1 and Fraction(counts.pop()) / base.basis_norm() == base.dim
 
 
@@ -205,9 +221,6 @@ class QuantumTree:
             self.delta_powers.append(self.delta_powers[-1] * self.delta)
         self.delta_k = sum(self.delta_powers[1:], ONE)
 
-    def level_basis(self, i: int) -> list:
-        return list(product(self.base.labels, repeat=i))
-
     def basis_norm(self, i: int, weighted: bool = True) -> Quad:
         """<x, x> for a level-i basis element: (1/N)^i per tensorand,
         weighted by delta^i / delta_k under psi_k."""
@@ -216,44 +229,23 @@ class QuantumTree:
             h = h * self.delta_powers[i] / self.delta_k
         return h
 
-    def mult_pairs(self, t: tuple) -> list:
-        """All pairs of level-i tuples multiplying to t, componentwise."""
-        per = [self.base.mult_pairs(c) for c in t]
-        return [
-            (tuple(u for u, _ in combo), tuple(v for _, v in combo))
-            for combo in product(*per)
-        ]
-
-    @cached_property
-    def pair_counts(self) -> list[int]:
+    @property
+    def pair_counts(self) -> list[Fraction]:
         """The number of pairs multiplying to a level-i basis element, per
-        level.  Every pair is checked to multiply back to the element, and
-        the count to be the same across the basis of its level."""
-        counts = []
-        for i in range(self.depth + 1):
-            seen = set()
-            for t in self.level_basis(i):
-                pairs = self.mult_pairs(t)
-                # every pair multiplies back to t with coefficient 1
-                if any(tuple(map(self.base.mult, us, vs)) != t for us, vs in pairs):
-                    raise Violation(f"a multiplication pair at level {i} does not give {t}")
-                seen.add(len(pairs))
-            if len(seen) != 1:
-                raise Violation(f"the level-{i} constant is not the same across the basis")
-            counts.append(seen.pop())
-        return counts
+        level: c^i, where c = delta^2 <b, b> is the base count.  Precondition:
+        the base passes check_delta_form, which suites.trees runs first, so
+        each base element has c pairs giving it back, and the pairs of a
+        level-i tuple are the componentwise products of its tensorands'."""
+        c = self.base.dim * self.base.basis_norm()
+        return [c**i for i in range(self.depth + 1)]
 
     def state_is_unital(self) -> bool:
-        """psi_k applied to the unit of B_k equals 1."""
-        total = ZERO
-        for i in range(self.depth + 1):
-            level = ZERO
-            for t in product(self.base.unit_support(), repeat=i):
-                s = Fraction(1)
-                for c in t:
-                    s *= self.base.state(c)
-                level = level + Quad.of(s)
-            total = total + self.delta_powers[i] * level
+        """psi_k applied to the unit of B_k equals 1.  The unit of level i
+        is 1 tensored i times and psi^i is the product state, so level i
+        gives delta^i psi(1)^i, with psi(1) summed once over the base's
+        unit support."""
+        psi_one = sum(map(self.base.state, self.base.unit_support()), Fraction(0))
+        total = sum((p * Quad.of(psi_one**i) for i, p in enumerate(self.delta_powers)), ZERO)
         return total / self.delta_k == ONE
 
 
@@ -296,8 +288,10 @@ def schur_constants(tree: QuantumTree, weighted: bool = True) -> SchurReport:
         L(x) = (pairs / h_i) (x + x o 1)        (x o 1 absent at level k)
 
     because the cross terms Id o A and A o Id land in the kernel of m.
-    The constants are verified identical across the basis of each level
-    rather than assumed.
+    Level i multiplies componentwise, so the pairs of x are the products
+    of its tensorands' pairs, c^i of them for the base count c, and the
+    constant is the same across the basis of each level.  The base
+    decides every level (QuantumTree.pair_counts).
     """
     base = tree.base
     id_consts = [Quad.of(n) / tree.basis_norm(i, weighted) for i, n in enumerate(tree.pair_counts)]
@@ -332,10 +326,10 @@ def embedding_scalars(tree: QuantumTree) -> list[Quad]:
 def classical_graph(N: int, k: int) -> dict[tuple, list[tuple]]:
     """Parent -> children adjacency of A_k - Id on the delta basis of the
     classical base: x o 1 is the sum of the x (x) j over the support of 1."""
-    tree = QuantumTree(classical(N), k)
-    ones = tree.base.unit_support()
-    adj = {t: [t + (j,) for j in ones] for i in range(k) for t in tree.level_basis(i)}
-    return adj | {t: [] for t in tree.level_basis(k)}
+    base = QuantumTree(classical(N), k).base  # refuses a level out of budget
+    ones = base.unit_support()
+    adj = {t: [t + (j,) for j in ones] for i in range(k) for t in product(base.labels, repeat=i)}
+    return adj | {t: [] for t in product(base.labels, repeat=k)}
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,21 @@ truncated geometric sum 1 + delta + ... + delta^k.
 """
 
 import itertools
+import json
+import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qcomb import cli, errors, qgraph
+from qcomb import cli, errors, qgraph, suites
 from qcomb.qgraph import (
     ONE,
     Quad,
+    QuantumSpace,
     QuantumTree,
     action_commutes,
     check_delta_form,
@@ -28,6 +33,8 @@ from qcomb.qgraph import (
     matrix_trace,
     schur_constants,
 )
+
+DATA = Path(__file__).parent / "data"
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -97,6 +104,17 @@ def test_equal_numbers_over_different_radicands_compare_and_hash_alike():
     assert Quad.sqrt(-1) != Quad.of(1)
 
 
+def test_int_coefficients_stay_exact_and_floats_are_refused():
+    # with int a and b, / on the coefficients once gave floats
+    assert str(Quad(1, 1, 2).inverse()) == "-1+1*sqrt(2)"
+    half = Quad(3, 0, 1) / Quad(2, 0, 1)
+    assert half.a == Fraction(3, 2) and type(half.a) is Fraction
+    assert all(type(c) is Fraction for c in (Quad(3, 4, 5).a, Quad(3, 4, 5).b, Quad(3, 4, 0).b))
+    for a, b in [(1.5, 0), (0, 0.5), (1.0, 1)]:
+        with pytest.raises(errors.InputError, match="float"):
+            Quad(a, b, 2)
+
+
 def test_a_zero_radicand_is_a_rational():
     # sqrt(0) = 0, so b sqrt(0) adds nothing to a, whatever b is
     zero = Quad(0, 1, 0)
@@ -153,29 +171,92 @@ def test_constants_match_the_single_global_value_only_at_depth_zero():
 
 
 @pytest.mark.parametrize(
-    "extra",
+    "broken",
     [
-        lambda pairs: pairs[:1],  # a second copy: the level constant varies
-        lambda pairs: [((1, 1), (1, 1))],  # a pair that does not give (0, 0)
+        lambda pairs: pairs + pairs,  # a second copy: the base count varies
+        lambda pairs: [(1, 1)],  # the count holds, but the pair gives 1, not 0
     ],
     ids=["repeated pair", "wrong product"],
 )
-def test_a_broken_multiplication_is_a_violation_not_an_assertion(monkeypatch, capsys, extra):
-    original = QuantumTree.mult_pairs
+def test_a_broken_multiplication_is_a_violation_not_an_assertion(monkeypatch, capsys, broken):
+    original = QuantumSpace.mult_pairs
 
-    def one_extra_pair(self, t):
-        pairs = original(self, t)
-        return pairs + extra(pairs) if t == (0, 0) else pairs
+    def broken_at_zero(self, z):
+        pairs = original(self, z)
+        return broken(pairs) if z == 0 else pairs
 
-    monkeypatch.setattr(QuantumTree, "mult_pairs", one_extra_pair)
-    with pytest.raises(errors.Violation):
-        schur_constants(QuantumTree(classical(2), 2))
+    monkeypatch.setattr(QuantumSpace, "mult_pairs", broken_at_zero)
+    assert not check_delta_form(classical(2))
     code = cli.main(["verify", "trees", "--base", "c2", "--depth", "2"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("violation:")
+    assert captured.out == "delta-form axiom FAILS\nverdict: fail\n"
+    assert captured.err == ""
+
+
+def enumerated_pair_counts(tree):
+    """Per level, the number of pairs multiplying to each basis element,
+    listed componentwise from the base's pairs; every pair must multiply
+    back to its element and every element of a level must have as many."""
+    base = tree.base
+    counts = []
+    for i in range(tree.depth + 1):
+        seen = set()
+        for t in itertools.product(base.labels, repeat=i):
+            pairs = [
+                (tuple(u for u, _ in combo), tuple(v for _, v in combo))
+                for combo in itertools.product(*map(base.mult_pairs, t))
+            ]
+            assert all(tuple(map(base.mult, us, vs)) == t for us, vs in pairs)
+            seen.add(len(pairs))
+        assert len(seen) == 1, (i, seen)
+        counts.append(seen.pop())
+    return counts
+
+
+def enumerated_unital_sum(tree):
+    """psi_k(1), summing psi^i over every tuple of the unit's support."""
+    total = Quad.of(0)
+    for i, delta_i in enumerate(tree.delta_powers):
+        terms = itertools.product(tree.base.unit_support(), repeat=i)
+        level = sum((math.prod(map(tree.base.state, t)) for t in terms), Fraction(0))
+        total = total + delta_i * Quad.of(level)
+    return total / tree.delta_k
+
+
+SMALL_TREES = [
+    (base, depth)
+    for base in [classical(n) for n in range(1, 6)] + [matrix_trace(n) for n in range(1, 5)]
+    for depth in range(13)
+    if base.dim**depth <= 1000
+]
+
+
+@pytest.mark.parametrize("state_scale", [1, 2], ids=["psi", "2 psi"])
+def test_closed_forms_match_the_level_enumeration(monkeypatch, state_scale):
+    # 2 psi is not unital, so the closed form must also say False where the
+    # enumeration does
+    original = QuantumSpace.state
+    monkeypatch.setattr(QuantumSpace, "state", lambda self, x: state_scale * original(self, x))
+    for base, depth in SMALL_TREES:
+        tree = QuantumTree(base, depth)
+        assert tree.pair_counts == enumerated_pair_counts(tree), (base, depth)
+        unital = enumerated_unital_sum(tree) == ONE
+        assert unital == (state_scale == 1 or depth == 0), (base, depth)
+        assert tree.state_is_unital() == unital, (base, depth)
+
+
+def test_pinned_tree_outputs():
+    # lines of every in-budget c1-c12 and m1-m12 tree at depths 0-4, plus
+    # c2 at depth 12 and m70 at depth 1
+    pinned = json.loads((DATA / "trees.json").read_text())
+    found = {}
+    for key in pinned:
+        kind, n, depth = re.fullmatch(r"--base ([cm])(\d+) --depth (\d+)", key).groups()
+        base = (classical if kind == "c" else matrix_trace)(int(n))
+        out = suites.trees(base, int(depth))
+        found[key] = {"ok": out.ok, "lines": out.lines}
+    assert found == pinned
 
 
 def test_embedding_scalars_are_the_square_root_of_the_dimension():
