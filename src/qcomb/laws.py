@@ -14,8 +14,9 @@ Speicher, "Liberation of orthogonal Lie groups", Adv. Math. 2009):
   no carries since T_q < 2^(N^(points of q));
 * loop: T_q . T_p = N^rl T_{qp}, read off one product (_loop_layout).
 
-gram_rank ranks a circle family of at most _SMALL_FAMILY members by
-Bareiss on its Gram matrix <T_p, T_q> = N^b(p v q), a larger one in linreal.
+gram_rank ranks a circle family in _rank, the one rank memo: by Bareiss
+on its Gram matrix <T_p, T_q> = N^b(p v q), unless the family has more
+than _SMALL_FAMILY members and linreal's residue certifies it full rank.
 """
 
 from __future__ import annotations
@@ -148,10 +149,11 @@ def check_laws(pairs, N: int) -> dict:
     return {"orientation": orientation, "pairs_checked": checked, "N": N}
 
 
-# Families of at most this many members are ranked here, larger ones by
-# linreal's residue: with numpy loaded, a first rank at N = 4 of a CU family
-# of 1 to 7 members took 10-190 us here and 95-320 us there, of 10 0.4 ms
-# on both, of 14 0.85 and 0.66 ms.  No CU family has 8 or 9 members.
+# Families of at most this many members skip linreal's residue and are
+# ranked by Bareiss alone: with numpy loaded, a first rank at N = 4 of a CU
+# family of 1 to 7 members took 10-190 us by Bareiss and 95-320 us by the
+# residue, of 10 0.4 ms by both, of 14 0.85 and 0.66 ms.  No CU family has 8
+# or 9 members.
 _SMALL_FAMILY = 8
 
 
@@ -196,9 +198,28 @@ def _rank_bareiss(M: list[list[int]]) -> int:
     return rank
 
 
-@lru_cache(maxsize=256)  # `verify fusion-rank --length 10` ranks 154 small families
-def _small_rank(circles: frozenset, N: int) -> int:
-    """Exact rank at N of the Gram matrix of a small circle family."""
+@lru_cache(maxsize=256)  # `verify fusion-rank --length 10` ranks 176 families
+def _rank(circles: frozenset, N: int) -> int:
+    """Exact rank over the rationals at N of the Gram matrix of a circle
+    family, certified once per family and N.
+
+    A family of more than _SMALL_FAMILY members is full rank when its
+    Gram residue modulo linreal's prime is.  A residue's rank only bounds
+    the rational rank from below, so every other family, a deficient
+    residue's included, is ranked by Bareiss on its exact Gram matrix; a
+    deficient residue above 400 members raises TooLarge instead, and the
+    memo does not store it."""
+    n = len(circles)
+    if n > _SMALL_FAMILY:
+        from . import linreal
+
+        if linreal._residue_rank(linreal._family(circles), N) == n:
+            return n
+        if n > 400:
+            raise TooLarge(
+                f"rank defect suspected on a {n}x{n} Gram matrix; "
+                "exact elimination at this size is out of budget"
+            )
     rows = sorted(circles)
     return _rank_bareiss([[N ** _join_count(p, q) for q in rows] for p in rows])
 
@@ -206,19 +227,11 @@ def _small_rank(circles: frozenset, N: int) -> int:
 def gram_rank(parts: list[Partition], N: int) -> int:
     """Exact rank over the rationals of {T_p : p in parts} at dimension N.
 
-    The rank is certified once per circle family and N: the Gram matrix of
-    parts is the family's with rows and columns permuted together and
-    repeated.  A family of at most _SMALL_FAMILY members is certified by
-    Bareiss on its exact Gram matrix, with no residue; a larger one by
-    linreal._family_rank.  Members of different frames raise ShapeMismatch."""
-    if not parts:
-        return 0
-    circles = frozenset(_circles(parts))
-    if len(circles) <= _SMALL_FAMILY:
-        return _small_rank(circles, N)
-    from . import linreal
-
-    return linreal._family_rank(circles, N)
+    The rank is that of the circle family of parts, certified once per
+    family and N by _rank: the Gram matrix of parts is the family's with
+    rows and columns permuted together and repeated.  Members of different
+    frames raise ShapeMismatch."""
+    return _rank(frozenset(_circles(parts)), N) if parts else 0
 
 
 def rank(parts: list[Partition], N: int) -> int:

@@ -4,10 +4,12 @@ The realizations T_p and their laws are the bit vectors of laws.py.
 
 Ranks are certified exactly through the Gram matrix: for 0/1 vectors
 indexed by joint assignments, <T_p, T_q> = N^(number of blocks of the
-join of p and q on all k+l points); laws.gram_rank hands over the
-families above laws._SMALL_FAMILY members.  A full-rank residue of the
-Gram matrix modulo a prime certifies full rank over the rationals;
-otherwise a fraction-free elimination over the integers settles it.
+join of p and q on all k+l points).  laws._rank, which decides the
+certificate and holds the one rank memo, asks this module for the
+residue of a family above laws._SMALL_FAMILY members.  A full-rank
+residue of the Gram matrix modulo a prime certifies full rank over the
+rationals; otherwise laws._rank settles it by fraction-free elimination
+over the integers.
 The prime is 4,158,001 = 150 * 27720 + 1, below 2^22; 27720 is the
 least common multiple of 1..12, so F_p holds a primitive h-th root of
 unity, a power of the primitive root 17, for every h up to 12.  A
@@ -29,7 +31,7 @@ programs, and sums of squares", JPAA 2004; on NC(n) this is the
 rotation symmetry of Di Francesco's meander Gram matrix, "Meander
 determinants", CMP 1998).  The Gram matrix is symmetric, so the blocks
 of conjugate characters have the same rank and only the characters up
-to half the group order are eliminated (_family_rank gives the blocks).
+to half the group order are eliminated (_residue_rank gives the blocks).
 NC(8), whose 1,430 members make 190 orbits of 8 turns, is certified by
 five eliminations of 170 to 190 rows instead of one of 1,430, and each
 elimination pays numpy's per-pivot overhead on fewer pivots.  A family
@@ -65,18 +67,18 @@ share leading merges share the labels after them, and at most n + 1
 label matrices are held for n points.
 
 One memo, an lru_cache of at most _MAX_FAMILIES entries, holds the
-circle families ranked here.  A family's key is the set of its members'
-circle readings (partitions.circle_reading: the labels in circular
-order, blocks numbered by first appearance), so all frames with the
-same points around one circle share an entry: the NCall frames (a, n-a)
-of one n, or the CU frames of one circular color word, whatever the
-split.  A turn of a reading is the same relabel, _canonical_labels, read
-from another starting point.  An entry holds what the certificate reads: the
-sizes of the rotation orbits, the join block counts of every turn of
-each orbit's first member against every orbit's first member, stored as
-the smallest unsigned integer type that holds the point count (uint8 on
-every frame a suite ranks), and the ranks certified so far at each N.
-A rank found out of budget raises and is not stored.
+circle families whose residues are ranked here; their ranks are in
+laws._rank's memo, keyed by family and N.  A family's key is the set of
+its members' circle readings (partitions.circle_reading: the labels in
+circular order, blocks numbered by first appearance), so all frames
+with the same points around one circle share an entry: the NCall frames
+(a, n-a) of one n, or the CU frames of one circular color word,
+whatever the split.  A turn of a reading is the same relabel, _canonical_labels, read
+from another starting point.  An entry holds what the residue reads at
+every N: the sizes of the rotation orbits, and the join block counts of
+every turn of each orbit's first member against every orbit's first
+member, stored as the smallest unsigned integer type that holds the
+point count (uint8 on every frame a suite ranks).
 
 This is the package's numpy module, and nothing on the import path of
 the command line imports it: `verify fusion-rank` loads it only on a
@@ -90,7 +92,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import laws
 from .errors import TooLarge
 # the realization and rank API, re-exported
 from .laws import _circles, check_laws, fixed_points_dim, gram_rank, rank, realize, small_partitions
@@ -116,13 +117,12 @@ _MAX_FAMILIES = 256
 
 class _Family(NamedTuple):
     """A memo entry, over the rotation orbits of a circle family: the
-    orbit sizes; the exponents, whose entry [r, O, O'] is the join block
-    count of the member r turns from orbit O's first against orbit O''s
-    first; and the ranks certified so far, keyed by N."""
+    orbit sizes, and the exponents, whose entry [r, O, O'] is the join
+    block count of the member r turns from orbit O's first against orbit
+    O''s first."""
 
     sizes: np.ndarray
     exponents: np.ndarray
-    ranks: dict[int, int]
 
 
 def _exponents(circles: list[tuple[int, ...]], qs: list[tuple[int, ...]]) -> np.ndarray:
@@ -211,7 +211,7 @@ def _family(circles: frozenset) -> _Family:
     sizes, turns = _orbits(rows)
     exponents = _exponents(rows, [rows[i] for i in turns[0]])[turns]
     exponents.flags.writeable = False
-    return _Family(sizes, exponents, {})
+    return _Family(sizes, exponents)
 
 
 def gram_exponents(parts: list[Partition]) -> np.ndarray:
@@ -279,45 +279,6 @@ def _rank_mod_p(A: np.ndarray) -> int:
     return rank
 
 
-def _family_rank(circles: frozenset, N: int) -> int:
-    """Exact rank over the rationals at N of a circle family above
-    laws._SMALL_FAMILY members, certified once per family and N.
-
-    The certificate is the rank of the Gram residue modulo the prime,
-    one rotation character at a time.  The family's rotation group of
-    order h permutes its members and leaves G = N^B invariant, and over
-    F_p, which holds a primitive h-th root of unity w and in which h is
-    invertible, F_p^m splits into the eigenspaces of the rotation, one
-    per character j = 0..h-1, each mapped to itself by G (Gatermann and
-    Parrilo, JPAA 2004; see the module docstring).  Character j meets orbit
-    O when h divides j|O|, and on those orbits G acts by
-
-        M_j[O, O'] = sum over r < |O| of w^(jr) G[s^r p_O, p_O'],
-
-    s the turn and p_O the orbit's first member.  So the residue rank is
-    the sum of the ranks of the M_j.  G is symmetric and invariant, so
-    M_(-j) = D M_j^T D^-1 with D = diag(|O|), and characters j and h - j
-    have the same rank: the sum counts twice each j with 0 < 2j < h and
-    once j = 0 and 2j = h.  A family without rotation symmetry has h = 1
-    and one block, its full residue."""
-    family, n = _family(circles), len(circles)
-    # a full-rank residue modulo a prime certifies full rational rank
-    if N not in family.ranks and _residue_rank(family, N) == n:
-        family.ranks[N] = n
-    if N not in family.ranks:
-        # modular rank only bounds the rational rank from below, so a
-        # deficient family needs the integer elimination to settle the value
-        if n > 400:
-            raise TooLarge(
-                f"rank defect suspected on a {n}x{n} Gram matrix; "
-                "exact elimination at this size is out of budget"
-            )
-        rows = sorted(circles)
-        B = _exponents(rows, rows)
-        family.ranks[N] = laws._rank_bareiss([[N ** int(e) for e in row] for row in B])
-    return family.ranks[N]
-
-
 def _block(A: np.ndarray, sizes: np.ndarray, j: int) -> np.ndarray:
     """M_j modulo the prime over the orbits whose size times j the group
     order h divides; A[r, O, O'] is the Gram residue of the member r
@@ -335,10 +296,26 @@ def _block(A: np.ndarray, sizes: np.ndarray, j: int) -> np.ndarray:
 
 
 def _residue_rank(family: _Family, N: int) -> int:
-    """Rank over F_p of the Gram residue, the sum over the rotation
-    characters j <= h/2 of the rank of M_j, doubled when 0 < 2j < h; a
-    character that meets no orbit has an empty block and is skipped.  A
-    family with h = 1 has one block, its residue, ranked as it is."""
+    """Rank over F_p of the Gram residue at N of a memo entry, one
+    rotation character at a time.
+
+    The family's rotation group of order h permutes its members and
+    leaves G = N^B invariant, and over F_p, which holds a primitive h-th
+    root of unity w and in which h is invertible, F_p^m splits into the
+    eigenspaces of the rotation, one per character j = 0..h-1, each
+    mapped to itself by G (Gatermann and Parrilo, JPAA 2004; see the
+    module docstring).  Character j meets orbit O when h divides j|O|,
+    and on those orbits G acts by
+
+        M_j[O, O'] = sum over r < |O| of w^(jr) G[s^r p_O, p_O'],
+
+    s the turn and p_O the orbit's first member.  So the residue rank is
+    the sum of the ranks of the M_j.  G is symmetric and invariant, so
+    M_(-j) = D M_j^T D^-1 with D = diag(|O|), and characters j and h - j
+    have the same rank: the sum counts twice each j with 0 < 2j < h and
+    once j = 0 and 2j = h; a character that meets no orbit has an empty
+    block and is skipped.  A family without rotation symmetry has h = 1
+    and one block, its residue, ranked as it is."""
     E, sizes = family.exponents, family.sizes
     h = len(E)
     # table holds N^e reduced modulo the prime, so table[E] is the exact

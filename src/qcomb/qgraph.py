@@ -118,7 +118,7 @@ class Quad:
             return str(self.a)
         if self.a == 0:
             return f"{self.b}*sqrt({self.d})"
-        return f"{self.a}+{self.b}*sqrt({self.d})"
+        return f"{self.a}{'+' if self.b > 0 else '-'}{abs(self.b)}*sqrt({self.d})"
 
 
 ZERO = Quad.of(0)

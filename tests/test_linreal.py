@@ -25,10 +25,12 @@ pairing and none when it has not.
 """
 
 import itertools
+import json
 import tracemalloc
 from functools import lru_cache
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,8 +542,8 @@ def test_gram_exponents_of_no_members_is_an_empty_read_only_matrix():
 
 
 def clear_memos():
-    """Empty both rank memos: the small families' and the residue's."""
-    laws._small_rank.cache_clear()
+    """Empty both memos: the ranks' and the residues' orbits and exponents."""
+    laws._rank.cache_clear()
     linreal._family.cache_clear()
 
 
@@ -563,7 +565,7 @@ def one_residue(family):
 
 
 def test_gram_rank_memo_follows_the_family():
-    linreal._family.cache_clear()
+    clear_memos()
     a = all_parts(4)
     b = list(reversed(a))
     c = all_parts(5)[: len(a)]
@@ -574,14 +576,23 @@ def test_gram_rank_memo_follows_the_family():
         assert not B.flags.writeable
         with pytest.raises(ValueError):
             B[0, 0] = 0
-    # a and its reversal are one family, stored once with its rank at
-    # N = 2; gram_exponents neither reads nor fills the memo
-    info = linreal._family.cache_info()
+    # a and its reversal are one family, ranked once at N = 2, and only a
+    # rank memo miss reads the residue memo; gram_exponents reads neither
+    info = laws._rank.cache_info()
     assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+    info = linreal._family.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 0)
     for f in (family_of(a), family_of(c)):
         E = f.exponents
-        assert E.shape == (len(E), len(f.sizes), len(f.sizes)) and f.ranks.keys() == {2}
+        assert E.shape == (len(E), len(f.sizes), len(f.sizes))
         assert E.dtype == np.uint8 and not E.flags.writeable
+    # both ranks at N = 2 are held, and none at N = 3
+    for parts in (a, c):
+        circles = frozenset(linreal._circles(parts))
+        assert laws._rank(circles, 2) == linreal.rank(parts, 2)
+    assert laws._rank.cache_info()[:2] == (4, 2)
+    assert laws._rank(frozenset(linreal._circles(a)), 3) == linreal.rank(a, 3)
+    assert laws._rank.cache_info()[:2] == (4, 3)
 
 
 def memo_frames():
@@ -619,11 +630,41 @@ def test_shared_memo_ranks_match_a_cleared_memo():
     # CU frames of one circular color word whatever the split: the 36
     # NCall and 177 CU frames make 22 families.  The 4 above
     # _SMALL_FAMILY members, NC(4) to NC(7), hold one residue memo entry
-    # each, and the other 18 one small-family entry per N they are
-    # ranked at, 72 in all
+    # each, and every family one rank memo entry per N it is ranked at:
+    # 72 for the other 18, 4 for each of NC(4) to NC(6) and 2 for NC(7)
     assert linreal._family.cache_info().currsize == 4
-    assert laws._small_rank.cache_info().currsize == 72
+    assert laws._rank.cache_info().currsize == 72 + 3 * 4 + 2
     assert shared == memo_pass(cleared=True)
+
+
+def test_gram_ranks_match_the_pinned_sweep():
+    # tests/data/gram_ranks.json holds the rank or refusal of every frame
+    # of a sweep (its "about" says which) as they were before the
+    # certificate policy moved into laws._rank: the small families'
+    # Bareiss, the residue's full-rank certificate, the fallback on a
+    # deficient residue and the refusal above 400 members all appear in it
+    pinned = json.loads((Path(__file__).parent / "data" / "gram_ranks.json").read_text())
+    clear_memos()
+    got, calls = {}, 0
+    for kind in ("NCall", "CU", "set"):
+        got[kind] = {}
+        for frame, want in pinned[kind].items():
+            upper, lower = (row.replace("e", "") for row in frame.split(";"))
+            if kind == "set":
+                parts = list(enumerate_partitions(upper, lower))
+            else:
+                parts = enumerate_members(NAMED[kind], upper, lower)
+            ranks = []
+            for N in range(1, len(want) + 1):
+                try:
+                    ranks.append(gram_rank(parts, N))
+                except TooLarge:
+                    ranks.append("TooLarge")
+            got[kind][frame] = ranks
+            calls += len(ranks)
+    assert got == {kind: pinned[kind] for kind in got}
+    refusals = sum(r == "TooLarge" for kind in got for rs in got[kind].values() for r in rs)
+    assert (calls, refusals) == (10610, 51)
 
 
 def test_each_circle_family_is_eliminated_once_per_N(monkeypatch):
@@ -718,7 +759,7 @@ def test_at_N_1_every_unitary_word_spans_at_most_one_dimension(monkeypatch):
     large = [c for c in circles if len(c) > laws._SMALL_FAMILY]
     assert (len(circles), len(large)) == (176, 22)
     assert linreal._family.cache_info().currsize == 22
-    assert laws._small_rank.cache_info().currsize == 154
+    assert laws._rank.cache_info().currsize == 176
     blocks = [k for c in large for k in one_residue(linreal._family(c))]
     assert sorted(calls["mod_p"]) == sorted(blocks)
     assert sorted(calls["bareiss"]) == sorted(map(len, circles))
@@ -740,7 +781,7 @@ def test_at_N_equal_to_the_prime_every_family_is_settled_by_bareiss(monkeypatch)
     large = [c for c in circles if len(c) > laws._SMALL_FAMILY]
     assert (len(circles), len(large)) == (175, 22)
     assert linreal._family.cache_info().currsize == 22
-    assert laws._small_rank.cache_info().currsize == 153
+    assert laws._rank.cache_info().currsize == 175
     blocks = [k for c in large for k in one_residue(linreal._family(c))]
     assert sorted(calls["mod_p"]) == sorted(blocks) and set(residues) == {0}
     assert sorted(calls["bareiss"]) == sorted(map(len, circles))
@@ -772,38 +813,56 @@ def test_a_full_memo_evicts_the_least_recently_used_family_and_stays_exact():
         all_parts(7)[i : i + laws._SMALL_FAMILY + 1] for i in range(linreal._MAX_FAMILIES - 1)
     ]
     old, used = all_parts(4), all_parts(5)
+    size = laws._rank.cache_info().maxsize
+    used_circles = frozenset(linreal._circles(used))
 
-    def exact(parts):
+    def exact(parts, Ns=(2, 3)):
         n = parts[0].n_points
-        return [gram_rank(parts, N) for N in (2, 3)] == [
-            sum(stirling2(n, j) for j in range(N + 1)) for N in (2, 3)
+        return [gram_rank(parts, N) for N in Ns] == [
+            sum(stirling2(n, j) for j in range(N + 1)) for N in Ns
         ]
 
+    # the rank memo holds one entry per family and N: old's and used's
+    # four, then one per run at N = 2 until it is full
     assert exact(old) and exact(used)
-    for parts in runs[:-1]:
+    for parts in runs[: size - 4]:
+        assert gram_rank(parts, 2) == linreal.rank(parts, 2)
+    assert laws._rank.cache_info().currsize == size
+    # a hit makes old's ranks the most recently used, so the next rank
+    # evicts the oldest left, used's at N = 2
+    assert exact(old)
+    assert gram_rank(runs[size - 4], 2) == linreal.rank(runs[size - 4], 2)
+    assert laws._rank.cache_info().currsize == size
+    misses = laws._rank.cache_info().misses
+    assert laws._rank(used_circles, 3) == sum(stirling2(5, j) for j in range(4))
+    assert laws._rank.cache_info().misses == misses
+    assert exact(used, (2,))
+    assert laws._rank.cache_info().misses == misses + 1
+    # the residue memo is read on rank misses only, so it last read old
+    # before used; filling it evicts old, whose ranks stay in the rank memo
+    for parts in runs[size - 3 :]:
         assert gram_rank(parts, 2) == linreal.rank(parts, 2)
     assert linreal._family.cache_info().currsize == linreal._MAX_FAMILIES
-    # a hit makes the oldest family the most recently used, so the next
-    # family evicts the second oldest
-    assert exact(old)
-    assert gram_rank(runs[-1], 2) == linreal.rank(runs[-1], 2)
-    assert linreal._family.cache_info().currsize == linreal._MAX_FAMILIES
-    assert family_of(old).ranks == {2: 8, 3: 14}
-    assert laws._small_rank.cache_info().currsize == 0
     misses = linreal._family.cache_info().misses
-    assert family_of(used).ranks == {}
+    family_of(used)
+    assert linreal._family.cache_info().misses == misses
+    assert exact(old)
+    assert linreal._family.cache_info().misses == misses
+    family_of(old)
     assert linreal._family.cache_info().misses == misses + 1
-    assert exact(used)
+    assert exact(old, (4,))
 
 
 def test_an_out_of_budget_rank_is_not_stored():
-    linreal._family.cache_clear()
+    clear_memos()
     parts = enumerate_members(NAMED["NCall"], "o" * 7, "")
     for _ in range(2):
         with pytest.raises(TooLarge, match="rank defect"):
             gram_rank(parts, 2)
+    # each refusal is certified anew, from the one residue memo entry
+    info = laws._rank.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (0, 2, 0)
     assert linreal._family.cache_info().currsize == 1
-    assert family_of(parts).ranks == {}
 
 
 @pytest.mark.parametrize("first", ["repeated", "distinct"])
@@ -813,11 +872,14 @@ def test_a_family_with_repeated_members_ranks_its_distinct_members(first):
     parts = all_parts(4)
     repeated = parts + parts[::3] + parts[:1]
     for N in (1, 2, 3, 4):
-        linreal._family.cache_clear()
+        clear_memos()
         want = linreal.rank(parts, N)
         lists = [repeated, parts] if first == "repeated" else [parts, repeated]
         assert [gram_rank(ps, N) for ps in lists] == [want, want]
         assert np.array_equal(gram_exponents(repeated), join_matrix(repeated))
+        # both lists are the one family: one rank entry, hit the second time
+        info = laws._rank.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
         assert linreal._family.cache_info().currsize == 1
 
 
@@ -838,7 +900,7 @@ def test_members_of_different_frames_raise_before_the_memo(parts, compute):
     with pytest.raises(ShapeMismatch, match="mixed frames"):
         compute(parts)
     assert linreal._family.cache_info() == (0, 0, linreal._MAX_FAMILIES, 0)
-    assert laws._small_rank.cache_info().currsize == 0
+    assert laws._rank.cache_info().currsize == 0
 
 
 # -- small families, ranked by Bareiss without the residue ---------------------
@@ -871,11 +933,28 @@ def test_small_families_cover_every_size_up_to_the_bound():
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, linreal._PRIME])
-def test_small_family_ranks_match_the_residue_certificate(N):
-    # the residue path, called directly, on the families it no longer sees
+def test_small_family_ranks_match_the_residue_certificate(monkeypatch, N):
+    # the residue route, on the families it no longer sees: with no small
+    # family every family reads its residue first, and Bareiss settles
+    # only those whose residue falls short
+    families = [circles for circles, _ in small_families()]
     clear_memos()
-    for circles, _ in small_families():
-        assert laws._small_rank(circles, N) == linreal._family_rank(circles, N), (sorted(circles), N)
+    bareiss = [laws._rank(circles, N) for circles in families]
+    assert linreal._family.cache_info().currsize == 0
+    monkeypatch.setattr(laws, "_SMALL_FAMILY", 0)
+    calls = counted_certification(monkeypatch)
+    for circles, want in zip(families, bareiss):
+        assert laws._rank(circles, N) == want, (sorted(circles), N)
+    assert linreal._family.cache_info().currsize == len(families)
+    # Bareiss settles only the families whose residue falls short: the
+    # deficient ones, and at N = p every one with a point, each entry N^e
+    # of its residue being 0
+    short = [
+        len(c)
+        for c, r in zip(families, bareiss)
+        if r < len(c) or (N == linreal._PRIME and c != {()})
+    ]
+    assert sorted(calls["bareiss"]) == sorted(short)
 
 
 def test_small_family_join_counts_match_gram_exponents():

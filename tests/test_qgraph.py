@@ -115,6 +115,14 @@ def test_int_coefficients_stay_exact_and_floats_are_refused():
             Quad(a, b, 2)
 
 
+def test_a_negative_radical_coefficient_prints_one_sign():
+    # the + before b once printed as +- when b was negative
+    assert str(Quad(3, 1, 2).inverse()) == "3/7-1/7*sqrt(2)"
+    assert str(Quad(1, -2, 2)) == "1-2*sqrt(2)"
+    assert str(Quad(0, -2, 2)) == "-2*sqrt(2)"
+    assert str(Quad(-1, 2, 3)) == "-1+2*sqrt(3)"
+
+
 def test_a_zero_radicand_is_a_rational():
     # sqrt(0) = 0, so b sqrt(0) adds nothing to a, whatever b is
     zero = Quad(0, 1, 0)

@@ -114,17 +114,20 @@ def test_records_of_other_classes_stay_apart():
     assert qgraph.Quad.of(1) != (Fraction(1), Fraction(0), 1)
 
 
-def test_the_family_memo_entry_holds_its_own_ranks():
-    # a NamedTuple default would be one dict shared by every family
-    assert linreal._Family._fields == ("sizes", "exponents", "ranks")
+def test_the_family_memo_entry_is_a_read_only_two_field_record():
+    # the ranks are in laws._rank's memo; an entry holds what the residue
+    # reads at every N, and a caller can change neither a field nor an array
+    assert linreal._Family._fields == ("sizes", "exponents")
     assert linreal._Family._field_defaults == {}
     linreal._family.cache_clear()
     try:
         one = linreal._family(frozenset({(0, 0), (0, 1)}))
         two = linreal._family(frozenset({(0, 0, 0), (0, 1, 1), (0, 0, 1)}))
-        assert one.ranks == two.ranks == {} and one.ranks is not two.ranks
+        assert [len(f.exponents[0]) for f in (one, two)] == [2, 3]
         with pytest.raises(AttributeError):
-            one.ranks = {}
+            one.exponents = two.exponents
+        with pytest.raises(ValueError):
+            one.exponents[0, 0, 0] = 0
     finally:
         linreal._family.cache_clear()
 
